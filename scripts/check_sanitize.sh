@@ -4,10 +4,11 @@
 #
 # Configures a second build tree with -DPARCAE_SANITIZE=ON (address +
 # undefined, frame pointers kept) and runs under it:
-#   * the checkpoint / resilience / serve / chunking / work-source unit
-#     suites from parcae_tests — the code that juggles runner teardown
-#     with pending quiesce callbacks, in-flight request pointers across
-#     a serve drain, and cursor arithmetic;
+#   * the checkpoint / resilience / serve / chunking / work-source /
+#     machine unit suites from parcae_tests — the code that juggles
+#     runner teardown with pending quiesce callbacks, in-flight request
+#     pointers across a serve drain, cursor arithmetic, and thread-record
+#     reuse after a body is released;
 #   * bench_checkpoint end to end in all three modes (hot restart,
 #     warning drain, live serve migration);
 #   * bench_resilience end to end (the legacy mixed-fault scenario) plus
@@ -56,7 +57,7 @@ if ! build; then
 fi
 
 "$BUILDDIR/tests/parcae_tests" \
-  --gtest_filter='Checkpoint*:FaultInjection*:ServeLoop*:ChunkPolicy*:QueueWorkSource*' \
+  --gtest_filter='Checkpoint*:FaultInjection*:ServeLoop*:ChunkPolicy*:QueueWorkSource*:Machine*' \
   --gtest_brief=1 ||
   fail "unit suites reported a failure (or a sanitizer fired)"
 

@@ -154,9 +154,9 @@ void RegionExec::abort() {
                                  "next_seq", static_cast<double>(NextSeq))}));
   PARCAE_TRACE(Tel, end(TelPid, telemetry::TidExec, "exec", Config.str(),
                         {telemetry::TraceArg::str("exit", "aborted")}));
-  // Kill without onWorkerExit: no respawns, no quiescence callbacks. The
-  // SimThreads outlive this exec (the Machine owns them), but terminated
-  // threads never resume, so the dead Worker bodies are never re-entered.
+  // Kill without onWorkerExit: no respawns, no quiescence callbacks.
+  // Terminated threads never resume, so the dead Worker bodies are never
+  // re-entered; the Machine releases them after this event.
   for (auto &List : ActiveByTask) {
     for (Worker *W : List)
       M.terminate(W->Thread);
@@ -288,8 +288,9 @@ RegionExec::RestartResult RegionExec::restartTask(unsigned TaskIdx) {
     --ActiveWorkers;
     // Salvage produced-but-unsent output tokens; they are below the
     // frontier of what downstream has seen and must not be lost. The
-    // Worker body outlives its thread (the Machine owns both), so the
-    // move is safe after terminate too — but take it first for clarity.
+    // Machine keeps a terminated thread's body until the event ends, so
+    // the move would be safe after terminate too — but take it first for
+    // clarity.
     std::vector<std::vector<Token>> Salvage = std::move(W->SendBufs);
     unsigned Slot = W->slot();
     std::uint64_t CursorFrom = W->CursorFrom;

@@ -107,12 +107,14 @@ Action Worker::resume(sim::Machine &M, sim::SimThread &) {
     sim::SimTime Now = M.sim().now();
     if (!BackoffArmed) {
       BackoffArmed = true;
+      if (!RetryEvent)
+        RetryEvent = std::make_shared<sim::Waitable>();
       M.sim().schedule(RetryAt > Now ? RetryAt - Now : 0,
-                       [this] { RetryEvent.notifyAll(); });
+                       [Ev = RetryEvent] { Ev->notifyAll(); });
     }
     if (Now < RetryAt) {
       LastWait = WaitKind::Retry;
-      return Action::block(RetryEvent);
+      return Action::block(*RetryEvent);
     }
     BackoffArmed = false;
     return runFunctor(M);

@@ -35,6 +35,7 @@
 #include "sim/Machine.h"
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <vector>
 
@@ -165,7 +166,10 @@ private:
   unsigned Attempt = 0;
   bool BackoffArmed = false;
   sim::SimTime RetryAt = 0;
-  sim::Waitable RetryEvent;
+  /// Shared with the pending backoff timer: the worker may be terminated
+  /// and its body released (Machine recycles finished threads) before
+  /// the timer fires.
+  std::shared_ptr<sim::Waitable> RetryEvent;
 };
 
 } // namespace parcae::rt

@@ -62,16 +62,54 @@ Machine::~Machine() {
     Tel->captureSimQueueMetrics(Sim);
 }
 
+void SimThread::reincarnate(std::uint64_t NewId, std::string NewName,
+                            std::unique_ptr<ThreadBody> NewBody) {
+  Id = NewId;
+  Name = std::move(NewName);
+  Body = std::move(NewBody);
+  State = ThreadState::Ready;
+  RemainingBurst = 0;
+  BusyTime = 0;
+  CoreIdx = -1;
+  GangHold = 0;
+  PendingGang = 0;
+  PendingGangCycles = 0;
+}
+
 SimThread *Machine::spawn(std::string Name, std::unique_ptr<ThreadBody> Body) {
   assert(Body && "spawn() requires a body");
-  auto T = std::unique_ptr<SimThread>(
-      new SimThread(*this, Threads.size(), std::move(Name), std::move(Body)));
-  SimThread *Raw = T.get();
-  Threads.push_back(std::move(T));
+  releaseRetired();
+  SimThread *T;
+  if (FreeThreads.empty()) {
+    Threads.push_back(std::unique_ptr<SimThread>(new SimThread(*this)));
+    T = Threads.back().get();
+  } else {
+    T = FreeThreads.back();
+    FreeThreads.pop_back();
+  }
+  T->reincarnate(NextThreadId++, std::move(Name), std::move(Body));
   ++AliveCount;
-  ReadyQueue.push_back(Raw);
+  ReadyQueue.push_back(T);
   dispatch();
-  return Raw;
+  return T;
+}
+
+void Machine::retire(SimThread *T) {
+  Retired.emplace_back(T, Sim.eventsProcessed());
+}
+
+void Machine::releaseRetired() {
+  std::uint64_t Event = Sim.eventsProcessed();
+  std::size_t N = 0;
+  // Retired is in order of death, so this event's deaths are a suffix.
+  for (; N < Retired.size() && Retired[N].second != Event; ++N) {
+    SimThread *T = Retired[N].first;
+    assert(T->State == ThreadState::Finished && !T->ExitEvent.hasWaiters());
+    T->Body.reset();
+    FreeThreads.push_back(T);
+  }
+  Retired.erase(Retired.begin(),
+                Retired.begin() + static_cast<std::ptrdiff_t>(N));
 }
 
 SimTime Machine::busyCoreTime() const {
@@ -142,11 +180,6 @@ void Machine::emitBusySample() {
 void Machine::tryAssign() {
   while (!ReadyQueue.empty()) {
     SimThread *T = ReadyQueue.front();
-    // Threads terminated while queued are dropped lazily here.
-    if (T->State == ThreadState::Finished) {
-      ReadyQueue.pop_front();
-      continue;
-    }
     // Gang reservations keep some idle cores unavailable; offlined cores
     // no longer count as capacity at all.
     if (BusyCount >= OnlineCount)
@@ -163,7 +196,7 @@ void Machine::tryAssign() {
     for (unsigned I = 0; I < Cores.size(); ++I) {
       if (Cores[I].Running || Cores[I].Offline)
         continue;
-      bool Affine = Cores[I].LastThread == T;
+      bool Affine = Cores[I].LastThreadId == T->Id;
       int Rank = (Cfg.SlowCoreAvoidance && corePenalized(I))
                      ? (Affine ? 2 : 3)
                      : (Affine ? 0 : 1);
@@ -238,6 +271,7 @@ void Machine::startSlice(unsigned CoreIdx, SimThread *T) {
           }
       }
       T->ExitEvent.notifyAll();
+      retire(T);
       return;
     }
   }
@@ -247,7 +281,7 @@ void Machine::startSlice(unsigned CoreIdx, SimThread *T) {
   C.Running = T;
   setBusyCount(BusyCount + 1);
 
-  SimTime Overhead = (C.LastThread && C.LastThread != T)
+  SimTime Overhead = (C.LastThreadId != NoThread && C.LastThreadId != T->Id)
                          ? Cfg.CtxSwitchCost + Cfg.CacheRefillCost
                          : 0;
   SimTime SliceLen = std::min(T->RemainingBurst, Cfg.Quantum);
@@ -340,7 +374,7 @@ void Machine::endSlice(unsigned CoreIdx, SimThread *T, SimTime SliceLen,
   assert(C.Running == T && "slice ended on wrong core");
   noteSliceRate(CoreIdx);
   C.Running = nullptr;
-  C.LastThread = T;
+  C.LastThreadId = T->Id;
   setBusyCount(BusyCount - 1);
   // Any freed capacity may unblock a waiting gang.
   if (GangAvail.hasWaiters())
@@ -526,7 +560,7 @@ void Machine::offlineCore(unsigned CoreIdx) {
     T->BusyTime += Done * (1 + T->GangHold);
     ++C.Epoch; // cancel the in-flight endSlice
     C.Running = nullptr;
-    C.LastThread = T;
+    C.LastThreadId = T->Id;
     T->State = ThreadState::Stranded;
     T->CoreIdx = -1;
     ++StrandedCount;
@@ -587,9 +621,14 @@ void Machine::emitCapacitySample() {
 
 unsigned Machine::rescueStranded() {
   std::vector<SimThread *> All;
-  for (const auto &TP : Threads)
-    if (TP->State == ThreadState::Stranded)
-      All.push_back(TP.get());
+  if (StrandedCount > 0)
+    for (const auto &TP : Threads)
+      if (TP->State == ThreadState::Stranded)
+        All.push_back(TP.get());
+  // Records are reused, so their order is not spawn order; re-queue in
+  // spawn order as before.
+  std::sort(All.begin(), All.end(),
+            [](const SimThread *A, const SimThread *B) { return A->Id < B->Id; });
   unsigned N = rescueStranded(All);
   assert(StrandedCount == 0 && "stranded-count bookkeeping diverged");
   return N;
@@ -643,7 +682,7 @@ void Machine::terminate(SimThread *T) {
     assert(C.Running == T);
     ++C.Epoch; // cancel the in-flight endSlice
     C.Running = nullptr;
-    C.LastThread = T;
+    C.LastThreadId = T->Id;
     setBusyCount(BusyCount - 1);
     break;
   }
@@ -651,9 +690,14 @@ void Machine::terminate(SimThread *T) {
     assert(StrandedCount > 0);
     --StrandedCount;
     break;
-  case ThreadState::Ready:
-    // Still in the ready queue; tryAssign drops it once Finished.
+  case ThreadState::Ready: {
+    // Leave the ready queue now: the record may be reused before the
+    // queue would reach this entry.
+    auto It = std::find(ReadyQueue.begin(), ReadyQueue.end(), T);
+    if (It != ReadyQueue.end())
+      ReadyQueue.erase(It);
     break;
+  }
   case ThreadState::Blocked:
     // Stale waiter-list entries are discarded when the waitable next
     // notifies (wake() ignores non-Blocked threads).
@@ -676,6 +720,7 @@ void Machine::terminate(SimThread *T) {
         TelCoreSpan[I] = nullptr;
       }
   T->ExitEvent.notifyAll();
+  retire(T);
   if (GangAvail.hasWaiters())
     GangAvail.notifyAll();
   dispatch();

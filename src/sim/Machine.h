@@ -124,9 +124,16 @@ public:
 enum class ThreadState { Ready, Running, Blocked, Stranded, Finished };
 
 /// One simulated software thread.
+///
+/// The machine recycles thread records: once a finished (or terminated)
+/// thread can no longer be reached, its body is destroyed and the record
+/// is reused by a later spawn(). A SimThread pointer is therefore only
+/// meaningful while the thread is alive and during the event in which it
+/// finished; id() is never reused.
 class SimThread {
 public:
   const std::string &name() const { return Name; }
+  /// Spawn-order number, unique over the machine's lifetime.
   std::uint64_t id() const { return Id; }
   ThreadState state() const { return State; }
   /// Core the thread currently runs on, or -1 when it holds no core.
@@ -140,18 +147,22 @@ public:
 private:
   friend class Machine;
   friend class Waitable;
-  SimThread(Machine &M, std::uint64_t Id, std::string Name,
-            std::unique_ptr<ThreadBody> Body)
-      : M(&M), Id(Id), Name(std::move(Name)), Body(std::move(Body)) {}
+  explicit SimThread(Machine &M) : M(&M) {}
+  /// Starts a new incarnation in this record: a fresh thread, except that
+  /// BlockSeq carries on, so waiter entries a previous incarnation left
+  /// behind can never validate against this one.
+  void reincarnate(std::uint64_t NewId, std::string NewName,
+                   std::unique_ptr<ThreadBody> NewBody);
 
   Machine *M;
-  std::uint64_t Id;
+  std::uint64_t Id = 0;
   std::string Name;
   std::unique_ptr<ThreadBody> Body;
   Waitable ExitEvent;
   ThreadState State = ThreadState::Ready;
   /// Incremented each time the thread blocks; waiter entries older than
-  /// the current value are stale (see Waitable).
+  /// the current value are stale (see Waitable). Monotone across the
+  /// record's incarnations.
   std::uint64_t BlockSeq = 0;
   SimTime RemainingBurst = 0;
   SimTime BusyTime = 0;
@@ -218,6 +229,11 @@ public:
 
   /// Number of spawned threads that have not finished.
   unsigned threadsAlive() const { return AliveCount; }
+
+  /// Thread records held: live threads, finished ones whose body is not
+  /// yet released, and free records awaiting reuse. Bounded by the peak
+  /// number of threads alive at once, not by the number ever spawned.
+  std::size_t threadRecords() const { return Threads.size(); }
 
   /// Invoked whenever the number of busy cores changes; used by the power
   /// meter. Receives the *previous* count's end time implicitly via now().
@@ -331,9 +347,13 @@ public:
 private:
   friend class Waitable;
 
+  static constexpr std::uint64_t NoThread = ~std::uint64_t{0};
+
   struct Core {
     SimThread *Running = nullptr;
-    SimThread *LastThread = nullptr;
+    /// id() of the thread that last ran here (affinity and switch cost).
+    /// An id, not a pointer: thread records are reused.
+    std::uint64_t LastThreadId = NoThread;
     bool Offline = false;
     /// Slice epoch: incremented whenever the in-flight end-of-slice event
     /// must be cancelled (offline strands the runner, terminate kills it).
@@ -366,6 +386,14 @@ private:
   void endSlice(unsigned CoreIdx, SimThread *T, SimTime SliceLen,
                 std::uint64_t Epoch);
   void releaseGangHold(SimThread *T);
+  /// Queues a finished or terminated thread for release.
+  void retire(SimThread *T);
+  /// Releases the bodies of threads retired before the current event and
+  /// puts their records on the free list. The event of death is exempt:
+  /// its callers may still read the dead body (RegionExec salvages a
+  /// terminated worker's buffers and clones its state right after
+  /// terminate()), and a body may be retired from inside its own resume().
+  void releaseRetired();
   void setBusyCount(unsigned N);
   void emitBusySample();
   /// Records the capacity timeline: an online_cores counter sample at
@@ -377,6 +405,10 @@ private:
   std::vector<Core> Cores;
   std::deque<SimThread *> ReadyQueue;
   std::vector<std::unique_ptr<SimThread>> Threads;
+  /// Dead threads in order of death, each with the event it died in.
+  std::vector<std::pair<SimThread *, std::uint64_t>> Retired;
+  std::vector<SimThread *> FreeThreads;
+  std::uint64_t NextThreadId = 0;
   unsigned BusyCount = 0;    ///< occupied cores: running + gang-reserved
   unsigned Reserved = 0;     ///< gang helper cores currently reserved
   Waitable GangAvail;        ///< signalled when occupied cores decrease

@@ -573,6 +573,137 @@ TEST(Machine, BusyCoreTimeIntegrates) {
   EXPECT_EQ(M.busyCoreTime(), 300u);
 }
 
+/// One 100-cycle burst; counts destructions of its bodies.
+class CountedBody : public BurstBody {
+public:
+  explicit CountedBody(int &Dtors) : BurstBody(1, 100), Dtors(Dtors) {}
+  ~CountedBody() override { ++Dtors; }
+  int &Dtors;
+};
+
+/// Blocks once on \p W; finishes on the first wakeup, counting it.
+class WaitOnceBody : public ThreadBody {
+public:
+  WaitOnceBody(Waitable &W, int &Wakes) : W(W), Wakes(Wakes) {}
+  Action resume(Machine &, SimThread &) override {
+    if (!Waited) {
+      Waited = true;
+      return Action::block(W);
+    }
+    ++Wakes;
+    return Action::finish();
+  }
+  Waitable &W;
+  int &Wakes;
+  bool Waited = false;
+};
+
+TEST(Machine, FinishedThreadsReleaseBodiesAndReuseRecords) {
+  Simulator Sim;
+  Machine M(Sim, 2);
+  int Dtors = 0;
+  std::vector<std::uint64_t> Ids;
+  // Spawns 10 us apart: each thread (5 us switch + 100 cycles) is done
+  // before the next arrives.
+  for (int I = 0; I < 100; ++I)
+    Sim.schedule(static_cast<SimTime>(I) * 10 * USec, [&] {
+      Ids.push_back(M.spawn("t", std::make_unique<CountedBody>(Dtors))->id());
+    });
+  Sim.run();
+  EXPECT_EQ(M.threadsAlive(), 0u);
+  // Each spawn finds its predecessor dead since an earlier event: one
+  // record serves all hundred threads, and only the last body remains.
+  EXPECT_EQ(M.threadRecords(), 1u);
+  EXPECT_EQ(Dtors, 99);
+  ASSERT_EQ(Ids.size(), 100u);
+  for (std::uint64_t I = 0; I < Ids.size(); ++I)
+    EXPECT_EQ(Ids[I], I) << "ids are never reused";
+}
+
+TEST(Machine, TerminatedBodySurvivesItsEvent) {
+  Simulator Sim;
+  Machine M(Sim, 2);
+  Waitable Never;
+  int Wakes = 0, Dtors = 0;
+  SimThread *A = M.spawn("a", std::make_unique<WaitOnceBody>(Never, Wakes));
+  Sim.schedule(10, [&] {
+    M.terminate(A);
+    // Same event: the dead record is not reused and its body is intact.
+    M.spawn("b", std::make_unique<CountedBody>(Dtors));
+    EXPECT_EQ(M.threadRecords(), 2u);
+  });
+  Sim.schedule(1000, [&] {
+    M.spawn("c", std::make_unique<CountedBody>(Dtors));
+    EXPECT_EQ(M.threadRecords(), 2u) << "a later spawn reuses a dead record";
+    EXPECT_EQ(Dtors, 1) << "b finished in an earlier event";
+  });
+  Sim.run();
+  EXPECT_EQ(M.threadsAlive(), 0u);
+  EXPECT_EQ(Wakes, 0);
+}
+
+TEST(Machine, StaleWaiterEntryNeverWakesReusedRecord) {
+  // a blocks on W and is terminated, leaving a stale entry in W's waiter
+  // list. b reuses a's record and blocks on W2: notifying W must not
+  // wake it, because the record's block sequence only moves forward.
+  Simulator Sim;
+  Machine M(Sim, 1);
+  Waitable W, W2;
+  int WakesA = 0, WakesB = 0;
+  SimThread *A = M.spawn("a", std::make_unique<WaitOnceBody>(W, WakesA));
+  Sim.schedule(10, [&] { M.terminate(A); });
+  Sim.schedule(20, [&] {
+    M.spawn("b", std::make_unique<WaitOnceBody>(W2, WakesB));
+    EXPECT_EQ(M.threadRecords(), 1u);
+  });
+  Sim.schedule(30, [&] { W.notifyAll(); });
+  Sim.runUntil(40);
+  EXPECT_EQ(WakesB, 0) << "a stale entry woke the record's next thread";
+  EXPECT_EQ(M.threadsAlive(), 1u);
+  W2.notifyAll();
+  Sim.run();
+  EXPECT_EQ(WakesB, 1);
+  EXPECT_EQ(WakesA, 0);
+  EXPECT_EQ(M.threadsAlive(), 0u);
+}
+
+TEST(Machine, ReusedRecordPaysSwitchCost) {
+  // Affinity follows the thread, not the record: b reuses a's record on
+  // the core a last ran on and still pays the context switch.
+  Simulator Sim;
+  MachineConfig Cfg;
+  Cfg.CtxSwitchCost = 50;
+  Machine M(Sim, 1, Cfg);
+  M.spawn("a", std::make_unique<BurstBody>(1, 100));
+  Sim.schedule(1000, [&] {
+    M.spawn("b", std::make_unique<BurstBody>(1, 100));
+    EXPECT_EQ(M.threadRecords(), 1u);
+  });
+  Sim.run();
+  EXPECT_EQ(Sim.now(), 1150u);
+}
+
+TEST(Machine, TerminatedReadyThreadLeavesReadyQueue) {
+  // b waits in the ready queue behind a on one core and is terminated
+  // there; c reuses b's record. c must run exactly once.
+  Simulator Sim;
+  Machine M(Sim, 1);
+  int Dtors = 0;
+  M.spawn("a", std::make_unique<BurstBody>(1, 1000));
+  SimThread *B = M.spawn("b", std::make_unique<BurstBody>(1, 100));
+  Sim.schedule(10, [&] {
+    EXPECT_EQ(B->state(), ThreadState::Ready);
+    M.terminate(B);
+  });
+  Sim.schedule(20, [&] {
+    M.spawn("c", std::make_unique<CountedBody>(Dtors));
+    EXPECT_EQ(M.threadRecords(), 2u);
+  });
+  Sim.run();
+  EXPECT_EQ(M.threadsAlive(), 0u);
+  EXPECT_EQ(Sim.now(), 1000u + 5 * USec + 100u);
+}
+
 TEST(BoundedQueue, BasicOps) {
   BoundedQueue<int> Q(2);
   EXPECT_TRUE(Q.empty());
