@@ -65,14 +65,19 @@ int main() {
     if (CL.hasPsDswp())
       Schemes += "+PSDSWP";
 
+    // Speedup of one fixed configuration; a configuration that stalls
+    // is no candidate.
+    auto FixedSpeedup = [&](const rt::RegionConfig &C) {
+      CompiledRunResult R = runCompiled(CL, C, Cores);
+      return R.Completed ? SeqTime / static_cast<double>(R.Time) : 0.0;
+    };
     double BestDoAny = 0, BestPipe = 0, BestOracle = 1.0;
     rt::RegionConfig OracleC = configWith(CL, rt::Scheme::Seq, 1);
     for (unsigned D : {1u, 2u, 4u, 6u, 8u, 12u, 14u}) {
       if (CL.hasDoAny()) {
         rt::RegionConfig C = configWith(CL, rt::Scheme::DoAny, D);
         if (C.totalThreads() <= Cores) {
-          double S = SeqTime / static_cast<double>(
-                                   runCompiled(CL, C, Cores).Time);
+          double S = FixedSpeedup(C);
           BestDoAny = std::max(BestDoAny, S);
           if (S > BestOracle) {
             BestOracle = S;
@@ -83,8 +88,7 @@ int main() {
       if (CL.hasPsDswp()) {
         rt::RegionConfig C = configWith(CL, rt::Scheme::PsDswp, D);
         if (C.totalThreads() <= Cores) {
-          double S = SeqTime / static_cast<double>(
-                                   runCompiled(CL, C, Cores).Time);
+          double S = FixedSpeedup(C);
           BestPipe = std::max(BestPipe, S);
           if (S > BestOracle) {
             BestOracle = S;
@@ -101,14 +105,16 @@ int main() {
     double SeqBig = static_cast<double>(
         runCompiled(CLBig, configWith(CLBig, rt::Scheme::Seq, 1), Cores)
             .Time);
+    // A stalled controlled run (runControlled gives up after a second of
+    // virtual time without progress) has no speedup to report.
     ControlledRunResult R = runControlled(CLBig, Cores);
     double Parcae = SeqBig / static_cast<double>(R.Time);
 
     T.addRow({P.Name, Schemes,
               CL.hasDoAny() ? Table::num(BestDoAny, 2) + "x" : "-",
               CL.hasPsDswp() ? Table::num(BestPipe, 2) + "x" : "-",
-              Table::num(Parcae, 2) + "x", Table::num(BestOracle, 2) + "x",
-              OracleC.str()});
+              R.Completed ? Table::num(Parcae, 2) + "x" : "stalled",
+              Table::num(BestOracle, 2) + "x", OracleC.str()});
   }
   T.print();
   std::printf("\n(the Section 8.3.5 shape: Parcae lands close to the"

@@ -24,6 +24,9 @@
 #   * determinism of the full A/B output (both runs byte-identical);
 #   * the goodput landmark: batched overload goodput >= 1.3x the
 #     unbatched baseline at the same seed;
+#   * the low-load landmark: the batched run's under-load api p50 stays
+#     within 1.25x of the unbatched run's (dispatch is work-conserving,
+#     so an idle class never holds a request back to fill a batch);
 #   * the trace carries batch_close instants (the coalescing story).
 #
 # Usage: check_serve.sh <path-to-bench_serve> [workdir] [legacy|batch]
@@ -80,6 +83,12 @@ for S in 7 21 42; do
     # not 0.xx) so a silent report regression cannot pass.
     grep -Eq 'batch goodput speedup: [1-9][0-9]*\.[0-9]+x' "$OUT" ||
       fail "seed $S: no batch goodput speedup landmark"
+    # The low-load landmark: batched under-load api p50 over unbatched.
+    RATIO=$(sed -nE \
+      's/^ +api under-load p50: .*\(([0-9.]+)x of unbatched.*/\1/p' "$OUT")
+    [ -n "$RATIO" ] || fail "seed $S: no under-load p50 landmark"
+    awk -v R="$RATIO" 'BEGIN { exit (R > 0 && R <= 1.25) ? 0 : 1 }' ||
+      fail "seed $S: batched under-load api p50 is ${RATIO}x unbatched (> 1.25x)"
     # Spin-up amortization: more than one request per region on average.
     grep -Eq 'api   regions: [0-9]+ -> [0-9]+ \([2-9]' "$OUT" ||
       fail "seed $S: api batches did not amortize regions"

@@ -8,6 +8,32 @@ using namespace parcae::ir;
 namespace rt = parcae::rt;
 namespace sim = parcae::sim;
 
+namespace {
+
+/// Virtual time without a single retirement after which an unfinished
+/// run counts as stalled (a stalled controller would otherwise tick
+/// forever).
+constexpr sim::SimTime StallLimit = 1 * sim::Sec;
+
+/// Runs \p Sim until its queue drains, exactly as Simulator::run() does,
+/// unless \p Runner stops retiring for StallLimit before completing.
+void runBounded(sim::Simulator &Sim, const rt::RegionRunner &Runner) {
+  std::uint64_t Retired = Runner.totalRetired();
+  sim::SimTime MovedAt = Sim.now();
+  while (Sim.runOne()) {
+    if (Runner.completed())
+      continue;
+    if (Runner.totalRetired() != Retired) {
+      Retired = Runner.totalRetired();
+      MovedAt = Sim.now();
+    } else if (Sim.now() - MovedAt >= StallLimit) {
+      return; // stalled: the caller reports Completed = false
+    }
+  }
+}
+
+} // namespace
+
 CompiledRunResult parcae::ir::runCompiled(CompiledLoop &CL,
                                           rt::RegionConfig C, unsigned Cores,
                                           const rt::RuntimeCosts &Costs) {
@@ -17,7 +43,7 @@ CompiledRunResult parcae::ir::runCompiled(CompiledLoop &CL,
   auto Src = CL.makeSource();
   rt::RegionRunner Runner(M, Costs, CL.region(), *Src);
   Runner.start(std::move(C));
-  Sim.run();
+  runBounded(Sim, Runner);
   CompiledRunResult R;
   R.Time = Sim.now();
   R.Completed = Runner.completed();
@@ -63,7 +89,7 @@ CompiledRunResult parcae::ir::runCompiledChaotic(CompiledLoop &CL,
                      Runner.reconfigure(std::move(C));
                  });
   }
-  Sim.run();
+  runBounded(Sim, Runner);
   CompiledRunResult R;
   R.Time = Sim.now();
   R.Completed = Runner.completed();
@@ -82,7 +108,7 @@ ControlledRunResult parcae::ir::runControlled(CompiledLoop &CL,
   rt::RegionRunner Runner(M, Costs, CL.region(), *Src);
   rt::RegionController Ctrl(Runner, P);
   Ctrl.start(Budget);
-  Sim.run();
+  runBounded(Sim, Runner);
   ControlledRunResult R;
   R.Time = Sim.now();
   R.Completed = Runner.completed();

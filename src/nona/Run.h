@@ -10,6 +10,11 @@
 /// schedule (for semantics checks), or under the Morta run-time
 /// controller (for the Section 8.3 experiments).
 ///
+/// Every helper terminates: a run that retires nothing for one second of
+/// virtual time before completing stops there and reports
+/// Completed = false (Time is then when it gave up). A completed run's
+/// Time is the moment its event queue drained.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef PARCAE_NONA_RUN_H

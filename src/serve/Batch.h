@@ -5,18 +5,15 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Dynamic batching for ServeLoop: a per-class BatchPolicy coalesces
-/// queued requests into one shared region/runner so the per-request
-/// spin-up cost (FlexibleRegion + RegionRunner construction and the
-/// measurement ramp) amortizes across the batch. A forming batch closes
-/// on the first of three triggers:
+/// Dynamic batching for ServeLoop: a per-class BatchPolicy lets the
+/// broker coalesce queued requests into one shared region/runner so the
+/// per-request spin-up cost (FlexibleRegion + RegionRunner construction
+/// and the per-worker context load) amortizes across the batch.
 ///
-///   * size  — MaxBatch members collected;
-///   * timer — MaxWait elapsed since the batch opened;
-///   * slo   — the head-of-line member's queue wait reached
-///             SloCloseFraction of the class SLO target (waiting any
-///             longer to fill the batch would spend the head's latency
-///             budget on coalescing).
+/// Dispatch is work-conserving: a batch never waits to fill. Whenever a
+/// runner slot is free, the requests queued at that moment (up to
+/// MaxBatch) start at once as one batch, so batch size follows the
+/// backlog — singletons on an idle class, full batches under saturation.
 ///
 /// Completion stays per-request: the batch runner's commit-frontier
 /// progress hook attributes each member at its iteration watermark, so
@@ -34,53 +31,37 @@
 
 namespace parcae::serve {
 
-/// Why a forming batch stopped accepting members.
-enum class BatchClose { Size, Timer, Slo };
-
-/// Human-readable close-trigger name (stats tables, trace args).
-const char *batchCloseName(BatchClose Why);
-
 /// Per-class batching knobs. MaxBatch <= 1 disables coalescing: every
 /// request dispatches as a singleton, byte-identical to the unbatched
 /// broker.
 struct BatchPolicy {
-  /// Members per batch; the size trigger. <= 1 turns batching off.
+  /// Most members per batch. <= 1 turns batching off.
   unsigned MaxBatch = 1;
-  /// How long an underfull batch may hold its reserved slot open waiting
-  /// for more arrivals, measured from the batch's first member.
+  /// Unread: batches no longer wait for members. Kept, with
+  /// SloCloseFraction, only so aggregate initializers written for the
+  /// old wait-window policy ({MaxBatch, MaxWait, SloCloseFraction}) still
+  /// compile; to be dropped with the next benchmark revision.
   sim::SimTime MaxWait = 0;
-  /// SLO-aware early close: close once the head-of-line member's queue
-  /// wait reaches this fraction of the class SLO target. 0 disables the
-  /// trigger; ignored when the class carries no SLO.
+  /// Unread; see MaxWait.
   double SloCloseFraction = 0.5;
 
   bool enabled() const { return MaxBatch > 1; }
-
-  /// Absolute virtual time at which an underfull batch must close:
-  /// the earlier of the wait window (from \p OpenedAt) and the SLO
-  /// trigger (from the head-of-line member's \p HeadArrivedAt).
-  /// \p SloTarget is 0 when the class has no SLO.
-  sim::SimTime closeDeadline(sim::SimTime OpenedAt, sim::SimTime HeadArrivedAt,
-                             sim::SimTime SloTarget) const;
-
-  /// Which trigger a close at \p At corresponds to (the timer event
-  /// cannot tell on its own — both deadlines funnel into one event).
-  BatchClose closeReasonAt(sim::SimTime At, sim::SimTime OpenedAt,
-                           sim::SimTime HeadArrivedAt,
-                           sim::SimTime SloTarget) const;
 };
 
-/// Per-class batching statistics (all zero while batching is disabled,
-/// except that singleton dispatches still count as size-closed batches
-/// of one — the spin-up amortization report reads Batches as "regions
-/// started").
+/// Per-class batching statistics. Singleton dispatches count as full
+/// batches of one while batching is disabled — the spin-up amortization
+/// report reads Batches as "regions started".
 struct BatchStats {
   std::uint64_t Batches = 0;          ///< batches dispatched (== runners)
   std::uint64_t BatchedRequests = 0;  ///< member requests across them
-  std::uint64_t SizeCloses = 0;       ///< closed by the size trigger
-  std::uint64_t TimerCloses = 0;      ///< closed by the wait window
-  std::uint64_t SloCloses = 0;        ///< closed by SLO pressure
-  Histogram OccupancyH;               ///< members per dispatched batch
+  /// Batches dispatched full (MaxBatch members); the other
+  /// Batches - SizeCloses started underfull from a shorter backlog.
+  std::uint64_t SizeCloses = 0;
+  /// Always 0: the wait-window and SLO-pressure closes are gone. Kept for
+  /// readers of the old counters until the next benchmark revision.
+  std::uint64_t TimerCloses = 0;
+  std::uint64_t SloCloses = 0; ///< always 0; see TimerCloses
+  Histogram OccupancyH;        ///< members per dispatched batch
 
   /// Requests served per region spin-up — the amortization factor.
   double requestsPerRegion() const {

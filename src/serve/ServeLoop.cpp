@@ -28,16 +28,16 @@ public:
   }
 
   /// Live demand in threads: in-service batches plus the runners the
-  /// waiting requests (queued + forming) would need once coalesced,
-  /// each worth one runner configuration, floored at one runner (an
-  /// idle class keeps enough to serve the next arrival without a round
-  /// trip through the daemon). Deliberately NOT capped at the budget:
-  /// demand above the budget is exactly the daemon's hunger signal.
+  /// queued requests would need once coalesced, each worth one runner
+  /// configuration, floored at one runner (an idle class keeps enough
+  /// to serve the next arrival without a round trip through the daemon).
+  /// Deliberately NOT capped at the budget: demand above the budget is
+  /// exactly the daemon's hunger signal.
   unsigned threadsUsed() const override {
     const ClassState &C = *S.Classes[Idx];
     std::uint64_t Per = std::max(1u, C.Desc.Config.totalThreads());
     std::uint64_t MaxB = std::max(1u, C.Desc.Batch.MaxBatch);
-    std::uint64_t Waiting = C.Queue.size() + C.Forming.size();
+    std::uint64_t Waiting = C.Queue.size();
     std::uint64_t Runners = C.Active.size() + (Waiting + MaxB - 1) / MaxB;
     std::uint64_t Demand = std::max(Runners * Per, Per);
     return static_cast<unsigned>(std::min<std::uint64_t>(Demand, 1u << 20));
@@ -46,7 +46,7 @@ public:
   bool wantsMore() const override {
     const ClassState &C = *S.Classes[Idx];
     unsigned Per = std::max(1u, C.Desc.Config.totalThreads());
-    return !C.Queue.empty() || !C.Forming.empty() ||
+    return !C.Queue.empty() ||
            C.Active.size() * static_cast<std::uint64_t>(Per) > C.Budget;
   }
 
@@ -194,13 +194,13 @@ void ServeLoop::pump(unsigned Idx) {
     return; // dispatch held: finishDrain() pumps every class
   ClassState &C = *Classes[Idx];
   unsigned MaxB = std::max(1u, C.Desc.Batch.MaxBatch);
-  for (;;) {
-    // Fill the forming batch from the queue head. Opening a batch
-    // reserves one dispatch slot; with batching off (MaxB == 1) every
-    // request forms a singleton batch that closes immediately below.
-    while (C.Forming.size() < MaxB && !C.Queue.empty()) {
-      if (C.Forming.empty() && C.Active.size() >= slotsFor(C))
-        return; // no slot to reserve for a new batch
+  // Work-conserving: while a runner slot is free and requests wait, the
+  // backlog present now starts at once as one region. Batch size follows
+  // the backlog — a singleton on an idle class, MaxB under saturation —
+  // and no slot ever sits empty waiting for a batch to fill.
+  while (!C.Queue.empty() && C.Active.size() < slotsFor(C)) {
+    std::vector<std::shared_ptr<ServeRequest>> B;
+    while (B.size() < MaxB && !C.Queue.empty()) {
       std::shared_ptr<ServeRequest> Req = std::move(C.Queue.front());
       C.Queue.pop_front();
       if (C.Desc.Policy->shedAtDispatch(*Req, Sim.now())) {
@@ -211,92 +211,29 @@ void ServeLoop::pump(unsigned Idx) {
         finalize(Idx, *Req);
         continue;
       }
-      if (C.Forming.empty()) {
-        C.FormingOpenedAt = Sim.now();
-        ++C.FormingEpoch;
-      }
-      C.Forming.push_back(std::move(Req));
+      B.push_back(std::move(Req));
     }
-    if (C.Forming.empty())
-      return;
-    if (C.Forming.size() >= MaxB) {
-      closeBatch(Idx, BatchClose::Size);
-      continue; // another slot may be free and requests still queued
-    }
-    // Underfull and the queue is drained: hold the batch open for the
-    // wait window, closing early when the head-of-line wait approaches
-    // the class SLO target.
-    armBatchTimer(Idx);
-    return;
+    if (!B.empty())
+      dispatch(Idx, std::move(B));
   }
-}
-
-void ServeLoop::armBatchTimer(unsigned Idx) {
-  ClassState &C = *Classes[Idx];
-  const BatchPolicy &BP = C.Desc.Batch;
-  sim::SimTime SloTarget = C.Desc.Slo.enabled() ? C.Desc.Slo.Target : 0;
-  sim::SimTime HeadArrived = C.Forming.front()->ArrivedAt;
-  sim::SimTime CloseAt =
-      BP.closeDeadline(C.FormingOpenedAt, HeadArrived, SloTarget);
-  if (CloseAt <= Sim.now()) {
-    // Already overdue (e.g. re-pumped after a drain released the hold).
-    closeBatch(Idx, BP.closeReasonAt(CloseAt, C.FormingOpenedAt, HeadArrived,
-                                     SloTarget));
-    pump(Idx);
-    return;
-  }
-  if (C.TimerArmedEpoch == C.FormingEpoch)
-    return; // one timer per batch; later members never extend it
-  C.TimerArmedEpoch = C.FormingEpoch;
-  std::uint64_t Epoch = C.FormingEpoch;
-  Sim.schedule(CloseAt - Sim.now(), [this, Idx, Epoch, CloseAt] {
-    ClassState &C = *Classes[Idx];
-    if (Epoch != C.FormingEpoch || C.Forming.empty())
-      return; // the batch already closed (size trigger beat the timer)
-    if (DrainActive)
-      return; // dispatch held; finishDrain()'s pump re-closes overdue
-    sim::SimTime SloTarget = C.Desc.Slo.enabled() ? C.Desc.Slo.Target : 0;
-    closeBatch(Idx, C.Desc.Batch.closeReasonAt(
-                        CloseAt, C.FormingOpenedAt,
-                        C.Forming.front()->ArrivedAt, SloTarget));
-    pump(Idx);
-  });
-}
-
-void ServeLoop::closeBatch(unsigned Idx, BatchClose Why) {
-  ClassState &C = *Classes[Idx];
-  assert(!C.Forming.empty() && "closing an empty batch");
-  std::vector<std::shared_ptr<ServeRequest>> Members = std::move(C.Forming);
-  C.Forming.clear();
-  ++C.BStats.Batches;
-  C.BStats.BatchedRequests += Members.size();
-  C.BStats.OccupancyH.add(static_cast<double>(Members.size()));
-  switch (Why) {
-  case BatchClose::Size:
-    ++C.BStats.SizeCloses;
-    break;
-  case BatchClose::Timer:
-    ++C.BStats.TimerCloses;
-    break;
-  case BatchClose::Slo:
-    ++C.BStats.SloCloses;
-    break;
-  }
-  // Trace only real coalescing: a singleton-per-request stream would
-  // double the unbatched trace volume for no information.
-  if (C.Desc.Batch.enabled())
-    PARCAE_TRACE(
-        Tel, instant(TelPid, 0, "serve", "batch_close",
-                     {telemetry::TraceArg::str("class", C.Desc.Name),
-                      telemetry::TraceArg::num("size", Members.size()),
-                      telemetry::TraceArg::str("why", batchCloseName(Why))}));
-  dispatch(Idx, std::move(Members));
 }
 
 void ServeLoop::dispatch(unsigned Idx,
                          std::vector<std::shared_ptr<ServeRequest>> B) {
   ClassState &C = *Classes[Idx];
   assert(!B.empty() && "dispatching an empty batch");
+  ++C.BStats.Batches;
+  C.BStats.BatchedRequests += B.size();
+  C.BStats.OccupancyH.add(static_cast<double>(B.size()));
+  if (B.size() >= C.Desc.Batch.MaxBatch)
+    ++C.BStats.SizeCloses;
+  // Trace only real coalescing: a singleton-per-request stream would
+  // double the unbatched trace volume for no information.
+  if (C.Desc.Batch.enabled())
+    PARCAE_TRACE(Tel,
+                 instant(TelPid, 0, "serve", "batch_close",
+                         {telemetry::TraceArg::str("class", C.Desc.Name),
+                          telemetry::TraceArg::num("size", B.size())}));
   for (auto &Req : B)
     Req->StartedAt = Sim.now();
   auto F = std::make_unique<InFlight>(C.Desc.MakeRegion(*B.front()));
@@ -515,28 +452,27 @@ double ServeLoop::recentLatencySec(unsigned Idx, double P) const {
   }
   double Lat = -1.0;
   if (!C.RecentSec.empty()) {
-    // Rebuild the cached sample set only when the window changed; the
-    // arbiter probes every tick and used to copy + sort the window each
-    // time. SampleSet's sorted-order cache then makes repeated
-    // percentile queries between completions sort-free (pinned by
-    // recentProbeSorts()).
-    if (C.RecentDirty) {
-      C.RecentSorted.clear();
+    // The arbiter probes every tick. Select only when the window changed
+    // (or a different percentile is asked for): a linear nth_element
+    // over a scratch copy, not a sort — the percentile is nearest-rank,
+    // so selection returns the same value (pinned by
+    // recentProbeSelections()).
+    if (C.RecentDirty || P != C.RecentP) {
+      C.RecentScratch.clear();
       for (const auto &E : C.RecentSec)
-        C.RecentSorted.add(E.second);
+        C.RecentScratch.push_back(E.second);
+      C.RecentValue = selectPercentile(C.RecentScratch, P);
+      C.RecentP = P;
       C.RecentDirty = false;
+      ++C.RecentSelections;
     }
-    Lat = C.RecentSorted.percentile(P);
+    Lat = C.RecentValue;
   }
-  // Floor by the head-of-line wait (queued or forming): when requests
-  // wait faster than they finish, the queue itself is the latency signal.
-  const ServeRequest *Oldest = nullptr;
-  if (!C.Forming.empty())
-    Oldest = C.Forming.front().get();
-  else if (!C.Queue.empty())
-    Oldest = C.Queue.front().get();
-  if (Oldest)
-    Lat = std::max(Lat, sim::toSeconds(Sim.now() - Oldest->ArrivedAt));
+  // Floor by the head-of-line wait: when requests wait faster than they
+  // finish, the queue itself is the latency signal.
+  if (!C.Queue.empty())
+    Lat = std::max(Lat,
+                   sim::toSeconds(Sim.now() - C.Queue.front()->ArrivedAt));
   return Lat;
 }
 
@@ -553,7 +489,7 @@ std::uint64_t ServeLoop::inFlightRequests(unsigned Idx) const {
   return N;
 }
 
-std::uint64_t ServeLoop::recentProbeSorts(unsigned Idx) const {
+std::uint64_t ServeLoop::recentProbeSelections(unsigned Idx) const {
   assert(Idx < Classes.size());
-  return Classes[Idx]->RecentSorted.sortsPerformed();
+  return Classes[Idx]->RecentSelections;
 }

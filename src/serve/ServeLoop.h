@@ -14,12 +14,15 @@
 /// Flow per class:
 ///
 ///   ArrivalProcess -> admission (bounded queue, pluggable policy)
-///                  -> batching (optional: coalesce queued requests into
-///                     one shared region per BatchPolicy)
-///                  -> dispatch into at most budget/threads-per-request
-///                     concurrent RegionRunners (one per batch)
+///                  -> work-conserving dispatch: whenever one of the
+///                     budget/threads-per-request runner slots is free,
+///                     the queued backlog (up to BatchPolicy::MaxBatch
+///                     requests) starts at once as one shared region
 ///                  -> completion stamps + histograms + SLO window,
 ///                     attributed per request at iteration watermarks.
+///
+/// Every admitted request is therefore queued, in flight, completed or
+/// shed: Admitted - Completed - Shed == queueDepth + inFlightRequests.
 ///
 /// The class's tenant reports its live thread demand (queue + in-service)
 /// to the daemon and exposes its windowed SLO latency; the daemon's SLO
@@ -139,10 +142,10 @@ public:
   /// class has no signal yet.
   double recentLatencySec(unsigned Idx, double P) const;
 
-  /// Sorts the recent-latency probe performed for this class: stays
-  /// flat across repeated probes between completions (the SLO probe's
-  /// sorted-order cache; regression tests pin this).
-  std::uint64_t recentProbeSorts(unsigned Idx) const;
+  /// Percentile selections the recent-latency probe performed for this
+  /// class: stays flat across repeated same-percentile probes between
+  /// completions (regression tests pin this).
+  std::uint64_t recentProbeSelections(unsigned Idx) const;
 
   /// Fires once per finished request (completed, shed, or rejected) —
   /// benches use it to bucket requests into load phases by arrival
@@ -193,16 +196,6 @@ private:
     unsigned Budget = 1;
     ClassStats Stats;
     BatchStats BStats;
-    /// The forming batch: requests pulled off the queue, holding one
-    /// reserved dispatch slot until the batch closes (size, timer, or
-    /// SLO pressure). Always empty when batching is disabled.
-    std::vector<std::shared_ptr<ServeRequest>> Forming;
-    sim::SimTime FormingOpenedAt = 0;
-    /// Bumped each time a batch opens; invalidates stale close timers.
-    std::uint64_t FormingEpoch = 0;
-    /// Epoch of the forming batch whose close timer is armed (one timer
-    /// per batch; extra members never extend the deadline).
-    std::uint64_t TimerArmedEpoch = 0;
     /// (completion time, total latency in seconds) of recent
     /// completions: the SLO probe's window. Time-bounded so the signal
     /// decays when load changes — a count-bounded window would keep
@@ -211,22 +204,23 @@ private:
     static constexpr sim::SimTime RecentWindow = 150 * sim::MSec;
     static constexpr std::size_t RecentCap = 512;
     mutable std::deque<std::pair<sim::SimTime, double>> RecentSec;
-    /// Sorted-order cache over RecentSec's latencies: rebuilt (and
-    /// re-sorted once) only when the window's contents changed since
-    /// the last probe, so repeated SLO probes between completions are
-    /// sort-free. mutable for the same reason as RecentSec.
-    mutable SampleSet RecentSorted;
+    /// The last probe's answer: percentile RecentP of the window,
+    /// selected (not sorted) from a scratch copy. Reused until the window
+    /// changes or another percentile is asked for, so the arbiter's
+    /// per-tick probes between completions cost nothing. mutable for the
+    /// same reason as RecentSec.
+    mutable std::vector<double> RecentScratch;
+    mutable double RecentP = -1.0;
+    mutable double RecentValue = 0.0;
     mutable bool RecentDirty = true;
+    mutable std::uint64_t RecentSelections = 0;
   };
 
   void scheduleArrival(unsigned Idx);
   void arrive(unsigned Idx);
+  /// Fills every free runner slot from the queue (work-conserving).
   void pump(unsigned Idx);
-  /// Closes the forming batch with \p Why and dispatches it.
-  void closeBatch(unsigned Idx, BatchClose Why);
-  /// Arms (once per batch) the earliest of the wait-window and
-  /// SLO-early-close deadlines; closes immediately if already overdue.
-  void armBatchTimer(unsigned Idx);
+  /// Starts \p B as one region on a free slot and records its batch.
   void dispatch(unsigned Idx, std::vector<std::shared_ptr<ServeRequest>> B);
   /// Watermark attribution: completes every member whose iteration
   /// watermark the batch's retire count crossed (all but the last

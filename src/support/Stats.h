@@ -72,6 +72,12 @@ private:
   bool Seeded = false;
 };
 
+/// Nearest-rank percentile \p P in [0, 100] of \p V by selection
+/// (std::nth_element): the value SampleSet::percentile returns for the
+/// same samples, in linear time instead of a sort. Reorders \p V; returns
+/// 0 when it is empty.
+double selectPercentile(std::vector<double> &V, double P);
+
 /// Holds all samples; answers percentile queries. Used only by benchmark
 /// harnesses, where sample counts are small.
 class SampleSet {
@@ -90,15 +96,6 @@ public:
   double max() const { return percentile(100); }
   /// Drops every other recorded sample (bounds memory on long runs).
   void decimate();
-
-  /// Forgets every sample but keeps the sort counter running, so a
-  /// caller rebuilding a windowed set in place (the serve broker's
-  /// recent-latency probe) stays pinned by sortsPerformed().
-  void clear() {
-    Samples.clear();
-    Sorted.clear();
-    SortedValid = false;
-  }
 
   /// Times percentile() actually sorted (a cache rebuild). Regression
   /// tests pin the caching contract with this: repeated queries between

@@ -332,3 +332,37 @@ TEST(CompiledPerf, ControllerKeepsSeqForSeqchain) {
   EXPECT_TRUE(R.Completed);
   EXPECT_EQ(R.Final.S, rt::Scheme::Seq);
 }
+
+TEST(CompiledPerf, ControlledDualPipeStallIsReported) {
+  // The controller on dualpipe hits the chunked-claiming deadlock (see
+  // ROADMAP) and stops retiring for good; runControlled used to tick its
+  // controller forever. It must now give up after a second of virtual
+  // time without progress. Flip to EXPECT_TRUE(R.Completed) once the
+  // deadlock is fixed.
+  LoopProgram P = makeDualPipe(3000);
+  CompiledLoop CL(*P.F, P.AA, P.TripCount);
+  ControlledRunResult R = runControlled(CL, 16);
+  EXPECT_FALSE(R.Completed);
+  EXPECT_GE(R.Time, sim::Sec) << "gave up before a second without progress";
+}
+
+TEST(CompiledPerf, CompletedRunTimeIsQueueDrainTime) {
+  // The bounded helpers step the same events Simulator::run() would: a
+  // completed run's Time is unchanged by the stall guard.
+  LoopProgram P = makeChase(600);
+  CompiledLoop CL(*P.F, P.AA, P.TripCount);
+  rt::RegionConfig C = configFor(CL, rt::Scheme::PsDswp, 5);
+  CompiledRunResult R = runCompiled(CL, C, 8);
+  ASSERT_TRUE(R.Completed);
+
+  sim::Simulator Sim;
+  sim::Machine M(Sim, 8);
+  rt::RuntimeCosts Costs;
+  CL.resetState();
+  auto Src = CL.makeSource();
+  rt::RegionRunner Runner(M, Costs, CL.region(), *Src);
+  Runner.start(C);
+  Sim.run();
+  EXPECT_EQ(R.Time, Sim.now());
+  EXPECT_EQ(R.Retired, Runner.totalRetired());
+}

@@ -14,6 +14,7 @@
 #include "serve/Arrival.h"
 #include "serve/ServeLoop.h"
 #include "sim/Machine.h"
+#include "support/Rng.h"
 #include "support/Stats.h"
 
 #include <gtest/gtest.h>
@@ -347,6 +348,14 @@ TEST(ServeLoop, DomainWarningMigratesInFlightRequestsDeterministically) {
 // ServeLoop batching
 //===----------------------------------------------------------------------===//
 
+/// Injects one request per runner slot of a 4-core, DoAny@2 class (two
+/// slots), so every request injected next waits in the queue.
+void occupyEverySlot(ServeLoop &Serve, unsigned Idx) {
+  for (int I = 0; I < 2; ++I)
+    EXPECT_TRUE(Serve.inject(Idx));
+  EXPECT_EQ(Serve.inService(Idx), 2u);
+}
+
 TEST(ServeLoopBatch, SizeTriggerClosesFullBatches) {
   sim::Simulator Sim;
   sim::Machine M(Sim, 4);
@@ -361,27 +370,31 @@ TEST(ServeLoopBatch, SizeTriggerClosesFullBatches) {
   };
   D.ItersPerRequest = 4;
   D.Config = {rt::Scheme::DoAny, {2}};
-  // A generous wait window: only the size trigger should fire.
-  D.Batch = {4, 10 * sim::MSec, 0.0};
+  D.Batch.MaxBatch = 4;
   unsigned Idx = Serve.addClass(std::move(D));
 
+  // The idle class dispatches its first two arrivals alone; the eight
+  // behind them form the backlog the freed slots take four at a time.
+  occupyEverySlot(Serve, Idx);
   for (int I = 0; I < 8; ++I)
     EXPECT_TRUE(Serve.inject(Idx));
+  EXPECT_EQ(Serve.queueDepth(Idx), 8u);
   Sim.run();
 
   const BatchStats &B = Serve.batchStats(Idx);
-  EXPECT_EQ(B.Batches, 2u);
-  EXPECT_EQ(B.BatchedRequests, 8u);
+  EXPECT_EQ(B.Batches, 4u);
+  EXPECT_EQ(B.BatchedRequests, 10u);
   EXPECT_EQ(B.SizeCloses, 2u);
+  EXPECT_EQ(B.Batches - B.SizeCloses, 2u) << "the two underfull singletons";
   EXPECT_EQ(B.TimerCloses, 0u);
   EXPECT_EQ(B.SloCloses, 0u);
-  EXPECT_DOUBLE_EQ(B.OccupancyH.mean(), 4.0);
-  EXPECT_DOUBLE_EQ(B.requestsPerRegion(), 4.0);
-  EXPECT_EQ(Serve.stats(Idx).Completed, 8u);
+  EXPECT_DOUBLE_EQ(B.OccupancyH.max(), 4.0);
+  EXPECT_DOUBLE_EQ(B.requestsPerRegion(), 2.5);
+  EXPECT_EQ(Serve.stats(Idx).Completed, 10u);
   EXPECT_EQ(Serve.inFlightRequests(Idx), 0u);
 }
 
-TEST(ServeLoopBatch, WaitWindowClosesUnderfullBatch) {
+TEST(ServeLoopBatch, IdleClassDispatchesAtOnce) {
   sim::Simulator Sim;
   sim::Machine M(Sim, 4);
   rt::RuntimeCosts Costs;
@@ -389,34 +402,38 @@ TEST(ServeLoopBatch, WaitWindowClosesUnderfullBatch) {
   ServeLoop Serve(M, Costs, Daemon);
 
   RequestClassDesc D;
-  D.Name = "tm";
+  D.Name = "idle";
   D.MakeRegion = [](const ServeRequest &) {
-    return makeServiceRegion("tm", 60000);
+    return makeServiceRegion("idle", 60000);
   };
   D.ItersPerRequest = 4;
   D.Config = {rt::Scheme::DoAny, {2}};
-  // No SLO on the class: the 1 ms wait window is the only deadline.
-  D.Batch = {8, sim::MSec, 0.5};
+  D.Slo = {95.0, 10 * sim::MSec};
+  // The legacy wait-window fields are unread: a free slot never holds a
+  // lone request back waiting for company.
+  D.Batch = {8, 2 * sim::MSec, 0.5};
   unsigned Idx = Serve.addClass(std::move(D));
 
-  for (int I = 0; I < 3; ++I)
-    EXPECT_TRUE(Serve.inject(Idx));
-  EXPECT_EQ(Serve.inService(Idx), 0u); // held open, waiting for members
+  EXPECT_TRUE(Serve.inject(Idx));
+  EXPECT_EQ(Serve.queueDepth(Idx), 0u);
+  EXPECT_EQ(Serve.inService(Idx), 1u);
+  EXPECT_EQ(Serve.inFlightRequests(Idx), 1u);
   Sim.run();
 
+  const ServeLoop::ClassStats &S = Serve.stats(Idx);
+  EXPECT_EQ(S.Completed, 1u);
+  EXPECT_EQ(S.QueueWaitUs.max(), 0.0) << "the request waited for a batch";
   const BatchStats &B = Serve.batchStats(Idx);
   EXPECT_EQ(B.Batches, 1u);
-  EXPECT_EQ(B.TimerCloses, 1u);
   EXPECT_EQ(B.SizeCloses, 0u);
-  EXPECT_EQ(B.SloCloses, 0u);
-  EXPECT_DOUBLE_EQ(B.OccupancyH.max(), 3.0);
-  EXPECT_EQ(Serve.stats(Idx).Completed, 3u);
-  // The batch dispatched at the window deadline, not before: every
-  // member's queue wait is at least the 1 ms hold (in microseconds).
-  EXPECT_GE(Serve.stats(Idx).QueueWaitUs.min(), 1e3);
+  EXPECT_DOUBLE_EQ(B.OccupancyH.max(), 1.0);
 }
 
-TEST(ServeLoopBatch, SloPressureClosesBatchEarly) {
+TEST(ServeLoopBatch, AccessorsCountEveryAdmittedRequest) {
+  // At any instant an admitted request is queued, in flight, completed
+  // or shed. Requests once sat in a forming batch where queueDepth,
+  // inService and inFlightRequests all missed them, so a drain loop on
+  // the accessors could stop with requests never finalized.
   sim::Simulator Sim;
   sim::Machine M(Sim, 4);
   rt::RuntimeCosts Costs;
@@ -424,29 +441,38 @@ TEST(ServeLoopBatch, SloPressureClosesBatchEarly) {
   ServeLoop Serve(M, Costs, Daemon);
 
   RequestClassDesc D;
-  D.Name = "slo";
+  D.Name = "acct";
   D.MakeRegion = [](const ServeRequest &) {
-    return makeServiceRegion("slo", 60000);
+    return makeServiceRegion("acct", 500000);
   };
   D.ItersPerRequest = 4;
   D.Config = {rt::Scheme::DoAny, {2}};
-  D.Slo = {95.0, 4 * sim::MSec};
-  // The 50 ms window would blow the 4 ms SLO; the early-close trigger
-  // (0.5 x target = 2 ms of head-of-line wait) must beat it.
-  D.Batch = {8, 50 * sim::MSec, 0.5};
+  D.Policy = std::make_unique<DeadlineEarlyDrop>(10 * sim::MSec);
+  // The old broker's configuration; the wait-window fields are unread.
+  D.Batch = {4, 2 * sim::MSec, 0.5};
   unsigned Idx = Serve.addClass(std::move(D));
+  Serve.startArrivals(Idx, std::make_unique<PoissonArrivals>(1500.0, 42));
 
-  for (int I = 0; I < 2; ++I)
-    EXPECT_TRUE(Serve.inject(Idx));
+  unsigned Probes = 0, Busy = 0;
+  for (sim::SimTime T = 25 * sim::USec; T < 100 * sim::MSec;
+       T += 50 * sim::USec)
+    Sim.scheduleAt(T, [&] {
+      const ServeLoop::ClassStats &S = Serve.stats(Idx);
+      std::uint64_t Open = S.Admitted - S.Completed - S.Shed;
+      std::uint64_t Seen = Serve.queueDepth(Idx) + Serve.inFlightRequests(Idx);
+      EXPECT_EQ(Open, Seen) << "at t=" << Sim.now();
+      ++Probes;
+      Busy += Serve.inService(Idx) > 0;
+    });
+  Sim.runUntil(100 * sim::MSec);
+  Serve.stopArrivals(Idx);
   Sim.run();
-
-  const BatchStats &B = Serve.batchStats(Idx);
-  EXPECT_EQ(B.Batches, 1u);
-  EXPECT_EQ(B.SloCloses, 1u);
-  EXPECT_EQ(B.TimerCloses, 0u);
-  EXPECT_EQ(Serve.stats(Idx).Completed, 2u);
-  // Closed at 2 ms of head wait, well inside the 50 ms window.
-  EXPECT_LT(Serve.stats(Idx).QueueWaitUs.max(), 10e3);
+  EXPECT_EQ(Probes, 2000u);
+  EXPECT_GT(Busy, Probes / 4) << "the probes saw too little in flight";
+  EXPECT_GT(Serve.batchStats(Idx).requestsPerRegion(), 1.0)
+      << "nothing coalesced";
+  const ServeLoop::ClassStats &S = Serve.stats(Idx);
+  EXPECT_EQ(S.Admitted, S.Completed + S.Shed);
 }
 
 TEST(ServeLoopBatch, MembersCompleteAtIterationWatermarks) {
@@ -463,12 +489,20 @@ TEST(ServeLoopBatch, MembersCompleteAtIterationWatermarks) {
   };
   D.ItersPerRequest = 4;
   D.Config = {rt::Scheme::DoAny, {2}};
-  D.Batch = {4, 10 * sim::MSec, 0.0};
+  D.Batch.MaxBatch = 4;
   unsigned Idx = Serve.addClass(std::move(D));
 
+  // Requests 1 and 2 take the idle slots alone; 3..6 queue behind them
+  // and start as one batch of four.
+  occupyEverySlot(Serve, Idx);
   std::vector<sim::SimTime> Completions;
+  std::vector<double> ServiceUs;
   Serve.OnRequestDone = [&](const ServeRequest &R) {
+    if (R.Id <= 2)
+      return;
     Completions.push_back(R.CompletedAt);
+    ServiceUs.push_back(static_cast<double>(R.CompletedAt - R.StartedAt) /
+                        1e3);
   };
   for (int I = 0; I < 4; ++I)
     EXPECT_TRUE(Serve.inject(Idx));
@@ -482,12 +516,13 @@ TEST(ServeLoopBatch, MembersCompleteAtIterationWatermarks) {
     EXPECT_LT(Completions[I - 1], Completions[I])
         << "members must complete at successive watermarks";
   const ServeLoop::ClassStats &S = Serve.stats(Idx);
-  EXPECT_EQ(S.Completed, 4u);
-  EXPECT_EQ(S.TotalUs.count(), 4u) << "one latency sample per member";
+  EXPECT_EQ(S.Completed, 6u);
+  EXPECT_EQ(S.TotalUs.count(), 6u) << "one latency sample per request";
   // The first member's service time is roughly a quarter of the last's:
   // it did not pay for the whole batch.
-  EXPECT_LT(S.ServiceUs.min() * 2, S.ServiceUs.max());
-  EXPECT_EQ(Serve.batchStats(Idx).Batches, 1u);
+  EXPECT_LT(ServiceUs.front() * 2, ServiceUs.back());
+  EXPECT_EQ(Serve.batchStats(Idx).Batches, 3u);
+  EXPECT_EQ(Serve.batchStats(Idx).SizeCloses, 1u);
 }
 
 TEST(ServeLoopBatch, BatchedDrainMigratesAllMembersDeterministically) {
@@ -512,7 +547,7 @@ TEST(ServeLoopBatch, BatchedDrainMigratesAllMembersDeterministically) {
     };
     D.ItersPerRequest = 4;
     D.Config = {rt::Scheme::DoAny, {2}};
-    D.Batch = {4, 2 * sim::MSec, 0.5};
+    D.Batch.MaxBatch = 4;
     unsigned Idx = Serve.addClass(std::move(D));
     Serve.startArrivals(Idx, std::make_unique<PoissonArrivals>(2000.0, Seed));
     Sim.runUntil(100 * sim::MSec);
@@ -528,8 +563,7 @@ TEST(ServeLoopBatch, BatchedDrainMigratesAllMembersDeterministically) {
     EXPECT_GT(B.requestsPerRegion(), 1.0) << "nothing actually coalesced";
     return std::make_tuple(S.Arrived, S.Admitted, S.Rejected, S.Shed,
                            S.Completed, Serve.migrations(), B.Batches,
-                           B.SizeCloses, B.TimerCloses, B.SloCloses,
-                           S.TotalUs.percentile(95));
+                           B.SizeCloses, S.TotalUs.percentile(95));
   };
   auto A = RunOnce(42), B = RunOnce(42), C = RunOnce(7);
   EXPECT_GT(std::get<0>(A), 100u);
@@ -625,7 +659,7 @@ TEST(ServeLoop, RejectedRequestsReachOnRequestDone) {
   EXPECT_EQ(Serve.stats(Idx).Completed, 2u);
 }
 
-TEST(ServeLoop, RecentLatencyProbeSortsOncePerCompletion) {
+TEST(ServeLoop, RecentLatencyProbeSelectsOncePerCompletion) {
   sim::Simulator Sim;
   sim::Machine M(Sim, 4);
   rt::RuntimeCosts Costs;
@@ -647,31 +681,35 @@ TEST(ServeLoop, RecentLatencyProbeSortsOncePerCompletion) {
   EXPECT_EQ(Serve.stats(Idx).Completed, 6u);
 
   // The arbiter probes the SLO window every tick; repeated probes with
-  // no new completions must reuse one sorted view (it used to copy and
+  // no new completions must reuse one selection (it used to copy and
   // re-sort the whole window on every probe).
-  EXPECT_EQ(Serve.recentProbeSorts(Idx), 0u);
+  EXPECT_EQ(Serve.recentProbeSelections(Idx), 0u);
   double P95 = Serve.recentLatencySec(Idx, 95);
   EXPECT_GT(P95, 0.0);
-  EXPECT_EQ(Serve.recentProbeSorts(Idx), 1u);
-  for (int I = 0; I < 50; ++I) {
+  // Every completion is still in the window: selection and the sorted
+  // whole-run histogram agree on the nearest-rank value.
+  EXPECT_NEAR(P95, Serve.stats(Idx).TotalUs.percentile(95) / 1e6, 1e-9);
+  EXPECT_EQ(Serve.recentProbeSelections(Idx), 1u);
+  for (int I = 0; I < 50; ++I)
     Serve.recentLatencySec(Idx, 95);
-    Serve.recentLatencySec(Idx, 50);
-  }
-  EXPECT_EQ(Serve.recentProbeSorts(Idx), 1u)
-      << "probes between completions re-sorted the window";
+  EXPECT_EQ(Serve.recentProbeSelections(Idx), 1u)
+      << "probes between completions re-selected the window";
+  // Another percentile is one more selection.
+  EXPECT_LE(Serve.recentLatencySec(Idx, 50), P95);
+  EXPECT_EQ(Serve.recentProbeSelections(Idx), 2u);
 
-  // A new completion dirties the window: exactly one more sort.
+  // A new completion dirties the window: exactly one more selection.
   EXPECT_TRUE(Serve.inject(Idx));
   Sim.run();
   Serve.recentLatencySec(Idx, 95);
   Serve.recentLatencySec(Idx, 95);
-  EXPECT_EQ(Serve.recentProbeSorts(Idx), 2u);
+  EXPECT_EQ(Serve.recentProbeSelections(Idx), 3u);
 
   // Once the window ages out, the probe reports no signal (and has
-  // nothing to sort).
+  // nothing to select from).
   Sim.runUntil(Sim.now() + 200 * sim::MSec);
   EXPECT_LT(Serve.recentLatencySec(Idx, 95), 0.0);
-  EXPECT_EQ(Serve.recentProbeSorts(Idx), 2u);
+  EXPECT_EQ(Serve.recentProbeSelections(Idx), 3u);
 }
 
 //===----------------------------------------------------------------------===//
@@ -885,6 +923,28 @@ TEST(Stats, PercentileCacheSortsOncePerMutation) {
   EXPECT_EQ(S.sortsPerformed(), 3u);
   S.percentile(95);
   EXPECT_EQ(S.sortsPerformed(), 3u);
+}
+
+TEST(Stats, SelectPercentileMatchesSortedPercentile) {
+  // Nearest rank makes selection exact: every percentile of every size
+  // agrees with the sorted set, duplicates included.
+  Rng R(7);
+  for (std::size_t N : {1u, 2u, 3u, 10u, 511u, 512u}) {
+    SampleSet S;
+    std::vector<double> V;
+    for (std::size_t I = 0; I < N; ++I) {
+      double X = static_cast<double>(R.nextBelow(50));
+      S.add(X);
+      V.push_back(X);
+    }
+    for (double P : {0.0, 1.0, 33.3, 50.0, 95.0, 99.0, 99.9, 100.0}) {
+      std::vector<double> Copy = V;
+      EXPECT_EQ(selectPercentile(Copy, P), S.percentile(P))
+          << "n=" << N << " p=" << P;
+    }
+  }
+  std::vector<double> Empty;
+  EXPECT_EQ(selectPercentile(Empty, 95), 0.0);
 }
 
 TEST(Stats, HistogramExposesPercentileSorts) {
