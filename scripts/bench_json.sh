@@ -27,8 +27,9 @@ mkdir -p "$OUTDIR"
 # Modest event count: enough for a stable rate, small enough for CI.
 "$BINDIR/bench_simcore" --events 500000 --json "$OUTDIR/BENCH_simcore.json"
 "$BINDIR/bench_overheads" --json "$OUTDIR/BENCH_overheads.json"
-# --batch adds the batched-dispatch A/B fields (speedup, close triggers,
-# spin-up amortization) alongside the legacy per-phase summary.
+# --batch adds the batched-dispatch A/B fields (speedup, under-load p50
+# ratio, full/underfull batches, spin-up amortization) alongside the
+# legacy per-phase summary.
 "$BINDIR/bench_serve" --batch --json "$OUTDIR/BENCH_serve.json" >/dev/null
 # Straggler A/B: same seed run with and without slow-core avoidance +
 # speculative re-issue; the JSON carries both makespans and the ratio.

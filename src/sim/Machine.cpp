@@ -625,10 +625,11 @@ unsigned Machine::rescueStranded() {
     for (const auto &TP : Threads)
       if (TP->State == ThreadState::Stranded)
         All.push_back(TP.get());
-  // Records are reused, so their order is not spawn order; re-queue in
-  // spawn order as before.
-  std::sort(All.begin(), All.end(),
-            [](const SimThread *A, const SimThread *B) { return A->Id < B->Id; });
+  // Records are reused, so record order is not spawn order: re-queue in
+  // id (spawn) order to keep the schedule independent of reuse.
+  std::sort(All.begin(), All.end(), [](const SimThread *A, const SimThread *B) {
+    return A->Id < B->Id;
+  });
   unsigned N = rescueStranded(All);
   assert(StrandedCount == 0 && "stranded-count bookkeeping diverged");
   return N;

@@ -231,8 +231,8 @@ public:
   unsigned threadsAlive() const { return AliveCount; }
 
   /// Thread records held: live threads, finished ones whose body is not
-  /// yet released, and free records awaiting reuse. Bounded by the peak
-  /// number of threads alive at once, not by the number ever spawned.
+  /// yet released, and free records awaiting reuse. Follows the peak
+  /// number of threads alive at once, not the number ever spawned.
   std::size_t threadRecords() const { return Threads.size(); }
 
   /// Invoked whenever the number of busy cores changes; used by the power

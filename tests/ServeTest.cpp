@@ -431,9 +431,9 @@ TEST(ServeLoopBatch, IdleClassDispatchesAtOnce) {
 
 TEST(ServeLoopBatch, AccessorsCountEveryAdmittedRequest) {
   // At any instant an admitted request is queued, in flight, completed
-  // or shed. Requests once sat in a forming batch where queueDepth,
-  // inService and inFlightRequests all missed them, so a drain loop on
-  // the accessors could stop with requests never finalized.
+  // or shed, so queueDepth + inFlightRequests sees every open request. A
+  // drain loop on the accessors (bench_serve's) relies on this: a request
+  // they miss is never waited for, and never finalized.
   sim::Simulator Sim;
   sim::Machine M(Sim, 4);
   rt::RuntimeCosts Costs;
@@ -448,7 +448,8 @@ TEST(ServeLoopBatch, AccessorsCountEveryAdmittedRequest) {
   D.ItersPerRequest = 4;
   D.Config = {rt::Scheme::DoAny, {2}};
   D.Policy = std::make_unique<DeadlineEarlyDrop>(10 * sim::MSec);
-  // The old broker's configuration; the wait-window fields are unread.
+  // The wait-window fields are unread; a policy that honoured them would
+  // hold requests outside both the queue and the in-flight batches.
   D.Batch = {4, 2 * sim::MSec, 0.5};
   unsigned Idx = Serve.addClass(std::move(D));
   Serve.startArrivals(Idx, std::make_unique<PoissonArrivals>(1500.0, 42));
