@@ -247,11 +247,17 @@ INSTANTIATE_TEST_SUITE_P(Threads, MachineConservation,
 // Inner-scalability model sanity across all lane applications
 //===----------------------------------------------------------------------===//
 
-class ScalabilityProperty
-    : public ::testing::TestWithParam<LaneAppParams (*)()> {};
+namespace parcae::rt {
+// Print the app by name so the ctest names that gtest_discover_tests
+// derives from the parameter are stable across builds (a function-pointer
+// or raw-byte print embeds an ASLR-randomised address).
+void PrintTo(const LaneAppParams &P, std::ostream *OS) { *OS << P.Name; }
+} // namespace parcae::rt
+
+class ScalabilityProperty : public ::testing::TestWithParam<LaneAppParams> {};
 
 TEST_P(ScalabilityProperty, CurveIsSane) {
-  LaneAppParams P = GetParam()();
+  const LaneAppParams &P = GetParam();
   const InnerScalability &S = P.Scal;
   EXPECT_DOUBLE_EQ(S.speedup(1), 1.0);
   for (unsigned L = 1; L <= 32; ++L) {
@@ -265,5 +271,5 @@ TEST_P(ScalabilityProperty, CurveIsSane) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Apps, ScalabilityProperty,
-                         ::testing::Values(&x264Params, &swaptionsParams,
-                                           &bzipParams, &oilifyParams));
+                         ::testing::Values(x264Params(), swaptionsParams(),
+                                           bzipParams(), oilifyParams()));
