@@ -12,6 +12,17 @@ bool Waitable::valid(const Waiter &W) {
   return W.T->State == ThreadState::Blocked && W.T->BlockSeq == W.Seq;
 }
 
+void Waitable::add(SimThread *T) {
+  if (Waiters.size() == Waiters.capacity()) {
+    std::erase_if(Waiters, [](const Waiter &W) { return !valid(W); });
+    // Still more than half full: grow now, so the next compaction is at
+    // least as many adds away as this one scanned (amortized O(1)).
+    if (2 * Waiters.size() > Waiters.capacity())
+      Waiters.reserve(2 * Waiters.capacity());
+  }
+  Waiters.push_back({T, T->BlockSeq});
+}
+
 void Waitable::notifyAll() {
   std::vector<Waiter> Woken;
   Woken.swap(Waiters);
@@ -252,11 +263,11 @@ void Machine::startSlice(unsigned CoreIdx, SimThread *T) {
       T->State = ThreadState::Blocked;
       // A thread may sit in several waiter lists; wake() is idempotent and
       // entries from earlier block epochs are discarded when their
-      // waitable next notifies.
+      // waitable next notifies or its list next grows.
       ++T->BlockSeq;
-      A.W->Waiters.push_back({T, T->BlockSeq});
+      A.W->add(T);
       if (A.W2)
-        A.W2->Waiters.push_back({T, T->BlockSeq});
+        A.W2->add(T);
       return; // core stays free; caller keeps assigning
     case Action::Kind::Finish:
       T->State = ThreadState::Finished;
@@ -356,7 +367,7 @@ bool Machine::tryReserveGang(SimThread *T, unsigned Gang, SimTime Cycles) {
   if (BusyCount + Gang > Cores.size()) {
     T->State = ThreadState::Blocked;
     ++T->BlockSeq;
-    GangAvail.Waiters.push_back({T, T->BlockSeq});
+    GangAvail.add(T);
     return false;
   }
   Reserved += Gang - 1;

@@ -53,6 +53,13 @@ class SimThread;
 /// makes notifyOne() lost-wakeup-safe: it skips stale entries until it
 /// finds a thread that is still blocked on this registration, so a
 /// single-consumer notification is never swallowed by a ghost.
+///
+/// Stale entries are dropped when their waitable next notifies, and also
+/// when the waiter list is about to grow: a waitable that is rarely
+/// notified (a bound that seldom changes, the second half of every
+/// blockAny) would otherwise keep one ghost per block forever. Dropping
+/// only invalid entries keeps the valid ones in order, so wake order is
+/// unchanged.
 class Waitable {
 public:
   Waitable() = default;
@@ -66,6 +73,8 @@ public:
   /// whole herd only to have all but one re-block inflates event counts.
   void notifyOne();
   bool hasWaiters() const { return !Waiters.empty(); }
+  /// Registered entries, stale ones included.
+  std::size_t size() const { return Waiters.size(); }
 
 private:
   friend class Machine;
@@ -74,6 +83,9 @@ private:
     std::uint64_t Seq; ///< T->BlockSeq at registration time
   };
   static bool valid(const Waiter &W);
+  /// Registers \p T under its current block epoch, compacting stale
+  /// entries first when the list is full.
+  void add(SimThread *T);
   std::vector<Waiter> Waiters;
 };
 

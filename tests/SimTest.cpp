@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <functional>
@@ -664,6 +665,43 @@ TEST(Machine, StaleWaiterEntryNeverWakesReusedRecord) {
   Sim.run();
   EXPECT_EQ(WakesB, 1);
   EXPECT_EQ(WakesA, 0);
+  EXPECT_EQ(M.threadsAlive(), 0u);
+}
+
+TEST(Machine, UnnotifiedBlockAnyHalfStaysBounded) {
+  // One thread waits 10k times on blockAny(A, B), and only A is ever
+  // notified, so every wait leaves a stale entry in B. B drops them when
+  // its list is about to grow instead of keeping one per wait.
+  class WaitAnyBody : public ThreadBody {
+  public:
+    WaitAnyBody(Waitable &A, Waitable &B, int &Wakes)
+        : A(A), B(B), Wakes(Wakes) {}
+    Action resume(Machine &, SimThread &) override {
+      if (Waited)
+        ++Wakes;
+      Waited = true;
+      if (Wakes == 10000)
+        return Action::finish();
+      return Action::blockAny(A, B);
+    }
+    Waitable &A, &B;
+    int &Wakes;
+    bool Waited = false;
+  };
+  Simulator Sim;
+  Machine M(Sim, 1);
+  Waitable A, B;
+  int Wakes = 0;
+  std::size_t MaxB = 0;
+  M.spawn("w", std::make_unique<WaitAnyBody>(A, B, Wakes));
+  for (SimTime I = 1; I <= 10000; ++I)
+    Sim.schedule(I * 10 * USec, [&] {
+      MaxB = std::max(MaxB, B.size());
+      A.notifyAll();
+    });
+  Sim.run();
+  EXPECT_EQ(Wakes, 10000);
+  EXPECT_LE(MaxB, 2u) << "stale blockAny entries piled up in B";
   EXPECT_EQ(M.threadsAlive(), 0u);
 }
 
