@@ -47,6 +47,7 @@ int main() {
   Table T({"benchmark", "schemes", "best DOANY", "best PS-DSWP", "Parcae",
            "oracle", "oracle config"});
 
+  std::string Stalls; // stall reports of Parcae cells that gave up
   auto Suite = benchmarkSuite(N);
   // 20x-longer builds for the controller runs (the search cost amortizes
   // over a long-running region, as in the paper's server workloads).
@@ -109,6 +110,8 @@ int main() {
     // virtual time without progress) has no speedup to report.
     ControlledRunResult R = runControlled(CLBig, Cores);
     double Parcae = SeqBig / static_cast<double>(R.Time);
+    if (!R.Completed)
+      Stalls += P.Name + " (Parcae) stalled:\n" + R.Stall;
 
     T.addRow({P.Name, Schemes,
               CL.hasDoAny() ? Table::num(BestDoAny, 2) + "x" : "-",
@@ -117,6 +120,8 @@ int main() {
               Table::num(BestOracle, 2) + "x", OracleC.str()});
   }
   T.print();
+  if (!Stalls.empty())
+    std::printf("\n%s", Stalls.c_str());
   std::printf("\n(the Section 8.3.5 shape: Parcae lands close to the"
               " exhaustive-search oracle while paying its own search"
               " cost; loops with inhibiting dependences fall back to"

@@ -8,7 +8,13 @@
 #     machine unit suites from parcae_tests — the code that juggles
 #     runner teardown with pending quiesce callbacks, in-flight request
 #     pointers across a serve drain, cursor arithmetic, and thread-record
-#     reuse after a body is released;
+#     reuse after a body is released — including the waiter-list
+#     compaction test (Machine.UnnotifiedBlockAnyHalfStaysBounded), which
+#     dereferences stale entries' thread records;
+#   * the ChunkedPipeline suite and CompiledPerf.ControlledDualPipe* —
+#     width-clamped cost groups on the dualpipe network, fixed and under
+#     in-place and full reconfigurations, whose send buffers and chunk
+#     claims cross worker retirement and respawn;
 #   * bench_checkpoint end to end in all three modes (hot restart,
 #     warning drain, live serve migration);
 #   * bench_resilience end to end (the legacy mixed-fault scenario) plus
@@ -57,7 +63,7 @@ if ! build; then
 fi
 
 "$BUILDDIR/tests/parcae_tests" \
-  --gtest_filter='Checkpoint*:FaultInjection*:ServeLoop*:ChunkPolicy*:QueueWorkSource*:Machine*' \
+  --gtest_filter='Checkpoint*:FaultInjection*:ServeLoop*:ChunkPolicy*:QueueWorkSource*:Machine*:ChunkedPipeline*:CompiledPerf.ControlledDualPipe*' \
   --gtest_brief=1 ||
   fail "unit suites reported a failure (or a sanitizer fired)"
 

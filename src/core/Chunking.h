@@ -21,6 +21,12 @@
 /// deep chunk — reconfigure latency (Fig. 8.6) and the commit-frontier
 /// exactly-once guarantees are preserved at chunk size 1 semantics.
 ///
+/// The policy's K is the region-wide upper bound. Like DCAFE, which
+/// chunks only as far as dependences allow, each task then gets at most
+/// what its channels allow (RegionExec::chunkKFor): the head's K
+/// contiguous claims, or a non-head slot's cost group of K iterations
+/// spaced width apart, must span at most half of each out-link's window.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef PARCAE_CORE_CHUNKING_H

@@ -20,9 +20,7 @@ bool Link::trySend(const Token &T) {
   // wide consumer can keep all slots busy, while a narrow consumer keeps
   // queues shallow (deep queues would turn into reconfiguration lag:
   // tokens already routed to a slot must drain there).
-  std::uint64_t W = std::max<std::uint64_t>(
-      Window, 2 * static_cast<std::uint64_t>(Consumer.currentWidth()));
-  if (T.Seq >= LowWater + W)
+  if (T.Seq >= LowWater + effectiveWindow())
     return false; // too far ahead of the slowest consumer
   unsigned Slot = Consumer.slotOf(T.Seq);
   assert(Slot < Buffers.size() && "consumer DoP exceeds link MaxWidth");

@@ -20,6 +20,14 @@
 /// models bounded queues and guarantees deadlock freedom: the token the
 /// lowest outstanding iteration needs is always admissible.
 ///
+/// That argument has a precondition: the producer must be offering that
+/// token. A worker that buffers a cost group's output tokens and flushes
+/// them link by link can block on one link, beyond its window, while it
+/// holds the very token a consumer of another link waits for. So one
+/// group's buffered tokens must span at most half the window, which
+/// RegionExec::chunkKFor enforces: K contiguous iterations for the head,
+/// (K-1)*width+1 sequence numbers for a non-head task of that width.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef PARCAE_CORE_LINK_H
@@ -79,6 +87,13 @@ public:
 
   const std::string &name() const { return Name; }
   std::uint64_t window() const { return Window; }
+  /// The admission window in force: the base window, widened to twice
+  /// the consumer's current width so a wide consumer keeps every slot
+  /// busy.
+  std::uint64_t effectiveWindow() const {
+    return std::max<std::uint64_t>(
+        Window, 2 * static_cast<std::uint64_t>(Consumer.currentWidth()));
+  }
 
   /// Drops everything (region teardown).
   void clear();

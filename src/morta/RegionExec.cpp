@@ -14,7 +14,7 @@ namespace {
 constexpr unsigned MaxWidth = 64;
 /// Base channel admission window: how many iterations production may run
 /// ahead of the slowest consumer (the bounded-queue depth). The effective
-/// window grows with the consumer's DoP; see Link::trySend.
+/// window grows with the consumer's DoP; see Link::effectiveWindow.
 constexpr std::uint64_t LinkWindow = 16;
 } // namespace
 
@@ -545,11 +545,97 @@ std::uint64_t RegionExec::chunkKFor(unsigned TaskIdx) const {
   // the pause protocol's latency bound assumes one-deep obligations.
   if (PauseBound != NoSeq)
     return 1;
-  // A chunk buffered for one downstream channel must fit comfortably
-  // inside the admission window, or the flush itself would stall.
+  // One cost group's buffered tokens must span at most half of each
+  // out-link's window, or the flush can stall on a consumer that is
+  // waiting for a token the group holds back (see Link.h). The head
+  // claims contiguous iterations, so K of them span K sequence numbers;
+  // a non-head slot owns every width-th iteration, so K of its own span
+  // (K-1)*width+1.
+  std::uint64_t Stride = TaskIdx == 0 ? 1 : Schedules[TaskIdx].currentWidth();
   for (const Link *L : OutLinks[TaskIdx])
-    K = std::min(K, std::max<std::uint64_t>(1, L->window() / 2));
+    K = std::min(K, std::max<std::uint64_t>(1, L->window() / 2 / Stride));
   return K;
+}
+
+std::string RegionExec::stallReport() const {
+  auto SeqStr = [](std::uint64_t S) {
+    return S == NoSeq ? std::string("-") : std::to_string(S);
+  };
+  auto WaitName = [](Worker::WaitKind K) {
+    switch (K) {
+    case Worker::WaitKind::None:
+      return "none";
+    case Worker::WaitKind::Channel:
+      return "channel";
+    case Worker::WaitKind::Source:
+      return "source";
+    case Worker::WaitKind::Retry:
+      return "retry";
+    case Worker::WaitKind::Lock:
+      return "lock";
+    }
+    return "?";
+  };
+  auto ThreadName = [](const sim::SimThread *T) {
+    switch (T ? T->state() : sim::ThreadState::Finished) {
+    case sim::ThreadState::Ready:
+      return "ready";
+    case sim::ThreadState::Running:
+      return "running";
+    case sim::ThreadState::Blocked:
+      return "blocked";
+    case sim::ThreadState::Stranded:
+      return "stranded";
+    case sim::ThreadState::Finished:
+      return "finished";
+    }
+    return "?";
+  };
+
+  std::string Out = Desc.Name + " " + Config.str() + ": next_seq " +
+                    SeqStr(NextSeq) + ", pause_bound " + SeqStr(PauseBound) +
+                    ", end_bound " + SeqStr(EndBound) + ", commit_frontier " +
+                    std::to_string(CommitFrontier) + ", retired " +
+                    std::to_string(IterationsRetired) + ", chunk_k";
+  for (unsigned T = 0; T < Desc.numTasks(); ++T)
+    Out += (T ? "," : " ") + std::to_string(chunkKFor(T));
+  Out += '\n';
+
+  for (unsigned T = 0; T < Desc.numTasks(); ++T)
+    for (const Worker *W : ActiveByTask[T]) {
+      Out += "  worker " + Desc.Tasks[T].name() + "#" +
+             std::to_string(W->slot()) + ": " + ThreadName(W->Thread) +
+             ", wait " + WaitName(W->LastWait);
+      // A channel wait names the link: the one being received from in
+      // Recv, the one being flushed in Send.
+      if (W->LastWait == Worker::WaitKind::Channel) {
+        if (W->St == Worker::State::Recv && W->NextIn < InLinks[T].size())
+          Out += " (recv " + InLinks[T][W->NextIn]->name() + ")";
+        else if (W->St == Worker::State::Send &&
+                 W->NextOut < OutLinks[T].size())
+          Out += " (send " + OutLinks[T][W->NextOut]->name() + ")";
+      }
+      Out += ", cursor " + std::to_string(W->Cursor) +
+             (W->InIteration ? "" : " (between iterations)") +
+             ", chunk_iters " + std::to_string(W->ChunkIters);
+      for (std::size_t L = 0; L < W->SendBufs.size(); ++L) {
+        const std::vector<Token> &Buf = W->SendBufs[L];
+        if (Buf.empty())
+          continue;
+        Out += ", unsent " + OutLinks[T][L]->name() + " " +
+               std::to_string(Buf.front().Seq) + ".." +
+               std::to_string(Buf.back().Seq) + " (" +
+               std::to_string(Buf.size()) + ")";
+      }
+      Out += '\n';
+    }
+
+  for (const auto &L : Links)
+    Out += "  link " + L->name() + ": low_water " +
+           std::to_string(L->lowWater()) + ", window " +
+           std::to_string(L->effectiveWindow()) + ", buffered " +
+           std::to_string(L->buffered()) + "\n";
+  return Out;
 }
 
 bool RegionExec::giveBackChunk(std::uint64_t Count) {

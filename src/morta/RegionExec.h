@@ -44,6 +44,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <string>
 #include <vector>
 
 namespace parcae::rt {
@@ -245,10 +246,23 @@ public:
   /// the policy's load-imbalance shrink signal.
   double maxLinkPressure() const;
 
+  // --- Observability --------------------------------------------------
+
+  /// A snapshot of where the region stands, for explaining a run that
+  /// stopped retiring. The first line gives the claim frontier
+  /// (nextSeq), the pause and end bounds, the commit frontier and the
+  /// chunk K per task. Then one line per live worker: task and slot,
+  /// thread state, last runtime wait (and the channel it names), cursor,
+  /// cost-group iterations left, and the unsent tokens per out-link as
+  /// first..last seq. Then one line per link: low water, admission
+  /// window and occupancy.
+  std::string stallReport() const;
+
 private:
   /// Chunk size task \p TaskIdx should use for its next chunk: the
-  /// policy's K clamped so a chunk never overfills a downstream channel
-  /// window, degraded to 1 while a pause is draining.
+  /// policy's K, clamped so the chunk's buffered tokens span at most half
+  /// of each out-link's window (a non-head task's K is divided by its
+  /// width), and degraded to 1 while a pause is draining.
   std::uint64_t chunkKFor(unsigned TaskIdx) const;
 
   /// Returns the head's last \p Count claimed-but-unstarted iterations

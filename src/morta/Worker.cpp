@@ -309,6 +309,7 @@ Action Worker::stepFetch() {
   }
   // Non-head tasks chunk purely for cost grouping: every K-th owned
   // iteration opens a new cost group and pays the per-chunk fixed costs.
+  // K is width-clamped so the group's tokens fit in half a window.
   if (ChunkIters == 0) {
     ChunkIters = R.chunkKFor(TaskIdx);
     ChunkHead = true;

@@ -18,11 +18,14 @@
 /// Iterations are processed in chunks of K (core/Chunking.h): the head
 /// claims K items per source interaction, and all workers pay the Decima
 /// hook, get_status() poll, and per-channel transfer costs once per chunk
-/// instead of once per iteration. Output tokens are batched per out-link
-/// and flushed at chunk boundaries. K degrades to 1 around pause/drain,
-/// and a pausing head gives unstarted chunk items back to the source when
-/// they are the contiguous tail of the claim space — so reconfigure
-/// latency and the exactly-once guarantees match chunk-size-1 semantics.
+/// instead of once per iteration. A non-head worker's chunk is a cost
+/// group of K of its own iterations, which lie width apart in sequence
+/// space, so its K is also divided by its task's width
+/// (RegionExec::chunkKFor). Output tokens are batched per out-link and
+/// flushed at chunk boundaries. K degrades to 1 around pause/drain, and a
+/// pausing head gives unstarted chunk items back to the source when they
+/// are the contiguous tail of the claim space — so reconfigure latency
+/// and the exactly-once guarantees match chunk-size-1 semantics.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -117,7 +120,8 @@ private:
   std::vector<Token> Chunk;     ///< head: claimed items not yet started
   std::size_t ChunkNext = 0;    ///< head: next unstarted index in Chunk
   std::uint64_t ChunkStart = 0; ///< head: seq of Chunk[0]
-  /// Iterations left in the current chunk, including the one in flight.
+  /// Iterations left in the current chunk (a non-head worker's cost
+  /// group), including the one in flight.
   std::uint64_t ChunkIters = 0;
   /// Current iteration is its chunk's first: it pays the per-chunk fixed
   /// costs (Decima hooks, status query, full per-transfer channel cost).

@@ -15,9 +15,10 @@ namespace {
 /// forever).
 constexpr sim::SimTime StallLimit = 1 * sim::Sec;
 
-/// Runs \p Sim until its queue drains, exactly as Simulator::run() does,
-/// unless \p Runner stops retiring for StallLimit before completing.
-void runBounded(sim::Simulator &Sim, const rt::RegionRunner &Runner) {
+} // namespace
+
+bool parcae::ir::runBounded(sim::Simulator &Sim,
+                            const rt::RegionRunner &Runner) {
   std::uint64_t Retired = Runner.totalRetired();
   sim::SimTime MovedAt = Sim.now();
   while (Sim.runOne()) {
@@ -27,12 +28,19 @@ void runBounded(sim::Simulator &Sim, const rt::RegionRunner &Runner) {
       Retired = Runner.totalRetired();
       MovedAt = Sim.now();
     } else if (Sim.now() - MovedAt >= StallLimit) {
-      return; // stalled: the caller reports Completed = false
+      return false;
     }
   }
+  return Runner.completed();
 }
 
-} // namespace
+std::string parcae::ir::stallReportOf(const rt::RegionRunner &Runner) {
+  if (Runner.completed())
+    return "";
+  if (const rt::RegionExec *E = Runner.exec())
+    return E->stallReport();
+  return "no execution: the region is between a drain and its resume\n";
+}
 
 CompiledRunResult parcae::ir::runCompiled(CompiledLoop &CL,
                                           rt::RegionConfig C, unsigned Cores,
@@ -48,6 +56,7 @@ CompiledRunResult parcae::ir::runCompiled(CompiledLoop &CL,
   R.Time = Sim.now();
   R.Completed = Runner.completed();
   R.Retired = Runner.totalRetired();
+  R.Stall = stallReportOf(Runner);
   return R;
 }
 
@@ -94,6 +103,7 @@ CompiledRunResult parcae::ir::runCompiledChaotic(CompiledLoop &CL,
   R.Time = Sim.now();
   R.Completed = Runner.completed();
   R.Retired = Runner.totalRetired();
+  R.Stall = stallReportOf(Runner);
   return R;
 }
 
@@ -116,5 +126,6 @@ ControlledRunResult parcae::ir::runControlled(CompiledLoop &CL,
   R.SeqThroughput = Ctrl.seqThroughput();
   R.BestThroughput = Ctrl.bestThroughput();
   R.Trace = Ctrl.trace();
+  R.Stall = stallReportOf(Runner);
   return R;
 }

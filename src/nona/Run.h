@@ -12,8 +12,9 @@
 ///
 /// Every helper terminates: a run that retires nothing for one second of
 /// virtual time before completing stops there and reports
-/// Completed = false (Time is then when it gave up). A completed run's
-/// Time is the moment its event queue drained.
+/// Completed = false (Time is then when it gave up, and Stall says where
+/// the region stood). A completed run's Time is the moment its event
+/// queue drained.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -24,14 +25,30 @@
 #include "nona/Compile.h"
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 namespace parcae::ir {
+
+/// Steps \p Sim until its event queue drains, exactly as
+/// Simulator::run() does, unless \p Runner retires nothing for one
+/// second of virtual time before completing. Returns whether the runner
+/// completed. The helpers below all run this way; tests that set up their
+/// own runner (a pinned chunk size, a custom reconfiguration schedule)
+/// call it directly.
+bool runBounded(sim::Simulator &Sim, const rt::RegionRunner &Runner);
+
+/// Where \p Runner's region stands (RegionExec::stallReport), or empty
+/// once it has completed.
+std::string stallReportOf(const rt::RegionRunner &Runner);
 
 struct CompiledRunResult {
   sim::SimTime Time = 0;
   bool Completed = false;
   std::uint64_t Retired = 0;
+  /// Set when Completed = false: stallReportOf() at the moment the run
+  /// gave up.
+  std::string Stall;
 };
 
 /// Runs a compiled loop to completion under a fixed configuration.
@@ -53,6 +70,8 @@ struct ControlledRunResult {
   double SeqThroughput = 0;
   double BestThroughput = 0;
   std::vector<rt::RegionController::TraceEntry> Trace;
+  /// Set when Completed = false, as in CompiledRunResult.
+  std::string Stall;
 };
 
 /// Runs a compiled loop under the Chapter 6 run-time controller.

@@ -783,6 +783,38 @@ TEST(FaultInjection, WedgeBlamesOnlyTheWedgedTask) {
     ASSERT_EQ(Tail[static_cast<std::size_t>(I)], I);
 }
 
+TEST(FaultInjection, StallReportNamesWedgedWorkerAndBlockedConsumer) {
+  // With no watchdog, a wedged lane stops the region for good. The
+  // bounded run gives up, and its stall report must say who is stuck:
+  // the lane of "b" that owns iteration 300, blocked outside every
+  // runtime wait, and the sequential tail "c", blocked receiving that
+  // iteration's token on b->c.
+  sim::Simulator Sim;
+  sim::Machine M(Sim, 8);
+  sim::FaultPlan Plan;
+  Plan.addWedge("b", 300);
+  M.installFaultPlan(std::move(Plan));
+  RuntimeCosts Costs;
+  CountedWorkSource Src(1000);
+  FlexibleRegion Region = makeSPS();
+  RegionRunner Runner(M, Costs, Region, Src);
+  RegionConfig C;
+  C.S = Scheme::PsDswp;
+  C.DoP = {1, 3, 1};
+  Runner.start(C);
+  EXPECT_FALSE(ir::runBounded(Sim, Runner));
+  EXPECT_EQ(Runner.totalRetired(), 300u);
+  std::string R = ir::stallReportOf(Runner);
+  EXPECT_NE(R.find("worker b#0: blocked, wait none, cursor 300"),
+            std::string::npos)
+      << R;
+  EXPECT_NE(R.find("worker c#0: blocked, wait channel (recv b->c), cursor "
+                   "300"),
+            std::string::npos)
+      << R;
+  EXPECT_NE(R.find("commit_frontier 300"), std::string::npos) << R;
+}
+
 TEST(FaultInjection, AmbiguousBlameFallsBackToAbortiveRecovery) {
   // Two tasks wedge within the blame margin of each other: the verdict is
   // ambiguous, so the watchdog must refuse to guess and take the

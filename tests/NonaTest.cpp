@@ -333,17 +333,19 @@ TEST(CompiledPerf, ControllerKeepsSeqForSeqchain) {
   EXPECT_EQ(R.Final.S, rt::Scheme::Seq);
 }
 
-TEST(CompiledPerf, ControlledDualPipeStallIsReported) {
-  // The controller on dualpipe hits the chunked-claiming deadlock (see
-  // ROADMAP) and stops retiring for good; runControlled used to tick its
-  // controller forever. It must now give up after a second of virtual
-  // time without progress. Flip to EXPECT_TRUE(R.Completed) once the
-  // deadlock is fixed.
+TEST(CompiledPerf, ControlledDualPipeCompletes) {
+  // The controller grows the chunk size before OPTIMIZE probes wide
+  // middle stages such as PS-DSWP<1,5,1,4>, where a middle slot's cost
+  // group of K iterations spans (K-1)*5+1 sequence numbers. chunkKFor
+  // must keep that within half a channel window, or the run deadlocks.
+  LoopProgram Ref = makeDualPipe(3000);
+  Memory RefMem = CompiledLoop::interpret(*Ref.F, Ref.TripCount);
   LoopProgram P = makeDualPipe(3000);
   CompiledLoop CL(*P.F, P.AA, P.TripCount);
   ControlledRunResult R = runControlled(CL, 16);
-  EXPECT_FALSE(R.Completed);
-  EXPECT_GE(R.Time, sim::Sec) << "gave up before a second without progress";
+  ASSERT_TRUE(R.Completed) << R.Stall;
+  EXPECT_TRUE(R.Stall.empty());
+  EXPECT_TRUE(CL.memory() == RefMem);
 }
 
 TEST(CompiledPerf, CompletedRunTimeIsQueueDrainTime) {
