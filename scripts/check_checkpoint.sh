@@ -47,49 +47,20 @@ WORKDIR=${2:-$(mktemp -d)}
 MODE=${3:-all}
 mkdir -p "$WORKDIR"
 SEED=42
-
-fail() {
-  echo "check_checkpoint.sh: FAIL: $1" >&2
-  exit 1
-}
-
-# run <tag> <seed> [extra flags...]
-run() {
-  TAG=$1
-  RUNSEED=$2
-  shift 2
-  "$BENCH" --seed "$RUNSEED" "$@" \
-    --trace "$WORKDIR/ckpt.$TAG.trace.json" \
-    >"$WORKDIR/ckpt.$TAG.out" 2>&1 ||
-    fail "run $TAG exited non-zero (see $WORKDIR/ckpt.$TAG.out)"
-}
-
-# Same seed, same virtual-time world: everything must be byte-identical.
-# (The [telemetry] banner embeds the per-run trace path, so drop it.)
-assert_identical() {
-  grep -v '^\[telemetry\]' "$WORKDIR/ckpt.$1.out" >"$WORKDIR/ckpt.$1.flt"
-  grep -v '^\[telemetry\]' "$WORKDIR/ckpt.$2.out" >"$WORKDIR/ckpt.$2.flt"
-  cmp -s "$WORKDIR/ckpt.$1.flt" "$WORKDIR/ckpt.$2.flt" ||
-    fail "stdout differs between identically seeded runs ($1 vs $2)"
-  cmp -s "$WORKDIR/ckpt.$1.trace.json" "$WORKDIR/ckpt.$2.trace.json" ||
-    fail "trace differs between identically seeded runs ($1 vs $2)"
-}
+PREFIX=ckpt
+. "$(dirname "$0")/check_lib.sh"
 
 if [ "$MODE" = migrate ] || [ "$MODE" = all ]; then
   # Seed sweep: checkpoint on machine A, restore on machine B, and the
   # retired output must match the uninterrupted reference byte for byte
   # (the bench itself compares element-wise and prints CHECKPOINT: OK).
   for S in 7 21 42; do
-    run "mig.$S.1" "$S"
-    run "mig.$S.2" "$S"
-    grep -q '^CHECKPOINT: OK$' "$WORKDIR/ckpt.mig.$S.1.out" ||
-      fail "migrate seed $S failed (no CHECKPOINT: OK)"
+    twice "mig.$S" "$S" 'CHECKPOINT: OK'
     grep -q 'identical to the uninterrupted reference' \
       "$WORKDIR/ckpt.mig.$S.1.out" ||
       fail "migrate seed $S: output not compared against the reference"
     grep -q 'round trip byte-identical' "$WORKDIR/ckpt.mig.$S.1.out" ||
       fail "migrate seed $S: snapshot round trip not verified"
-    assert_identical "mig.$S.1" "mig.$S.2"
   done
 
   MTRACE="$WORKDIR/ckpt.mig.42.1.trace.json"
@@ -108,12 +79,7 @@ if [ "$MODE" = migrate ] || [ "$MODE" = all ]; then
 fi
 
 if [ "$MODE" = drain ] || [ "$MODE" = all ]; then
-  run drain.1 $SEED --drain
-  run drain.2 $SEED --drain
-
-  grep -q '^CHECKPOINT: OK$' "$WORKDIR/ckpt.drain.1.out" ||
-    fail "drain run failed (no CHECKPOINT: OK)"
-  assert_identical drain.1 drain.2
+  twice drain $SEED 'CHECKPOINT: OK' --drain
 
   # The proactive verdict in the stdout summary: nothing aborted, nothing
   # stranded, nothing detected reactively — and the budget round-trips.
@@ -151,15 +117,10 @@ if [ "$MODE" = drain ] || [ "$MODE" = all ]; then
 fi
 
 if [ "$MODE" = serve ] || [ "$MODE" = all ]; then
-  run serve.1 $SEED --serve
-  run serve.2 $SEED --serve
-
-  grep -q '^CHECKPOINT: OK$' "$WORKDIR/ckpt.serve.1.out" ||
-    fail "serve run failed (no CHECKPOINT: OK)"
   # Per-class goodput and admitted/shed counters byte-identical across
-  # the two same-seed runs: assert_identical compares the whole stdout,
-  # including the per-class table.
-  assert_identical serve.1 serve.2
+  # the two same-seed runs: twice compares the whole stdout, including
+  # the per-class table.
+  twice serve $SEED 'CHECKPOINT: OK' --serve
 
   grep -Eq 'migration: [1-9][0-9]* request region\(s\) migrated' \
     "$WORKDIR/ckpt.serve.1.out" ||

@@ -45,43 +45,13 @@ WORKDIR=${2:-$(mktemp -d)}
 MODE=${3:-all}
 mkdir -p "$WORKDIR"
 SEED=42
-
-fail() {
-  echo "check_resilience.sh: FAIL: $1" >&2
-  exit 1
-}
-
-# run <tag> <seed> [extra flags...]
-run() {
-  TAG=$1
-  RUNSEED=$2
-  shift 2
-  "$BENCH" --seed "$RUNSEED" "$@" \
-    --trace "$WORKDIR/resil.$TAG.trace.json" \
-    >"$WORKDIR/resil.$TAG.out" 2>&1 ||
-    fail "run $TAG exited non-zero (see $WORKDIR/resil.$TAG.out)"
-}
-
-# Same seed, same virtual-time world: everything must be byte-identical.
-# (The [telemetry] banner embeds the per-run trace path, so drop it.)
-assert_identical() {
-  grep -v '^\[telemetry\]' "$WORKDIR/resil.$1.out" >"$WORKDIR/resil.$1.flt"
-  grep -v '^\[telemetry\]' "$WORKDIR/resil.$2.out" >"$WORKDIR/resil.$2.flt"
-  cmp -s "$WORKDIR/resil.$1.flt" "$WORKDIR/resil.$2.flt" ||
-    fail "stdout differs between identically seeded runs ($1 vs $2)"
-  cmp -s "$WORKDIR/resil.$1.trace.json" "$WORKDIR/resil.$2.trace.json" ||
-    fail "trace differs between identically seeded runs ($1 vs $2)"
-}
+PREFIX=resil
+. "$(dirname "$0")/check_lib.sh"
 
 if [ "$MODE" = legacy ] || [ "$MODE" = all ]; then
-  run 1 $SEED
-  run 2 $SEED
+  twice legacy $SEED 'RESILIENCE: OK'
 
-  grep -q '^RESILIENCE: OK$' "$WORKDIR/resil.1.out" ||
-    fail "run did not recover (no RESILIENCE: OK)"
-  assert_identical 1 2
-
-  TRACE="$WORKDIR/resil.1.trace.json"
+  TRACE="$WORKDIR/resil.legacy.1.trace.json"
   [ -s "$TRACE" ] || fail "trace file missing or empty: $TRACE"
 
   # The recovery story, in trace landmarks: a core fails, the watchdog
@@ -106,11 +76,7 @@ if [ "$MODE" = burst ] || [ "$MODE" = all ]; then
   # recover, rerun byte-identically, and show the budget shrinking on the
   # domain event and growing back after the repair.
   for S in 7 21 42; do
-    run "burst.$S.1" "$S" --burst
-    run "burst.$S.2" "$S" --burst
-    grep -q '^RESILIENCE: OK$' "$WORKDIR/resil.burst.$S.1.out" ||
-      fail "burst seed $S did not recover (no RESILIENCE: OK)"
-    assert_identical "burst.$S.1" "burst.$S.2"
+    twice "burst.$S" "$S" 'RESILIENCE: OK' --burst
     # Non-zero budget transitions in both directions (shrink then grow).
     grep -Eq '^   budget: .* \([1-9][0-9]* shrink\(s\), [1-9][0-9]* grow\(s\)\)$' \
       "$WORKDIR/resil.burst.$S.1.out" ||
@@ -134,12 +100,7 @@ if [ "$MODE" = burst ] || [ "$MODE" = all ]; then
 fi
 
 if [ "$MODE" = wedge ] || [ "$MODE" = all ]; then
-  run wedge.1 $SEED --wedge
-  run wedge.2 $SEED --wedge
-
-  grep -q '^RESILIENCE: OK$' "$WORKDIR/resil.wedge.1.out" ||
-    fail "wedge run did not recover (no RESILIENCE: OK)"
-  assert_identical wedge.1 wedge.2
+  twice wedge $SEED 'RESILIENCE: OK' --wedge
 
   # The surgical verdict in the stdout summary: at least one surgical
   # restart, zero whole-region aborts, and the rest of the region retired
@@ -176,11 +137,7 @@ if [ "$MODE" = straggler ] || [ "$MODE" = all ]; then
   # Seed sweep over the slow-core A/B: each seed must clear the makespan
   # gate with the ordered tail intact and rerun byte-identically.
   for S in 7 21 42; do
-    run "strag.$S.1" "$S" --straggler
-    run "strag.$S.2" "$S" --straggler
-    grep -q '^RESILIENCE: OK$' "$WORKDIR/resil.strag.$S.1.out" ||
-      fail "straggler seed $S failed its gates (no RESILIENCE: OK)"
-    assert_identical "strag.$S.1" "strag.$S.2"
+    twice "strag.$S" "$S" 'RESILIENCE: OK' --straggler
     # The A/B verdict itself: a real (>= 1.15x, gated by the bench)
     # makespan improvement from avoidance + speculation.
     grep -Eq '^   improvement: [0-9]+\.[0-9]+x makespan' \

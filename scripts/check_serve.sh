@@ -37,43 +37,15 @@ BENCH=${1:?usage: check_serve.sh <bench_serve> [workdir] [legacy|batch]}
 WORKDIR=${2:-$(mktemp -d)}
 MODE=${3:-legacy}
 mkdir -p "$WORKDIR"
-
-fail() {
-  echo "check_serve.sh: FAIL: $1" >&2
-  exit 1
-}
-
-# run <tag> <seed>
-run() {
-  TAG=$1
-  RUNSEED=$2
-  EXTRA=()
-  [ "$MODE" = batch ] && EXTRA=(--batch)
-  "$BENCH" --seed "$RUNSEED" "${EXTRA[@]}" \
-    --trace "$WORKDIR/serve.$TAG.trace.json" \
-    >"$WORKDIR/serve.$TAG.out" 2>&1 ||
-    fail "run $TAG exited non-zero (see $WORKDIR/serve.$TAG.out)"
-}
-
-# Same seed, same virtual-time world: everything must be byte-identical.
-# (The [telemetry] banner embeds the per-run trace path, so drop it.)
-assert_identical() {
-  grep -v '^\[telemetry\]' "$WORKDIR/serve.$1.out" >"$WORKDIR/serve.$1.flt"
-  grep -v '^\[telemetry\]' "$WORKDIR/serve.$2.out" >"$WORKDIR/serve.$2.flt"
-  cmp -s "$WORKDIR/serve.$1.flt" "$WORKDIR/serve.$2.flt" ||
-    fail "stdout differs between identically seeded runs ($1 vs $2)"
-  cmp -s "$WORKDIR/serve.$1.trace.json" "$WORKDIR/serve.$2.trace.json" ||
-    fail "trace differs between identically seeded runs ($1 vs $2)"
-}
+PREFIX=serve
+. "$(dirname "$0")/check_lib.sh"
+FLAGS=()
+[ "$MODE" = batch ] && FLAGS=(--batch)
 
 for S in 7 21 42; do
-  run "$S.1" "$S"
-  run "$S.2" "$S"
+  twice "$S" "$S" 'SERVE: OK' "${FLAGS[@]}"
 
   OUT="$WORKDIR/serve.$S.1.out"
-  grep -q '^SERVE: OK$' "$OUT" ||
-    fail "seed $S: bench verdict failed (no SERVE: OK)"
-  assert_identical "$S.1" "$S.2"
 
   if [ "$MODE" = batch ]; then
     grep -q '^BATCH: OK$' "$OUT" ||
