@@ -1,26 +1,19 @@
 //===- bench_simcore.cpp - Discrete-event core microbenchmark --------------===//
 //
-// Host-wall-clock A/B of the simulator's hot loop, two axes:
-//
-//  * current core vs the original implementation (heap-allocating
-//    std::function events in a std::priority_queue), embedded below
-//    exactly as it shipped;
-//  * within the current core, the timing-wheel tier vs the plain binary
-//    heap (`--queue=heap|wheel`), across delay distributions
-//    (`--dist=short|far|mixed`): short-band delays land in the wheel's
-//    horizon, far-horizon delays spill to the heap and migrate, mixed
-//    exercises all three tiers (ring / wheel / heap) at once.
+// Host-wall-clock A/B of the simulator's hot loop: the current core vs
+// the original implementation (heap-allocating std::function events in a
+// std::priority_queue), embedded below exactly as it shipped.
 //
 // The workload is a fan of self-rescheduling timers whose handlers
 // capture 32 bytes of state — the size class of real Machine/Link
 // events, which overflows std::function's inline buffer but fits
 // EventFn's. Every current-core run pre-sizes the simulator with
 // reserve() and *asserts zero allocations* across the measured section:
-// steady-state allocation-freedom of all three tiers is a hard check
-// here, not a reported number.
+// steady-state allocation-freedom of both tiers is a hard check here,
+// not a reported number.
 //
-// Reports events/sec and allocations/event for every configuration;
-// with `--json <path>` also emits a machine-readable summary
+// Reports events/sec and allocations/event for both cores; with
+// `--json <path>` also emits a machine-readable summary
 // (scripts/bench_json.sh collects it into BENCH_simcore.json and
 // scripts/check_perf.sh gates on it).
 //
@@ -28,9 +21,7 @@
 
 #include "BenchFlags.h"
 #include "sim/Simulator.h"
-#include "sim/TimingWheel.h"
 
-#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -40,7 +31,6 @@
 #include <functional>
 #include <new>
 #include <queue>
-#include <string>
 #include <type_traits>
 #include <vector>
 
@@ -129,32 +119,11 @@ private:
 // due-now). Handlers capture {driver*, id, salt, acc} = 24-32 bytes:
 // more than std::function's inline buffer (16 on this ABI, so the legacy
 // core allocates per event), less than EventFn's 48 (the new core does
-// not).
-//
-// Delay distributions, relative to the wheel's default 1024-cycle
-// horizon:
-//   short  1..13 cycles      — the machine-slice band; all wheel
-//   far    1025..4096 cycles — all beyond the horizon; heap + migration
-//   mixed  3:1 short:far     — every tier exercised at once
-
-enum class Dist { Short, Far, Mixed };
-
-constexpr sim::SimTime WheelSpan = sim::TimingWheel::DefaultBuckets;
-
-inline sim::SimTime delayFor(Dist D, std::uint64_t Acc) {
-  sim::SimTime Short = 1 + (Acc % 13);
-  if (D == Dist::Short)
-    return Short;
-  sim::SimTime Far = WheelSpan + 1 + ((Acc >> 8) % (3 * WheelSpan));
-  if (D == Dist::Far)
-    return Far;
-  return (Acc & 3) ? Short : Far;
-}
+// not). Timed delays fall in the 1..13-cycle machine-slice band.
 
 template <class SimT> struct TimerDriver {
   SimT &S;
   std::uint64_t Remaining;
-  Dist D;
   std::uint64_t Sink = 0;
 
   void arm(std::uint64_t Id, std::uint64_t Salt) {
@@ -162,7 +131,7 @@ template <class SimT> struct TimerDriver {
       return;
     --Remaining;
     std::uint64_t Acc = (Salt + Id) * 0x9E3779B97F4A7C15ull;
-    S.schedule(delayFor(D, Acc), [this, Id, Salt, Acc] {
+    S.schedule(1 + Acc % 13, [this, Id, Salt, Acc] {
       Sink ^= Acc;
       if ((Acc & 1) && Remaining > 0) {
         --Remaining;
@@ -187,22 +156,20 @@ struct CoreResult {
 };
 
 template <class SimT>
-CoreResult measure(std::uint64_t NumTimers, std::uint64_t TotalEvents, Dist D,
-                   sim::Simulator::QueueMode Mode) {
+CoreResult measure(std::uint64_t NumTimers, std::uint64_t TotalEvents) {
   SimT S;
   constexpr bool Current = std::is_same_v<SimT, sim::Simulator>;
   if constexpr (Current) {
-    S.setQueueMode(Mode);
     // Outstanding events never exceed two per timer (the armed timer
-    // plus its zero-delay detour); with every tier pre-sized the
+    // plus its zero-delay detour); with both tiers pre-sized the
     // measured section must not allocate at all.
     S.reserve(4 * NumTimers + 64);
   }
-  TimerDriver<SimT> D2{S, TotalEvents, D};
+  TimerDriver<SimT> Driver{S, TotalEvents};
   std::uint64_t Allocs0 = GAllocs.load(std::memory_order_relaxed);
   auto T0 = std::chrono::steady_clock::now();
   for (std::uint64_t I = 0; I < NumTimers; ++I)
-    D2.arm(I, I * 977);
+    Driver.arm(I, I * 977);
   S.run();
   auto T1 = std::chrono::steady_clock::now();
   CoreResult R;
@@ -214,35 +181,19 @@ CoreResult measure(std::uint64_t NumTimers, std::uint64_t TotalEvents, Dist D,
     if (R.Allocs != 0) {
       std::fprintf(stderr,
                    "bench_simcore: FAIL: event core allocated %llu time(s) "
-                   "in steady state (mode=%s dist=%d) — reserve() must "
-                   "pre-size every tier\n",
-                   static_cast<unsigned long long>(R.Allocs),
-                   Mode == sim::Simulator::QueueMode::Wheel ? "wheel" : "heap",
-                   static_cast<int>(D));
+                   "in steady state — reserve() must pre-size every tier\n",
+                   static_cast<unsigned long long>(R.Allocs));
       std::exit(1);
     }
   }
-  if (D2.Sink == 0xDEADBEEF) // defeat whole-workload elision
+  if (Driver.Sink == 0xDEADBEEF) // defeat whole-workload elision
     std::printf("~");
   return R;
 }
 
-const char *distName(Dist D) {
-  switch (D) {
-  case Dist::Short:
-    return "short";
-  case Dist::Far:
-    return "far";
-  case Dist::Mixed:
-    return "mixed";
-  }
-  return "?";
-}
-
 void usage(const char *Argv0) {
   std::fprintf(stderr,
-               "usage: %s [--events N] [--timers N] [--queue heap|wheel|both]"
-               " [--dist short|far|mixed|all] [--json <path>]\n",
+               "usage: %s [--events N] [--timers N] [--json <path>]\n",
                Argv0);
   std::exit(2);
 }
@@ -253,96 +204,37 @@ int main(int argc, char **argv) {
   // BenchFlags consumes --json (and --seed/--trace); only the
   // bench-specific flags remain for the loop below.
   parcae::bench::BenchFlags Flags = parcae::bench::BenchFlags::parse(
-      argc, argv, {"--events", "--timers", "--queue", "--dist"});
+      argc, argv, {"--events", "--timers"});
   const char *JsonPath = Flags.JsonPath;
   std::uint64_t TotalEvents = 2'000'000;
   std::uint64_t NumTimers = 64;
-  bool RunHeap = true, RunWheel = true, RunLegacy = true;
-  bool DistOn[3] = {true, true, true};
   for (int I = 1; I < argc; ++I) {
     if (!std::strcmp(argv[I], "--events") && I + 1 < argc)
       TotalEvents = std::strtoull(argv[++I], nullptr, 10);
     else if (!std::strcmp(argv[I], "--timers") && I + 1 < argc)
       NumTimers = std::strtoull(argv[++I], nullptr, 10);
-    else if (!std::strcmp(argv[I], "--queue") && I + 1 < argc) {
-      const char *Q = argv[++I];
-      // Restricting to one queue mode (the sanitize flavor does) also
-      // skips the legacy baseline: the run is then a correctness pass
-      // over one tier configuration, not an A/B.
-      if (!std::strcmp(Q, "heap")) {
-        RunWheel = false;
-        RunLegacy = false;
-      } else if (!std::strcmp(Q, "wheel")) {
-        RunHeap = false;
-        RunLegacy = false;
-      } else if (std::strcmp(Q, "both"))
-        usage(argv[0]);
-    } else if (!std::strcmp(argv[I], "--dist") && I + 1 < argc) {
-      const char *D = argv[++I];
-      if (!std::strcmp(D, "short"))
-        DistOn[1] = DistOn[2] = false;
-      else if (!std::strcmp(D, "far"))
-        DistOn[0] = DistOn[2] = false;
-      else if (!std::strcmp(D, "mixed"))
-        DistOn[0] = DistOn[1] = false;
-      else if (std::strcmp(D, "all"))
-        usage(argv[0]);
-    } else
+    else
       usage(argv[0]);
   }
   if (NumTimers == 0 || TotalEvents == 0)
     usage(argv[0]);
 
-  using QM = sim::Simulator::QueueMode;
-  constexpr Dist Dists[3] = {Dist::Short, Dist::Far, Dist::Mixed};
-
-  // Warm every measured configuration (page faults, heap growth), then
-  // take the best of interleaved repetitions: the configurations
-  // alternate within each rep, so CPU frequency/steal phases hit all of
-  // them and the ratios stay honest.
-  CoreResult Legacy;
-  CoreResult Heap[3], Wheel[3]; // indexed by Dist
+  // Warm both cores (page faults, heap growth), then take the best of
+  // interleaved repetitions: the cores alternate within each rep, so CPU
+  // frequency/steal phases hit both and the ratio stays honest.
   std::uint64_t Warm = TotalEvents / 10;
-  if (RunLegacy)
-    measure<LegacySimulator>(NumTimers, Warm, Dist::Short, QM::HeapOnly);
-  for (int DI = 0; DI < 3; ++DI) {
-    if (!DistOn[DI])
-      continue;
-    if (RunHeap)
-      measure<sim::Simulator>(NumTimers, Warm, Dists[DI], QM::HeapOnly);
-    if (RunWheel)
-      measure<sim::Simulator>(NumTimers, Warm, Dists[DI], QM::Wheel);
-  }
+  measure<LegacySimulator>(NumTimers, Warm);
+  measure<sim::Simulator>(NumTimers, Warm);
+  CoreResult Legacy, Current;
   constexpr int Reps = 5;
   for (int R = 0; R < Reps; ++R) {
-    if (RunLegacy) {
-      CoreResult L =
-          measure<LegacySimulator>(NumTimers, TotalEvents, Dist::Short,
-                                   QM::HeapOnly);
-      if (R == 0 || L.eventsPerSec() > Legacy.eventsPerSec())
-        Legacy = L;
-    }
-    for (int DI = 0; DI < 3; ++DI) {
-      if (!DistOn[DI])
-        continue;
-      if (RunHeap) {
-        CoreResult H = measure<sim::Simulator>(NumTimers, TotalEvents,
-                                               Dists[DI], QM::HeapOnly);
-        if (R == 0 || H.eventsPerSec() > Heap[DI].eventsPerSec())
-          Heap[DI] = H;
-      }
-      if (RunWheel) {
-        CoreResult W = measure<sim::Simulator>(NumTimers, TotalEvents,
-                                               Dists[DI], QM::Wheel);
-        if (R == 0 || W.eventsPerSec() > Wheel[DI].eventsPerSec())
-          Wheel[DI] = W;
-      }
-    }
+    CoreResult L = measure<LegacySimulator>(NumTimers, TotalEvents);
+    if (R == 0 || L.eventsPerSec() > Legacy.eventsPerSec())
+      Legacy = L;
+    CoreResult C = measure<sim::Simulator>(NumTimers, TotalEvents);
+    if (R == 0 || C.eventsPerSec() > Current.eventsPerSec())
+      Current = C;
   }
-
-  // Headline numbers: the default configuration (wheel, short band) vs
-  // the legacy core.
-  const CoreResult &Current = RunWheel ? Wheel[0] : Heap[0];
   double Speedup = Legacy.Seconds > 0 && Current.Seconds > 0
                        ? Current.eventsPerSec() / Legacy.eventsPerSec()
                        : 0;
@@ -351,110 +243,41 @@ int main(int argc, char **argv) {
               static_cast<unsigned long long>(TotalEvents),
               static_cast<unsigned long long>(NumTimers));
   std::printf("%-34s %14s %14s\n", "core", "events/sec", "allocs/event");
-  if (RunLegacy)
-    std::printf("%-34s %14.0f %14.3f\n", "legacy (std::function + pq)",
-                Legacy.eventsPerSec(), Legacy.allocsPerEvent());
-  for (int DI = 0; DI < 3; ++DI) {
-    if (!DistOn[DI])
-      continue;
-    char Label[64];
-    if (RunHeap) {
-      std::snprintf(Label, sizeof(Label), "current heap  (dist=%s)",
-                    distName(Dists[DI]));
-      std::printf("%-34s %14.0f %14.3f\n", Label, Heap[DI].eventsPerSec(),
-                  Heap[DI].allocsPerEvent());
-    }
-    if (RunWheel) {
-      std::snprintf(Label, sizeof(Label), "current wheel (dist=%s)",
-                    distName(Dists[DI]));
-      std::printf("%-34s %14.0f %14.3f\n", Label, Wheel[DI].eventsPerSec(),
-                  Wheel[DI].allocsPerEvent());
-    }
-  }
-  if (RunLegacy)
-    std::printf("\nspeedup vs legacy (wheel, short): %.2fx\n", Speedup);
-  if (RunHeap && RunWheel)
-    for (int DI = 0; DI < 3; ++DI)
-      if (DistOn[DI] && Heap[DI].eventsPerSec() > 0)
-        std::printf("wheel/heap (%s): %.2fx\n", distName(Dists[DI]),
-                    Wheel[DI].eventsPerSec() / Heap[DI].eventsPerSec());
-  if (RunWheel && DistOn[2]) {
-    const sim::Simulator::QueueStats &S = Wheel[2].Stats;
-    std::printf("\nwheel/mixed tier split: ring=%llu wheel=%llu heap=%llu "
-                "migrations=%llu max bucket depth=%llu\n",
-                static_cast<unsigned long long>(S.RingHits),
-                static_cast<unsigned long long>(S.WheelHits),
-                static_cast<unsigned long long>(S.HeapHits),
-                static_cast<unsigned long long>(S.SpillMigrations),
-                static_cast<unsigned long long>(S.MaxBucketDepth));
-  }
+  std::printf("%-34s %14.0f %14.3f\n", "legacy (std::function + pq)",
+              Legacy.eventsPerSec(), Legacy.allocsPerEvent());
+  std::printf("%-34s %14.0f %14.3f\n", "current (ring + heap)",
+              Current.eventsPerSec(), Current.allocsPerEvent());
+  const sim::Simulator::QueueStats &S = Current.Stats;
+  std::printf("\nspeedup vs legacy: %.2fx\n", Speedup);
+  std::printf("tier split: ring=%llu heap=%llu\n",
+              static_cast<unsigned long long>(S.RingHits),
+              static_cast<unsigned long long>(S.HeapHits));
 
   if (JsonPath) {
-    if (!(RunLegacy && RunHeap && RunWheel && DistOn[0] && DistOn[1] &&
-          DistOn[2])) {
-      std::fprintf(stderr, "bench_simcore: --json requires the full matrix "
-                           "(--queue both --dist all)\n");
-      return 2;
-    }
     std::FILE *F = std::fopen(JsonPath, "w");
     if (!F) {
       std::fprintf(stderr, "bench_simcore: cannot write %s\n", JsonPath);
       return 1;
     }
-    double WheelShort = Heap[0].eventsPerSec() > 0
-                            ? Wheel[0].eventsPerSec() / Heap[0].eventsPerSec()
-                            : 0;
-    double WheelFar = Heap[1].eventsPerSec() > 0
-                          ? Wheel[1].eventsPerSec() / Heap[1].eventsPerSec()
-                          : 0;
-    double WheelMixed = Heap[2].eventsPerSec() > 0
-                            ? Wheel[2].eventsPerSec() / Heap[2].eventsPerSec()
-                            : 0;
-    const sim::Simulator::QueueStats &S = Wheel[2].Stats;
-    std::fprintf(
-        F,
-        "{\n"
-        "  \"bench\": \"simcore\",\n"
-        "  \"events\": %llu,\n"
-        "  \"timers\": %llu,\n"
-        "  \"events_per_sec_legacy\": %.0f,\n"
-        "  \"events_per_sec_current\": %.0f,\n"
-        "  \"speedup\": %.3f,\n"
-        "  \"allocs_per_event_legacy\": %.3f,\n"
-        "  \"allocs_per_event_current\": %.3f,\n"
-        "  \"events_per_sec_heap_short\": %.0f,\n"
-        "  \"events_per_sec_wheel_short\": %.0f,\n"
-        "  \"wheel_speedup_short\": %.3f,\n"
-        "  \"events_per_sec_heap_far\": %.0f,\n"
-        "  \"events_per_sec_wheel_far\": %.0f,\n"
-        "  \"wheel_ratio_far\": %.3f,\n"
-        "  \"events_per_sec_heap_mixed\": %.0f,\n"
-        "  \"events_per_sec_wheel_mixed\": %.0f,\n"
-        "  \"wheel_ratio_mixed\": %.3f,\n"
-        "  \"allocs_per_event_heap\": %.3f,\n"
-        "  \"allocs_per_event_wheel\": %.3f,\n"
-        "  \"ring_hits\": %llu,\n"
-        "  \"wheel_hits\": %llu,\n"
-        "  \"heap_hits\": %llu,\n"
-        "  \"spill_migrations\": %llu,\n"
-        "  \"max_bucket_depth\": %llu\n"
-        "}\n",
-        static_cast<unsigned long long>(TotalEvents),
-        static_cast<unsigned long long>(NumTimers), Legacy.eventsPerSec(),
-        Current.eventsPerSec(), Speedup, Legacy.allocsPerEvent(),
-        Current.allocsPerEvent(), Heap[0].eventsPerSec(),
-        Wheel[0].eventsPerSec(), WheelShort, Heap[1].eventsPerSec(),
-        Wheel[1].eventsPerSec(), WheelFar, Heap[2].eventsPerSec(),
-        Wheel[2].eventsPerSec(), WheelMixed,
-        std::max({Heap[0].allocsPerEvent(), Heap[1].allocsPerEvent(),
-                  Heap[2].allocsPerEvent()}),
-        std::max({Wheel[0].allocsPerEvent(), Wheel[1].allocsPerEvent(),
-                  Wheel[2].allocsPerEvent()}),
-        static_cast<unsigned long long>(S.RingHits),
-        static_cast<unsigned long long>(S.WheelHits),
-        static_cast<unsigned long long>(S.HeapHits),
-        static_cast<unsigned long long>(S.SpillMigrations),
-        static_cast<unsigned long long>(S.MaxBucketDepth));
+    std::fprintf(F,
+                 "{\n"
+                 "  \"bench\": \"simcore\",\n"
+                 "  \"events\": %llu,\n"
+                 "  \"timers\": %llu,\n"
+                 "  \"events_per_sec_legacy\": %.0f,\n"
+                 "  \"events_per_sec_current\": %.0f,\n"
+                 "  \"speedup\": %.3f,\n"
+                 "  \"allocs_per_event_legacy\": %.3f,\n"
+                 "  \"allocs_per_event_current\": %.3f,\n"
+                 "  \"ring_hits\": %llu,\n"
+                 "  \"heap_hits\": %llu\n"
+                 "}\n",
+                 static_cast<unsigned long long>(TotalEvents),
+                 static_cast<unsigned long long>(NumTimers),
+                 Legacy.eventsPerSec(), Current.eventsPerSec(), Speedup,
+                 Legacy.allocsPerEvent(), Current.allocsPerEvent(),
+                 static_cast<unsigned long long>(S.RingHits),
+                 static_cast<unsigned long long>(S.HeapHits));
     std::fclose(F);
     std::printf("wrote %s\n", JsonPath);
   }

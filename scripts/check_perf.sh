@@ -2,14 +2,9 @@
 # check_perf.sh — CI sanity check of the perf harness. Runs
 # scripts/bench_json.sh and validates the JSON it emits:
 #   * both files exist, are non-empty, and carry the expected fields;
-#   * the event core performs no allocations per event (in either queue
-#     mode) and is faster than the legacy core (conservative 1.3x floor:
-#     CI hosts are noisy; the bench itself reports ~2x on a quiet
-#     machine);
-#   * the timing-wheel tier earns its keep: at least as fast as the
-#     plain heap on the short-delay band (0.95 floor for CI noise; a
-#     quiet machine shows a clear win) and within 5% of the heap on the
-#     far-horizon distribution where the wheel is pure overhead;
+#   * the event core performs no allocations per event and is faster
+#     than the legacy core (conservative 1.3x floor: CI hosts are noisy;
+#     the bench itself reports ~2x on a quiet machine);
 #   * chunked claiming at K=8 cuts per-iteration overhead at least 4x
 #     (virtual-time measurement, so this one is deterministic).
 #
@@ -68,24 +63,6 @@ ALLOCS=$(field "$SIMCORE" allocs_per_event_current)
 at_least 0.01 "$ALLOCS" ||
   fail "event core allocates per event ($ALLOCS)"
 
-# --- simcore: wheel-vs-heap A/B ---------------------------------------
-for KEY in wheel_speedup_short wheel_ratio_far wheel_ratio_mixed \
-           allocs_per_event_heap allocs_per_event_wheel \
-           ring_hits wheel_hits heap_hits spill_migrations; do
-  V=$(field "$SIMCORE" "$KEY")
-  [ -n "$V" ] || fail "simcore JSON lacks $KEY"
-done
-WHEEL_SHORT=$(field "$SIMCORE" wheel_speedup_short)
-at_least "$WHEEL_SHORT" 0.95 ||
-  fail "wheel slower than heap on short delays (${WHEEL_SHORT}x)"
-WHEEL_FAR=$(field "$SIMCORE" wheel_ratio_far)
-at_least "$WHEEL_FAR" 0.95 ||
-  fail "wheel regresses far-horizon delays beyond 5% (${WHEEL_FAR}x)"
-for KEY in allocs_per_event_heap allocs_per_event_wheel; do
-  V=$(field "$SIMCORE" "$KEY")
-  at_least 0.001 "$V" || fail "$KEY is nonzero ($V)"
-done
-
 # --- overheads --------------------------------------------------------
 for KEY in reduction_k8 reduction_k32 hook_cost; do
   V=$(field "$OVERHEADS" "$KEY")
@@ -96,5 +73,4 @@ RED8=$(field "$OVERHEADS" reduction_k8)
 at_least "$RED8" 4.0 ||
   fail "chunking reduction at K=8 is ${RED8}x, expected >= 4x"
 
-echo "check_perf.sh: OK (speedup ${SPEEDUP}x, wheel/heap short" \
-  "${WHEEL_SHORT}x far ${WHEEL_FAR}x, K=8 reduction ${RED8}x)"
+echo "check_perf.sh: OK (speedup ${SPEEDUP}x, K=8 reduction ${RED8}x)"

@@ -23,9 +23,8 @@
 #   * bench_serve --batch end to end — the batched-dispatch A/B, whose
 #     watermark attribution and batch reap/drain paths juggle member
 #     request pointers inside runner callbacks;
-#   * bench_simcore in both event-queue modes (timing wheel and plain
-#     heap) on the mixed delay distribution — the tier-migration and
-#     bucket-drain pointer gymnastics under ASan/UBSan.
+#   * bench_simcore end to end — the event core's in-place handler
+#     invocation, slab recycling and ring/heap pops under ASan/UBSan.
 #
 # Any sanitizer report makes the offending binary exit non-zero, which
 # fails the script. halt_on_error keeps the first report fatal rather
@@ -79,11 +78,7 @@ fi
   fail "bench_resilience --straggler failed under sanitizers"
 "$BUILDDIR/bench/bench_serve" --seed 42 --batch >/dev/null ||
   fail "bench_serve --batch failed under sanitizers"
-"$BUILDDIR/bench/bench_simcore" --events 100000 --dist mixed \
-  --queue wheel >/dev/null ||
-  fail "bench_simcore --queue wheel failed under sanitizers"
-"$BUILDDIR/bench/bench_simcore" --events 100000 --dist mixed \
-  --queue heap >/dev/null ||
-  fail "bench_simcore --queue heap failed under sanitizers"
+"$BUILDDIR/bench/bench_simcore" --events 100000 >/dev/null ||
+  fail "bench_simcore failed under sanitizers"
 
 echo "check_sanitize.sh: OK ($BUILDDIR)"

@@ -65,10 +65,10 @@ Machine::Machine(Simulator &Sim, unsigned NumCores, MachineConfig Cfg)
 }
 
 Machine::~Machine() {
-  // Surface the event-core tier split (ring/wheel/heap hits, spills) in
-  // the metrics dump. Done here, not in TraceFile's destructor: the
-  // machine is destroyed while its simulator is still alive, whereas the
-  // recorder outlives both.
+  // Surface the event-core tier split (ring and heap hits) in the metrics
+  // dump. Done here, not in TraceFile's destructor: the machine is
+  // destroyed while its simulator is still alive, whereas the recorder
+  // outlives both.
   if (Tel)
     Tel->captureSimQueueMetrics(Sim);
 }

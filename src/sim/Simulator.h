@@ -7,34 +7,27 @@
 /// \file
 /// The discrete-event core: a virtual clock and an ordered event queue.
 /// Everything above it (cores, threads, channels, Morta's controller
-/// timers) is driven by events scheduled here. Events at the same virtual
-/// time fire in schedule order, so whole-system runs are deterministic.
+/// timers) is driven by events scheduled here. Events fire in (time,
+/// schedule order), so whole-system runs are deterministic.
 ///
-/// The queue is three-tiered, earliest tier first:
+/// The queue has two tiers:
 ///
-///  * a due-now FIFO **ring** for zero-delay events (wakeups, overlapped
-///    resumes) — FIFO equals (time, seq) order because every ring entry
-///    is due at Now and the clock cannot advance while the ring is
-///    non-empty;
-///  * a calendar **wheel** (TimingWheel.h) for the near-future horizon,
-///    where most machine slices land: O(1) amortized insert and pop
-///    instead of an O(log n) heap sift;
+///  * a due-now FIFO **ring** for events scheduled at the current instant
+///    (wakeups, overlapped resumes);
 ///  * a binary **heap** of trivially copyable {time, seq, slot} entries
-///    for the far horizon. As the clock advances into their epoch, heap
-///    entries migrate into the wheel.
+///    for every later event, ordered by (time, seq).
 ///
-/// All three tiers carry the same wrapping 32-bit schedule seq, and every
-/// pop merges the tier fronts by (time, seq), so the tier an event landed
-/// in is invisible to replay: runs are bit-for-bit identical whether the
-/// wheel is enabled (QueueMode::Wheel, the default) or not
-/// (QueueMode::HeapOnly, kept for A/B measurement).
+/// At each instant the heap's due-now entries fire before the ring, with
+/// no seq compare between the tiers. An event sits in the heap for time T
+/// only if it was scheduled while the clock was before T, and in the ring
+/// only if it was scheduled at T. The clock never goes back, so every heap
+/// entry due now was scheduled before every ring entry.
 ///
 /// The core is allocation-free in steady state: callbacks are held in
 /// small-buffer EventFn cells inside a chunked slab whose addresses are
-/// stable (so a handler runs in place while scheduling more events), the
-/// heap is a reused vector, and wheel buckets are intrusive lists through
-/// a slot-indexed side array. Whole-system runs execute millions of
-/// events, so this is the hottest host-side path.
+/// stable (so a handler runs in place while scheduling more events), and
+/// the heap and ring are reused vectors. Whole-system runs execute
+/// millions of events, so this is the hottest host-side path.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -43,7 +36,6 @@
 
 #include "sim/EventFn.h"
 #include "sim/Time.h"
-#include "sim/TimingWheel.h"
 
 #include <algorithm>
 #include <cassert>
@@ -55,26 +47,15 @@
 
 namespace parcae::sim {
 
-/// Discrete-event simulator: a clock plus a three-tier ordered queue.
+/// Discrete-event simulator: a clock plus a two-tier ordered queue.
 class Simulator {
 public:
-  /// Which time-ordered tiers back the queue. Event *order* is identical
-  /// in both modes (the acceptance gate for the wheel); the mode only
-  /// selects the data structure, so benches can A/B them.
-  enum class QueueMode { HeapOnly, Wheel };
-
-  /// Cheap per-tier counters plus current occupancy, for perf analysis
-  /// and the telemetry metrics registry (sim.queue.* gauges).
+  /// Cheap per-tier dispatch counters, for perf analysis and the
+  /// telemetry metrics registry (sim.queue.* gauges).
   struct QueueStats {
-    std::uint64_t RingHits = 0;   ///< events dispatched from the ring
-    std::uint64_t WheelHits = 0;  ///< events dispatched from the wheel
-    std::uint64_t HeapHits = 0;   ///< events dispatched from the heap
-    std::uint64_t SpillMigrations = 0; ///< heap -> wheel epoch migrations
-    std::uint64_t MaxBucketDepth = 0;  ///< deepest wheel bucket drained
-    std::size_t RingPending = 0;
-    std::size_t WheelPending = 0;
-    std::size_t HeapPending = 0;
-    std::size_t WheelSpan = 0; ///< horizon width in cycles (0: heap-only)
+    std::uint64_t RingHits = 0; ///< events dispatched from the ring
+    std::uint64_t HeapHits = 0; ///< events dispatched from the heap
+    std::uint64_t WheelHits = 0; ///< always 0; kept as perfbench reads it
   };
 
   /// Current virtual time.
@@ -96,16 +77,12 @@ public:
     slot(S).assign(std::forward<F>(Fn));
     std::uint32_t Seq = NextSeq++;
     if (At == Now) {
-      // Due-now fast path: wakeups, wheel kicks, and overlapped resumes
-      // fire at the current instant; they go through a FIFO ring instead
-      // of the heap. FIFO equals (time, seq) order here because every
-      // ring entry has At == Now, and the clock cannot advance while the
-      // ring is non-empty (runOne drains due-now work first).
+      // Due-now fast path: wakeups and overlapped resumes fire at the
+      // current instant; they go through a FIFO ring instead of the heap.
+      // FIFO equals (time, seq) order here because every ring entry has
+      // At == Now, and the clock cannot advance while the ring is
+      // non-empty (runOne drains due-now work first).
       Ring.push_back(DueNow{Seq, S});
-      return;
-    }
-    if (WheelOn && Wheel.accepts(At, Now)) {
-      Wheel.insert(At, Seq, S);
       return;
     }
     Heap.push_back(Scheduled{At, Seq, S});
@@ -119,54 +96,27 @@ public:
   void run();
 
   /// Runs events with timestamps <= \p Deadline; leaves later events queued
-  /// and advances the clock to \p Deadline.
+  /// and advances the clock to \p Deadline. After a stop() the clock stays
+  /// at the stopping event's time, so work still due then stays runnable.
   void runUntil(SimTime Deadline);
 
-  /// Makes run() return after the current event.
+  /// Makes run() and runUntil() return after the current event.
   void stop() { Stopped = true; }
 
   /// Total number of events executed (sanity metric for tests).
   std::uint64_t eventsProcessed() const { return EventsProcessed; }
 
-  bool empty() const {
-    return Heap.empty() && RingHead == Ring.size() &&
-           DrainHead == Drain.size() && Wheel.empty();
-  }
+  bool empty() const { return Heap.empty() && RingHead == Ring.size(); }
 
-  /// Pre-sizes every tier — heap, due-now ring, wheel drain buffer and
-  /// node array — and the callback slab (steady state then never
+  /// Pre-sizes both tiers and the callback slab (steady state then never
   /// allocates as long as at most \p Events are outstanding at once).
   void reserve(std::size_t Events);
 
-  /// Selects the queue backing (wheel by default). Only legal while the
-  /// queue is empty; the event order is mode-invariant either way.
-  void setQueueMode(QueueMode M) {
-    assert(empty() && "cannot switch queue mode with events pending");
-    Mode = M;
-    WheelOn = M == QueueMode::Wheel;
-  }
-  QueueMode queueMode() const { return Mode; }
-
-  /// Re-sizes the wheel horizon (power of two in [16, 2^20] cycles).
-  /// Only legal while the queue is empty.
-  void setWheelSpan(std::size_t Buckets) {
-    assert(empty() && "cannot re-size the wheel with events pending");
-    Wheel.configure(Buckets);
-  }
-  std::size_t wheelSpan() const { return Wheel.span(); }
-
-  /// Tier counters and occupancy (see QueueStats).
+  /// Tier dispatch counters (see QueueStats).
   QueueStats queueStats() const {
     QueueStats S;
     S.RingHits = RingHits;
-    S.WheelHits = WheelHits;
     S.HeapHits = HeapHits;
-    S.SpillMigrations = SpillMigrations;
-    S.MaxBucketDepth = Wheel.maxDepth();
-    S.RingPending = Ring.size() - RingHead;
-    S.WheelPending = Wheel.size() + (Drain.size() - DrainHead);
-    S.HeapPending = Heap.size();
-    S.WheelSpan = WheelOn ? Wheel.span() : 0;
     return S;
   }
 
@@ -198,6 +148,7 @@ private:
     std::uint32_t Slot;
   };
   /// Ring entry for events due at the current instant (At implied = Now).
+  /// Ring order is FIFO; Seq only feeds the livelock diagnostic.
   struct DueNow {
     std::uint32_t Seq;
     std::uint32_t Slot;
@@ -216,15 +167,13 @@ private:
     }
   };
 
-  /// Pops the earliest event due exactly at Now across the three tier
-  /// fronts (drained wheel bucket / equal-time heap top / ring), merged
-  /// by seq. Returns false when nothing is due at the current instant.
+  /// Pops the earliest event due exactly at Now: the heap top if it is
+  /// due, else the ring front (see the file comment for why that is
+  /// (time, seq) order). Returns false when nothing is due now.
   bool popDueNow(std::uint32_t &OutSlot);
-  /// Advances the clock to the earliest pending timestamp, drains that
-  /// wheel bucket into the merge buffer, and migrates heap entries whose
-  /// epoch the horizon now covers. False when the queue is empty.
-  bool advanceClock();
-  /// Earliest pending timestamp across all tiers (false: queue empty).
+  /// Removes the heap top and returns its slot.
+  std::uint32_t popHeap();
+  /// Earliest pending timestamp (false: queue empty). O(1).
   bool nextPendingTime(SimTime &T) const;
 
   // Callback slab: fixed-size chunks, so slot addresses stay stable while
@@ -261,24 +210,14 @@ private:
   std::uint32_t NextSeq = 0;
   std::uint64_t EventsProcessed = 0;
   bool Stopped = false;
-  QueueMode Mode = QueueMode::Wheel;
-  bool WheelOn = true;
   std::vector<Scheduled> Heap;
   /// FIFO of events due at the current instant; drained before the clock
-  /// may advance (interleaved with equal-time wheel/heap events by Seq).
+  /// may advance, after the heap's entries due at the same instant.
   std::vector<DueNow> Ring;
   std::size_t RingHead = 0;
-  /// Near-future calendar tier; see TimingWheel.h.
-  TimingWheel Wheel;
-  /// The bucket due at Now, already seq-sorted, being merged out. Reused
-  /// storage, same head-cursor discipline as the ring.
-  std::vector<TimingWheel::Entry> Drain;
-  std::size_t DrainHead = 0;
   // Tier dispatch counters (see queueStats()).
   std::uint64_t RingHits = 0;
-  std::uint64_t WheelHits = 0;
   std::uint64_t HeapHits = 0;
-  std::uint64_t SpillMigrations = 0;
   std::vector<std::unique_ptr<EventFn[]>> Pool;
   std::size_t PoolSize = 0;
   std::uint32_t FreeHead = NoSlot;

@@ -190,12 +190,11 @@ public:
   const MetricsRegistry &metrics() const { return Metrics; }
 
   /// Copies \p S's event-queue tier statistics into the registry as
-  /// sim.queue.* gauges (ring/wheel/heap dispatch counts, spill
-  /// migrations, max bucket depth, horizon span). Gauges, not counters,
-  /// so a re-capture overwrites rather than double-counts. Machine's
-  /// destructor calls this — the simulator is still alive there, unlike
-  /// in TraceFile's destructor — so every traced run surfaces the
-  /// event-core tier split in its metrics dump.
+  /// sim.queue.* gauges (ring and heap dispatch counts). Gauges, not
+  /// counters, so a re-capture overwrites rather than double-counts.
+  /// Machine's destructor calls this — the simulator is still alive
+  /// there, unlike in TraceFile's destructor — so every traced run
+  /// surfaces the event-core tier split in its metrics dump.
   void captureSimQueueMetrics(const sim::Simulator &S);
 
 private:

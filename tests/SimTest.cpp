@@ -179,101 +179,54 @@ TEST(Simulator, SameTimeCountResetsWhenClockAdvances) {
   EXPECT_EQ(Fired, 1000u);
 }
 
-TEST(Simulator, WheelHorizonWraparound) {
-  // Delays below the horizon on a small wheel: bucket indices wrap the
-  // bucket array many times over; order and timing must be exact.
-  Simulator Sim;
-  Sim.setWheelSpan(64);
-  std::vector<SimTime> FiredAt;
-  std::uint64_t Fired = 0;
-  std::function<void()> Tick = [&] {
-    FiredAt.push_back(Sim.now());
-    if (++Fired < 500)
-      Sim.schedule(1 + (Fired * 37) % 63, Tick); // delays in [1, 63]
-  };
-  Sim.schedule(63, Tick);
-  Sim.run();
-  EXPECT_EQ(Fired, 500u);
-  for (std::size_t I = 1; I < FiredAt.size(); ++I)
-    EXPECT_LT(FiredAt[I - 1], FiredAt[I]);
-  // Everything stayed within the horizon: no event ever touched the
-  // far-horizon heap.
-  Simulator::QueueStats S = Sim.queueStats();
-  EXPECT_EQ(S.WheelHits, 500u);
-  EXPECT_EQ(S.HeapHits, 0u);
-  EXPECT_EQ(S.SpillMigrations, 0u);
-}
-
-TEST(Simulator, FarFutureSpillThenMigrate) {
-  // An event beyond the wheel horizon spills to the heap; as a ticker
-  // advances the clock into its epoch it must migrate into the wheel
-  // and still fire at exactly the right instant.
-  Simulator Sim;
-  Sim.setWheelSpan(64);
-  SimTime FarAt = 0;
-  Sim.schedule(1000, [&] { FarAt = Sim.now(); }); // 1000 >= span: heap
-  std::function<void()> Tick = [&] {
-    if (Sim.now() < 2000)
-      Sim.schedule(10, Tick);
-  };
-  Sim.schedule(10, Tick);
-  Sim.run();
-  EXPECT_EQ(FarAt, 1000u);
-  Simulator::QueueStats S = Sim.queueStats();
-  EXPECT_GE(S.SpillMigrations, 1u); // the far event crossed heap -> wheel
-  EXPECT_GE(S.WheelHits, 1u);
-}
-
 TEST(Simulator, EqualTimeInterleavingAcrossTiers) {
-  // One instant, three sources: a wheel event scheduled first, a heap
-  // event stuck beyond the horizon until its epoch, and ring events
-  // scheduled during the instant. Global order must be schedule order.
+  // One instant, two tiers: heap events scheduled before the instant and
+  // a ring event scheduled during it. Global order must be schedule order.
   Simulator Sim;
-  Sim.setWheelSpan(64);
   std::vector<int> Order;
-  Sim.schedule(100, [&] { // seq 0 — beyond span: heap; migrates at t=70
+  Sim.schedule(100, [&] { // seq 0: heap, t=100
     Order.push_back(0);
-    Sim.schedule(0, [&] { Order.push_back(3); }); // ring
+    Sim.schedule(0, [&] { Order.push_back(3); }); // ring, seq 3
   });
-  Sim.schedule(70, [&] { // seq 1 — ticker pulls the clock into epoch
-    Sim.schedule(30, [&] { Order.push_back(2); }); // seq 2: wheel, t=100
+  Sim.schedule(70, [&] { // seq 1
+    Sim.schedule(30, [&] { Order.push_back(2); }); // seq 2: heap, t=100
   });
   Sim.run();
-  // At t=100: heap-migrated seq-0 event first, then the wheel seq-2
-  // event, then the ring event scheduled mid-instant.
+  // At t=100: both heap events (seqs 0 and 2), then the ring event
+  // scheduled mid-instant.
   EXPECT_EQ(Order, (std::vector<int>{0, 2, 3}));
 }
 
-TEST(Simulator, HeapOnlyModeMatchesWheelOrder) {
-  // The acceptance gate for the wheel tier: the same workload fires in
-  // the identical sequence under both queue modes.
-  auto Run = [](Simulator::QueueMode Mode) {
-    Simulator Sim;
-    Sim.setQueueMode(Mode);
-    std::vector<std::pair<SimTime, int>> Trace;
-    std::uint64_t Budget = 2000;
-    std::array<std::function<void()>, 8> Ticks;
-    std::uint64_t Acc = 0x9E3779B97F4A7C15ull;
-    for (int I = 0; I < 8; ++I)
-      Ticks[static_cast<std::size_t>(I)] = [&, I] {
-        Trace.push_back({Sim.now(), I});
-        if (Budget == 0)
-          return;
-        --Budget;
-        Acc = Acc * 6364136223846793005ull + 1442695040888963407ull;
-        // Mix of due-now, short-band, and far-horizon delays.
-        SimTime D = (Acc % 5 == 0) ? 0 : 1 + (Acc % 2000);
-        Sim.schedule(D, Ticks[static_cast<std::size_t>(I)]);
-      };
-    for (int I = 0; I < 8; ++I)
-      Sim.schedule(1 + static_cast<SimTime>(I) * 7,
-                   Ticks[static_cast<std::size_t>(I)]);
-    Sim.run();
-    return Trace;
+TEST(Simulator, RandomMixFiresInTimeThenScheduleOrder) {
+  // Eight tickers with due-now, short and far delays fire in exactly the
+  // order of their schedules sorted stably by time: (time, seq) order.
+  Simulator Sim;
+  std::vector<std::pair<SimTime, int>> Scheduled, Fired;
+  std::uint64_t Budget = 2000;
+  std::array<std::function<void()>, 8> Ticks;
+  auto Arm = [&](SimTime D, int I) {
+    Scheduled.push_back({Sim.now() + D, I});
+    Sim.schedule(D, Ticks[static_cast<std::size_t>(I)]);
   };
-  auto WithWheel = Run(Simulator::QueueMode::Wheel);
-  auto HeapOnly = Run(Simulator::QueueMode::HeapOnly);
-  EXPECT_EQ(WithWheel, HeapOnly);
+  std::uint64_t Acc = 0x9E3779B97F4A7C15ull;
+  for (int I = 0; I < 8; ++I)
+    Ticks[static_cast<std::size_t>(I)] = [&, I] {
+      Fired.push_back({Sim.now(), I});
+      if (Budget == 0)
+        return;
+      --Budget;
+      Acc = Acc * 6364136223846793005ull + 1442695040888963407ull;
+      // Mix of due-now, short-band, and far-horizon delays.
+      Arm((Acc % 5 == 0) ? 0 : 1 + (Acc % 2000), I);
+    };
+  for (int I = 0; I < 8; ++I)
+    Arm(1 + static_cast<SimTime>(I) * 7, I);
+  Sim.run();
+  std::stable_sort(Scheduled.begin(), Scheduled.end(),
+                   [](const auto &A, const auto &B) {
+                     return A.first < B.first;
+                   });
+  EXPECT_EQ(Fired, Scheduled);
 }
 
 TEST(Simulator, TierHitsSumToEventsProcessed) {
@@ -287,33 +240,28 @@ TEST(Simulator, TierHitsSumToEventsProcessed) {
   Sim.schedule(1, Tick);
   Sim.run();
   Simulator::QueueStats S = Sim.queueStats();
-  EXPECT_EQ(S.RingHits + S.WheelHits + S.HeapHits, Sim.eventsProcessed());
+  EXPECT_EQ(S.RingHits + S.HeapHits, Sim.eventsProcessed());
   EXPECT_GT(S.RingHits, 0u);
-  EXPECT_GT(S.WheelHits, 0u);
   EXPECT_GT(S.HeapHits, 0u);
+  EXPECT_EQ(S.WheelHits, 0u);
 }
 
 TEST(Simulator, SeqCounterWrapTieBreak) {
   // Same-instant events scheduled across the 2^32 seq wrap must still
-  // fire in schedule order (wrap-safe signed-difference compare), in
-  // both queue modes.
-  for (auto Mode : {Simulator::QueueMode::Wheel,
-                    Simulator::QueueMode::HeapOnly}) {
-    Simulator Sim;
-    Sim.setQueueMode(Mode);
-    Sim.primeSeqCounterForTest(0xFFFFFFFFu - 3);
-    std::vector<int> Order;
-    for (int I = 0; I < 8; ++I) // seqs 2^32-4 .. 3, wrapping in the middle
-      Sim.schedule(50, [&, I] { Order.push_back(I); });
-    Sim.run();
-    EXPECT_EQ(Order, (std::vector<int>{0, 1, 2, 3, 4, 5, 6, 7}));
-  }
+  // fire in schedule order (wrap-safe signed-difference compare).
+  Simulator Sim;
+  Sim.primeSeqCounterForTest(0xFFFFFFFFu - 3);
+  std::vector<int> Order;
+  for (int I = 0; I < 8; ++I) // seqs 2^32-4 .. 3, wrapping in the middle
+    Sim.schedule(50, [&, I] { Order.push_back(I); });
+  Sim.run();
+  EXPECT_EQ(Order, (std::vector<int>{0, 1, 2, 3, 4, 5, 6, 7}));
 }
 
 TEST(Simulator, RunUntilStopsMidBucketSequence) {
-  // A deadline between wheel-resident event times: runUntil must run
-  // events at t <= deadline (inclusive), leave the rest, and pin the
-  // clock to the deadline.
+  // A deadline between pending event times: runUntil must run events at
+  // t <= deadline (inclusive), leave the rest, and pin the clock to the
+  // deadline.
   Simulator Sim;
   std::vector<SimTime> FiredAt;
   for (SimTime T : {10u, 20u, 30u, 40u})
@@ -336,12 +284,12 @@ TEST(Simulator, LivelockDiagnosticListsTiersAndPending) {
         Sim.setSameTimeLimit(500);
         std::function<void()> Spin = [&] { Sim.schedule(0, Spin); };
         Sim.schedule(0, Spin);
-        Sim.schedule(5000, [] {}); // a far-horizon bystander, in the dump
+        Sim.schedule(5000, [] {}); // a heap bystander, in the dump
         Sim.run();
       },
       // The spinning event is popped (ring empty) when the guard trips;
       // the bystander (seq 1, scheduled second) is all that is pending.
-      "queue: ring=0 drain=0 wheel=0 heap=1 pending.*"
+      "queue: ring=0 heap=1 pending.*"
       "next pending: \\(t=5000, seq=1\\)");
 }
 
@@ -466,6 +414,24 @@ TEST(Simulator, StopHaltsRun) {
   Sim.schedule(2, [&] { ++Fired; });
   Sim.run();
   EXPECT_EQ(Fired, 1);
+}
+
+TEST(Simulator, StopInsideRunUntilLeavesClockAtStop) {
+  // A stop() at t=10 inside runUntil(100) must leave the clock at 10, so
+  // the work still due at 10 (ring) and 20 (heap) stays runnable.
+  Simulator Sim;
+  std::vector<SimTime> FiredAt;
+  Sim.schedule(10, [&] {
+    Sim.stop();
+    Sim.schedule(0, [&] { FiredAt.push_back(Sim.now()); });
+    Sim.schedule(10, [&] { FiredAt.push_back(Sim.now()); });
+  });
+  Sim.runUntil(100);
+  ASSERT_EQ(Sim.now(), 10u);
+  EXPECT_TRUE(FiredAt.empty());
+  Sim.runUntil(100);
+  EXPECT_EQ(FiredAt, (std::vector<SimTime>{10, 20}));
+  EXPECT_EQ(Sim.now(), 100u);
 }
 
 TEST(Machine, SingleThreadComputesSerially) {

@@ -161,17 +161,17 @@ TEST(Metrics, MachineTeardownCapturesSimQueueGauges) {
     Sim.run();
   }
   MetricsSnapshot S = Rec.metrics().snapshot(Sim.now());
-  bool SawHits = false, SawSpan = false;
+  bool SawRing = false, SawHeap = false;
   for (const MetricRow &Row : S.Rows) {
-    if (Row.Name == "sim.queue.wheel_hits")
-      SawHits = true;
-    if (Row.Name == "sim.queue.wheel_span") {
-      SawSpan = true;
-      EXPECT_DOUBLE_EQ(Row.Value, 1024.0);
+    if (Row.Name == "sim.queue.ring_hits")
+      SawRing = true;
+    if (Row.Name == "sim.queue.heap_hits") {
+      SawHeap = true;
+      EXPECT_DOUBLE_EQ(Row.Value, 5.0); // the five timed events
     }
   }
-  EXPECT_TRUE(SawHits);
-  EXPECT_TRUE(SawSpan);
+  EXPECT_TRUE(SawRing);
+  EXPECT_TRUE(SawHeap);
 }
 
 TEST(ChromeTrace, ExportParsesBackWithRequiredKeys) {
