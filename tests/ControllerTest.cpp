@@ -121,6 +121,32 @@ TEST(Controller, GradientAscentFindsSaturationPoint) {
   EXPECT_LE(D, 8u) << "controller wasted threads beyond saturation";
 }
 
+TEST(Controller, NoDecreasingProbeAfterClimb) {
+  // Cost 20000, crit 1800: DOANY calibrates at 8 and climbs to 12, where
+  // 13 is not better. A task that has climbed reverts to its peak; only a
+  // task whose first upward probe fails may try the decreasing side.
+  ControllerHarness H(16);
+  FlexibleRegion Region = makeSaturatingDoAny(20000, 1800);
+  RegionRunner Runner(H.M, H.Costs, Region, H.Src);
+  RegionController Ctrl(Runner);
+  Ctrl.start(16);
+  H.Sim.runUntil(400 * sim::MSec);
+
+  ASSERT_EQ(Ctrl.state(), CtrlState::Monitor);
+  bool Peaked = false;
+  for (const auto &E : Ctrl.trace()) {
+    if (E.St != CtrlState::Optimize || E.C.S != Scheme::DoAny)
+      continue;
+    if (E.C.DoP[0] == 12)
+      Peaked = true;
+    else if (Peaked)
+      EXPECT_GT(E.C.DoP[0], 12u)
+          << "decreasing probe " << E.C.str() << " after the climb";
+  }
+  EXPECT_TRUE(Peaked) << "the ascent never reached DOANY<12>";
+  EXPECT_EQ(Ctrl.bestConfig().str(), "DOANY<12>");
+}
+
 TEST(Controller, UnprofitableParallelismRevertsToSeq) {
   ControllerHarness H(8);
   FlexibleRegion Region = makeUnprofitable();

@@ -333,11 +333,12 @@ TEST(CompiledPerf, ControllerKeepsSeqForSeqchain) {
   EXPECT_EQ(R.Final.S, rt::Scheme::Seq);
 }
 
-TEST(CompiledPerf, ControlledDualPipeCompletes) {
-  // The controller grows the chunk size before OPTIMIZE probes wide
-  // middle stages such as PS-DSWP<1,5,1,4>, where a middle slot's cost
-  // group of K iterations spans (K-1)*5+1 sequence numbers. chunkKFor
-  // must keep that within half a channel window, or the run deadlocks.
+TEST(CompiledPerf, ControlledDualPipeReachesBalancedConfig) {
+  // From the default PS-DSWP<1,5,1,5>, the slower parallel stage climbs
+  // to 7 and the other then climbs to 7 too, until the 16-thread budget
+  // stops it. Neither task may descend once it has climbed: a descent
+  // judged step by step against the previous window walked the first
+  // task back to 5 and left four threads idle.
   LoopProgram Ref = makeDualPipe(3000);
   Memory RefMem = CompiledLoop::interpret(*Ref.F, Ref.TripCount);
   LoopProgram P = makeDualPipe(3000);
@@ -346,6 +347,13 @@ TEST(CompiledPerf, ControlledDualPipeCompletes) {
   ASSERT_TRUE(R.Completed) << R.Stall;
   EXPECT_TRUE(R.Stall.empty());
   EXPECT_TRUE(CL.memory() == RefMem);
+  EXPECT_EQ(R.Final.str(), "PS-DSWP<1,7,1,7>");
+
+  rt::RegionConfig Default = configFor(CL, rt::Scheme::PsDswp, 5);
+  CompiledRunResult Static = runCompiled(CL, Default, 16);
+  ASSERT_TRUE(Static.Completed) << Static.Stall;
+  EXPECT_LT(R.Time, Static.Time)
+      << "controlled run no faster than static " << Default.str();
 }
 
 TEST(CompiledPerf, CompletedRunTimeIsQueueDrainTime) {
