@@ -24,7 +24,10 @@
 #     watermark attribution and batch reap/drain paths juggle member
 #     request pointers inside runner callbacks;
 #   * bench_simcore end to end — the event core's in-place handler
-#     invocation, slab recycling and ring/heap pops under ASan/UBSan.
+#     invocation, slab recycling and ring/heap pops under ASan/UBSan;
+#   * bench_serve --trace end to end, with detect_stack_use_after_return
+#     — the trace file's metrics dump is written after every simulator
+#     is gone, so the recorder must not read a dead simulator's clock.
 #
 # Any sanitizer report makes the offending binary exit non-zero, which
 # fails the script. halt_on_error keeps the first report fatal rather
@@ -80,5 +83,8 @@ fi
   fail "bench_serve --batch failed under sanitizers"
 "$BUILDDIR/bench/bench_simcore" --events 100000 >/dev/null ||
   fail "bench_simcore failed under sanitizers"
+ASAN_OPTIONS=$ASAN_OPTIONS:detect_stack_use_after_return=1 \
+  "$BUILDDIR/bench/bench_serve" --seed 42 --trace "$BUILDDIR/san.json" \
+  >/dev/null || fail "traced bench_serve failed under sanitizers"
 
 echo "check_sanitize.sh: OK ($BUILDDIR)"

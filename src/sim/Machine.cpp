@@ -66,11 +66,14 @@ Machine::Machine(Simulator &Sim, unsigned NumCores, MachineConfig Cfg)
 
 Machine::~Machine() {
   // Surface the event-core tier split (ring and heap hits) in the metrics
-  // dump. Done here, not in TraceFile's destructor: the machine is
-  // destroyed while its simulator is still alive, whereas the recorder
-  // outlives both.
-  if (Tel)
+  // dump, and freeze the recorder's time. Done here, not in TraceFile's
+  // destructor: the machine is destroyed while its simulator is still
+  // alive, whereas the recorder outlives both and stamps the dump with
+  // its own now().
+  if (Tel) {
     Tel->captureSimQueueMetrics(Sim);
+    Tel->releaseClock(Sim);
+  }
 }
 
 void SimThread::reincarnate(std::uint64_t NewId, std::string NewName,
