@@ -1,6 +1,6 @@
 //===- SimTest.cpp - Unit tests for the discrete-event simulator -----------===//
 
-#include "sim/BoundedQueue.h"
+#include "BoundedQueue.h"
 #include "sim/EventFn.h"
 #include "sim/Faults.h"
 #include "sim/Machine.h"
