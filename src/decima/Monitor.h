@@ -28,7 +28,6 @@
 #include "sim/Time.h"
 #include "telemetry/Telemetry.h"
 
-#include <algorithm>
 #include <cassert>
 #include <functional>
 #include <map>
@@ -95,25 +94,6 @@ public:
     return R.loadOf(TaskIdx);
   }
 
-  /// Virtual time since task \p TaskIdx last showed liveness (retired an
-  /// iteration, fetched, or attempted a faulting iteration). The
-  /// watchdog's stall detector and the fault sensors read this.
-  static double getHeartbeatAge(const RegionExec &R, unsigned TaskIdx,
-                                sim::SimTime Now) {
-    sim::SimTime Beat = R.lastHeartbeat(TaskIdx);
-    return Now >= Beat ? sim::toSeconds(Now - Beat) : 0.0;
-  }
-
-  /// Worst (oldest) heartbeat age across all tasks of \p R, in seconds —
-  /// the region-level silence signal the watchdog's blame scan refines
-  /// into a per-task verdict. Zero while every task is beating.
-  static double getBlameAge(const RegionExec &R, sim::SimTime Now) {
-    double Worst = 0.0;
-    for (unsigned T = 0; T < R.numTasks(); ++T)
-      Worst = std::max(Worst, getHeartbeatAge(R, T, Now));
-    return Worst;
-  }
-
 private:
   std::map<std::string, std::function<double()>> Features;
 };
@@ -145,19 +125,6 @@ inline void registerCoreRateFeatures(Decima &D, sim::Machine &M) {
   D.registerFeature("MinCoreRate", [&M] { return M.minCoreRate(); });
   D.registerFeature("PenalizedCores",
                     [&M] { return static_cast<double>(M.penalizedCores()); });
-}
-
-/// Registers the "BlameAge" platform feature: the oldest heartbeat age of
-/// the current execution, in seconds (0 while everything beats, and
-/// between executions). \p Current resolves the live RegionExec on every
-/// read, so the feature survives reconfigurations and recoveries.
-inline void registerBlameFeature(Decima &D, sim::Machine &M,
-                                 std::function<const RegionExec *()> Current) {
-  assert(Current && "execution resolver required");
-  D.registerFeature("BlameAge", [&M, Current = std::move(Current)] {
-    const RegionExec *E = Current();
-    return E ? Decima::getBlameAge(*E, M.sim().now()) : 0.0;
-  });
 }
 
 /// Periodically samples a set of named platform features into the trace

@@ -522,32 +522,6 @@ void RegionController::forceRecover(RegionConfig C) {
   scheduleTick();
 }
 
-RegionExec::RestartResult RegionController::surgicalRestart(unsigned TaskIdx) {
-  if (!Started || St == CtrlState::Done || Runner.completed())
-    return {};
-  RegionExec::RestartResult R = Runner.restartTask(TaskIdx);
-  if (R.Restarted == 0 && R.Rescued == 0)
-    return R;
-  PARCAE_TRACE(Tel, instant(TelPid, telemetry::TidController, "ctrl",
-                            "surgical_restart",
-                            {telemetry::TraceArg::num("task", TaskIdx),
-                             telemetry::TraceArg::num("restarted", R.Restarted),
-                             telemetry::TraceArg::num("rescued", R.Rescued)}));
-  // Re-anchor, do not re-select: the stalled window would dominate any
-  // in-flight measurement, but the configuration itself is not suspect.
-  if (St == CtrlState::Monitor) {
-    // Forget the pre-stall baseline too — a drift verdict against it
-    // would trigger exactly the recalibration this path exists to avoid.
-    MonitorBaseThr = 0.0;
-    beginMeasure(measureWindowIters() * 4);
-  } else if (Measuring) {
-    MarkPending = true;
-    WarmupAnchor = NoSeq;
-  }
-  scheduleTick();
-  return R;
-}
-
 parcae::ckpt::ControllerMemory RegionController::exportMemory() const {
   ckpt::ControllerMemory M;
   M.SeqThroughput = Tseq;

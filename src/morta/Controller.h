@@ -97,13 +97,6 @@ public:
   /// configuration.
   void forceRecover(RegionConfig C);
 
-  /// Surgical restart of one task, bypassing every transition: no pause,
-  /// no drain, no config re-selection. When the execution actually did
-  /// something, any in-flight measurement is re-anchored so the repaired
-  /// region is not judged by the stalled window. Returns the execution's
-  /// restart result.
-  RegionExec::RestartResult surgicalRestart(unsigned TaskIdx);
-
   // --- Checkpoint / restore / drain (src/checkpoint) -------------------
 
   /// The controller's learned memory (sequential baseline, best config,

@@ -81,21 +81,17 @@ void RegionExec::start() {
 }
 
 Worker *RegionExec::spawnWorker(unsigned TaskIdx, unsigned Slot,
-                                std::uint64_t CursorFrom,
-                                std::vector<std::vector<Token>> *Salvage,
-                                const Worker *CloneOf) {
+                                std::uint64_t CursorFrom, Worker *CloneOf) {
   assert(!HasWorker[TaskIdx][Slot] && "slot already has a worker");
   auto Body = std::make_unique<Worker>(*this, TaskIdx, Slot, CursorFrom);
   Worker *W = Body.get();
-  if (Salvage) {
-    assert(Salvage->size() == W->SendBufs.size());
-    W->SendBufs = std::move(*Salvage);
-  }
   if (CloneOf) {
     // Speculative clone: inherit the in-flight iteration wholesale —
-    // received inputs, the functor's staged outputs, the chunk claim —
-    // and arm the resume-at-compute path. Installed before M.spawn, which
-    // dispatches synchronously.
+    // produced-but-unsent tokens, received inputs, the functor's staged
+    // outputs, the chunk claim — and arm the resume-at-compute path.
+    // Installed before M.spawn, which dispatches synchronously.
+    assert(CloneOf->SendBufs.size() == W->SendBufs.size());
+    W->SendBufs = std::move(CloneOf->SendBufs);
     W->SpecResume = true;
     W->SpecCost = CloneOf->Ctx.Cost;
     W->Ctx = CloneOf->Ctx;
@@ -167,153 +163,6 @@ void RegionExec::abort() {
   ActiveWorkers = 0;
 }
 
-RegionExec::BlameVerdict RegionExec::blameScan(sim::SimTime Now,
-                                               sim::SimTime Threshold,
-                                               sim::SimTime Margin) const {
-  BlameVerdict V;
-  // A culprit worker is one that cannot make progress on its own: its
-  // thread is stranded on a dead core, or blocked outside every runtime
-  // wait — the signature of code wedged between fetch and functor.
-  // Threads blocked in a channel/source/retry/lock wait are *victims* of
-  // someone else's stall and must not be blamed.
-  struct TaskCulprit {
-    bool Any = false;
-    sim::SimTime OldestBeat = 0;
-  };
-  std::vector<TaskCulprit> Per(Desc.numTasks());
-  for (unsigned T = 0; T < Desc.numTasks(); ++T)
-    for (const Worker *W : ActiveByTask[T]) {
-      if (!W->Thread)
-        continue;
-      sim::ThreadState S = W->Thread->state();
-      bool Culprit = S == sim::ThreadState::Stranded ||
-                     (S == sim::ThreadState::Blocked &&
-                      W->LastWait == Worker::WaitKind::None);
-      if (!Culprit)
-        continue;
-      ++V.CulpritWorkers;
-      TaskCulprit &C = Per[T];
-      if (!C.Any || W->LastBeatAt < C.OldestBeat)
-        C.OldestBeat = W->LastBeatAt;
-      C.Any = true;
-    }
-
-  // Oldest culprit task wins the blame; the runner-up decides ambiguity.
-  // Several culprit workers of the *same* task are not ambiguous — one
-  // restart covers them all.
-  bool HaveBest = false, HaveSecond = false;
-  unsigned BestT = 0;
-  sim::SimTime BestBeat = 0, SecondBeat = 0;
-  for (unsigned T = 0; T < Desc.numTasks(); ++T) {
-    if (!Per[T].Any)
-      continue;
-    ++V.CulpritTasks;
-    if (!HaveBest || Per[T].OldestBeat < BestBeat) {
-      if (HaveBest) {
-        SecondBeat = HaveSecond ? std::min(SecondBeat, BestBeat) : BestBeat;
-        HaveSecond = true;
-      }
-      BestT = T;
-      BestBeat = Per[T].OldestBeat;
-      HaveBest = true;
-    } else if (!HaveSecond || Per[T].OldestBeat < SecondBeat) {
-      SecondBeat = Per[T].OldestBeat;
-      HaveSecond = true;
-    }
-  }
-  if (!HaveBest)
-    return V;
-  V.TaskIdx = BestT;
-  V.OldestBeat = BestBeat;
-  if (Now - BestBeat < Threshold)
-    return V; // not silent long enough to convict
-  if (HaveSecond && SecondBeat - BestBeat < Margin)
-    return V; // a second task is almost as silent: ambiguous
-  V.Blamed = true;
-  return V;
-}
-
-RegionExec::RestartResult RegionExec::restartTask(unsigned TaskIdx) {
-  assert(TaskIdx < Desc.numTasks());
-  RestartResult Res;
-  if (!Started || Completed)
-    return Res;
-
-  // Stranded threads of this task resume their interrupted burst in
-  // place: rescue is the whole repair for them.
-  std::vector<sim::SimThread *> Stranded;
-  for (Worker *W : ActiveByTask[TaskIdx])
-    if (W->Thread && W->Thread->state() == sim::ThreadState::Stranded)
-      Stranded.push_back(W->Thread);
-  Res.Rescued = M.rescueStranded(Stranded);
-
-  // Wedged workers (blocked outside every runtime wait) are terminated
-  // and respawned at their current position. Snapshot first: give-back,
-  // terminate, and spawn all dispatch, which can synchronously resume
-  // other workers and mutate the active lists.
-  std::vector<Worker *> Wedged;
-  for (Worker *W : ActiveByTask[TaskIdx])
-    if (W->Thread && W->Thread->state() == sim::ThreadState::Blocked &&
-        W->LastWait == Worker::WaitKind::None)
-      Wedged.push_back(W);
-
-  for (Worker *W : Wedged) {
-    // Wedges fire strictly before the iteration starts, so the worker
-    // has consumed nothing its replacement cannot re-derive. (NextIn may
-    // be a nonzero residue of the previous, fully completed iteration —
-    // it is only reset when the next Recv begins.)
-    assert(!W->InIteration &&
-           "wedged worker consumed state it cannot give back");
-    // A wedged head holding unstarted chunk items must return them to
-    // the source, or terminating it would orphan those iterations. That
-    // is only history-consistent for the contiguous tail of the claim
-    // space; otherwise skip this worker and let the caller fall back.
-    if (W->taskIdx() == 0 && W->ChunkNext < W->Chunk.size()) {
-      std::uint64_t Remaining = W->Chunk.size() - W->ChunkNext;
-      bool ContigTail = W->ChunkStart + W->Chunk.size() == NextSeq;
-      if (!ContigTail || !giveBackChunk(Remaining))
-        continue;
-      W->Chunk.clear();
-      W->ChunkNext = 0;
-    }
-    // Delist before anything that can dispatch: reentrant callbacks must
-    // never observe the half-dead worker.
-    auto &List = ActiveByTask[TaskIdx];
-    auto It = std::find(List.begin(), List.end(), W);
-    assert(It != List.end());
-    List.erase(It);
-    assert(HasWorker[TaskIdx][W->slot()]);
-    HasWorker[TaskIdx][W->slot()] = false;
-    assert(ActiveWorkers > 0);
-    --ActiveWorkers;
-    // Salvage produced-but-unsent output tokens; they are below the
-    // frontier of what downstream has seen and must not be lost. The
-    // Machine keeps a terminated thread's body until the event ends, so
-    // the move would be safe after terminate too — but take it first for
-    // clarity.
-    std::vector<std::vector<Token>> Salvage = std::move(W->SendBufs);
-    unsigned Slot = W->slot();
-    std::uint64_t CursorFrom = W->CursorFrom;
-    M.terminate(W->Thread);
-    spawnWorker(TaskIdx, Slot, CursorFrom, &Salvage);
-    ++Res.Restarted;
-  }
-
-  if (Res.Restarted > 0 || Res.Rescued > 0) {
-    updateLowWater(TaskIdx);
-    // Refresh the task heartbeat: the replacement starts its silence
-    // clock now, not at its predecessor's last sign of life.
-    beat(TaskIdx);
-    PARCAE_TRACE(
-        Tel, instant(TelPid, telemetry::TidExec, "exec", "task_restart",
-                     {telemetry::TraceArg::str("task",
-                                               Desc.Tasks[TaskIdx].name()),
-                      telemetry::TraceArg::num("restarted", Res.Restarted),
-                      telemetry::TraceArg::num("rescued", Res.Rescued)}));
-  }
-  return Res;
-}
-
 RegionExec::SpeculateResult
 RegionExec::speculateLaggard(sim::SimTime Now, sim::SimTime AgeThreshold) {
   SpeculateResult Res;
@@ -350,12 +199,14 @@ RegionExec::speculateLaggard(sim::SimTime Now, sim::SimTime AgeThreshold) {
   unsigned Slot = Lag->slot();
   std::uint64_t Seq = Lag->Cursor;
 
-  // From here this mirrors restartTask: delist the loser before anything
-  // that can dispatch, salvage its unsent outputs, cancel its in-flight
-  // slice (terminate bumps the core's slice epoch, so the queued endSlice
-  // no-ops), and install the clone's state before its thread can run. A
-  // terminated thread never resumes, so the loser can never reach
-  // IterDone: the clone's retirement is the only one.
+  // Delist the loser before anything that can dispatch, cancel its
+  // in-flight slice (terminate bumps the core's slice epoch, so the
+  // queued endSlice no-ops), and let spawnWorker move its unsent outputs
+  // and iteration state into the clone before the clone's thread can run.
+  // The Machine keeps a terminated thread's body until the event ends, so
+  // the loser is still readable there. A terminated thread never resumes,
+  // so the loser can never reach IterDone: the clone's retirement is the
+  // only one.
   auto &List = ActiveByTask[TaskIdx];
   auto It = std::find(List.begin(), List.end(), Lag);
   assert(It != List.end());
@@ -364,10 +215,8 @@ RegionExec::speculateLaggard(sim::SimTime Now, sim::SimTime AgeThreshold) {
   HasWorker[TaskIdx][Slot] = false;
   assert(ActiveWorkers > 0);
   --ActiveWorkers;
-  std::vector<std::vector<Token>> Salvage = std::move(Lag->SendBufs);
-  std::uint64_t CursorFrom = Lag->CursorFrom;
   M.terminate(Lag->Thread);
-  spawnWorker(TaskIdx, Slot, CursorFrom, &Salvage, Lag);
+  spawnWorker(TaskIdx, Slot, Lag->CursorFrom, Lag);
   ++Speculations;
   updateLowWater(TaskIdx);
   beat(TaskIdx);

@@ -123,49 +123,12 @@ public:
   void abort();
 
   /// Last virtual time task \p TaskIdx showed liveness (an iteration
-  /// retired, a fetch, or a fault attempt).
+  /// retired, a fetch, or a fault attempt). The watchdog's stall instant
+  /// reports the oldest of these as `oldest_beat_age_us`.
   sim::SimTime lastHeartbeat(unsigned TaskIdx) const {
     assert(TaskIdx < LastBeat.size());
     return LastBeat[TaskIdx];
   }
-
-  // --- Surgical restart (heartbeat blame) -----------------------------
-
-  /// Verdict of a blame scan over the per-worker heartbeats.
-  struct BlameVerdict {
-    bool Blamed = false;  ///< one task is confidently at fault
-    unsigned TaskIdx = 0; ///< the task to restart (valid when Blamed)
-    sim::SimTime OldestBeat = 0; ///< oldest culprit beat (when any culprit)
-    unsigned CulpritTasks = 0;   ///< tasks with >= 1 culprit worker
-    unsigned CulpritWorkers = 0; ///< culprit workers across all tasks
-  };
-
-  /// Scans every live worker for culprits — threads stranded on a dead
-  /// core, or blocked outside every runtime wait (wedged in user code) —
-  /// and blames the task whose oldest culprit beat is past \p Threshold.
-  /// The verdict is ambiguous (Blamed = false) when a second task's
-  /// culprit is within \p Margin of the oldest: restarting one task on
-  /// thin evidence while another is equally silent risks restarting the
-  /// victim, so the caller falls back to abortive recovery.
-  BlameVerdict blameScan(sim::SimTime Now, sim::SimTime Threshold,
-                         sim::SimTime Margin) const;
-
-  /// Outcome of a surgical task restart.
-  struct RestartResult {
-    unsigned Restarted = 0; ///< wedged workers terminated and respawned
-    unsigned Rescued = 0;   ///< stranded threads re-queued in place
-  };
-
-  /// Repairs one task without disturbing the rest of the region: rescues
-  /// its stranded threads, and terminates + respawns its wedged workers at
-  /// their current position. A wedged worker is pre-consumption by
-  /// construction (blocked before receiving any token or running the
-  /// functor), so its iteration is re-derivable: buffered output tokens
-  /// are salvaged into the replacement, and a wedged head's unstarted
-  /// chunk tail is given back to the source (a worker whose claim cannot
-  /// be returned is skipped — the caller's fallback handles it). No
-  /// drain, no frontier rewind, no quiescence callbacks.
-  RestartResult restartTask(unsigned TaskIdx);
 
   // --- Speculative re-issue (straggler avoidance) ---------------------
 
@@ -281,7 +244,7 @@ private:
   void retireIteration(unsigned TaskIdx);
   /// One DCAFE-style tuning step of the chunk policy from live stats.
   void retuneChunking();
-  /// Liveness heartbeat: the watchdog's stall detector reads these.
+  /// Liveness heartbeat (see lastHeartbeat).
   void beat(unsigned TaskIdx) { LastBeat[TaskIdx] = M.sim().now(); }
   /// Records a transient fault attempt; escalates past the retry budget.
   void noteFault(unsigned TaskIdx, std::uint64_t Seq, unsigned Attempt);
@@ -300,15 +263,13 @@ private:
   }
   SimLock &lockFor(int LockId);
 
-  /// Spawns a worker for (\p TaskIdx, \p Slot). \p Salvage, when non-null,
-  /// is installed as the new worker's send buffers *before* its thread can
-  /// run — tokens a restarted predecessor produced but had not flushed.
-  /// \p CloneOf, when non-null, additionally copies the (terminated)
-  /// predecessor's in-flight iteration state so the new worker resumes it
-  /// at the compute charge (speculative re-issue; see speculateLaggard).
+  /// Spawns a worker for (\p TaskIdx, \p Slot). \p CloneOf, when
+  /// non-null, is a terminated predecessor whose in-flight iteration the
+  /// new worker resumes at the compute charge (speculative re-issue; see
+  /// speculateLaggard): its state is copied and its produced-but-unsent
+  /// tokens are moved over *before* the new thread can run.
   Worker *spawnWorker(unsigned TaskIdx, unsigned Slot, std::uint64_t CursorFrom,
-                      std::vector<std::vector<Token>> *Salvage = nullptr,
-                      const Worker *CloneOf = nullptr);
+                      Worker *CloneOf = nullptr);
 
   std::vector<Link *> &inLinks(unsigned TaskIdx) { return InLinks[TaskIdx]; }
   std::vector<Link *> &outLinks(unsigned TaskIdx) { return OutLinks[TaskIdx]; }

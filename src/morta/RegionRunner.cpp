@@ -269,20 +269,6 @@ void RegionRunner::resume(RegionConfig C, std::uint64_t StartSeq) {
   beginExec(std::move(C), StartSeq);
 }
 
-RegionExec::RestartResult RegionRunner::restartTask(unsigned TaskIdx) {
-  if (Completed || !Started || !Exec)
-    return {};
-  RegionExec::RestartResult R = Exec->restartTask(TaskIdx);
-  if (R.Restarted > 0) {
-    TaskRestarts += R.Restarted;
-    if (Tel)
-      Tel->metrics()
-          .counter("runner." + Region.name() + ".task_restarts")
-          .add(R.Restarted);
-  }
-  return R;
-}
-
 bool RegionRunner::recover(RegionConfig Target) {
   if (Completed || !Started || Suspended || CheckpointDone)
     return false;

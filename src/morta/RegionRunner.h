@@ -106,16 +106,10 @@ public:
   /// above it re-executes. Returns true if a switch was accepted.
   bool recover(RegionConfig Target);
 
-  /// Surgical restart (the watchdog's blame path): repairs one task of
-  /// the current execution in place — no pause, no drain, no frontier
-  /// rewind, no configuration change. Deliberately allowed while a
-  /// transition is draining (the wedged task may be exactly what is
-  /// blocking the drain); only the resume window, where no execution
-  /// exists, rejects it. Returns what the execution actually did.
-  RegionExec::RestartResult restartTask(unsigned TaskIdx);
-
-  /// Workers terminated and respawned by surgical restarts.
-  unsigned taskRestarts() const { return TaskRestarts; }
+  /// Always 0: no task is restarted on its own, every stall takes
+  /// recover(). Kept only because perfbench reads it for its
+  /// `morta.task_restarts` metric; drop both together.
+  unsigned taskRestarts() const { return 0; }
 
   /// True while a pause-drain-resume transition is in flight.
   bool transitioning() const { return Transitioning; }
@@ -208,7 +202,6 @@ private:
   unsigned Reconfigurations = 0;
   unsigned FullPauses = 0;
   unsigned Recoveries = 0;
-  unsigned TaskRestarts = 0;
   unsigned Checkpoints = 0;
   unsigned ChunkReseeds = 0;
   /// Pending checkpoint completion; non-null between requestCheckpoint()

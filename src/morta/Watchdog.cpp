@@ -27,10 +27,9 @@ void Watchdog::start() {
   Runner.OnFaultEscalation = [this](unsigned TaskIdx) {
     onEscalation(TaskIdx);
   };
-  if (P.DrainOnWarning)
-    M.addDomainWarningListener(
-        [this](const sim::FailureDomainEvent &D) { onDomainWarning(D); });
-  M.sim().schedule(P.Period, [this] { tick(); });
+  M.addDomainWarningListener(
+      [this](const sim::FailureDomainEvent &D) { onDomainWarning(D); });
+  M.sim().schedule(Period, [this] { tick(); });
 }
 
 void Watchdog::onDomainWarning(const sim::FailureDomainEvent &D) {
@@ -73,12 +72,12 @@ void Watchdog::onDomainWarning(const sim::FailureDomainEvent &D) {
     DrainActive = false;
 }
 
-void Watchdog::beginRecoveryClock(sim::SimTime FaultAt, bool Surgical) {
+void Watchdog::beginRecoveryClock(sim::SimTime FaultAt) {
   // Every fault gets its own window. Folding overlapping faults into one
   // clock (the old behaviour) under-counted recoveriesCompleted() and
   // produced a single stretched MTTR sample — exactly what a correlated
   // burst of failures produces.
-  RecoveryWindows.push_back({FaultAt, Runner.totalRetired(), Surgical});
+  RecoveryWindows.push_back({FaultAt, Runner.totalRetired()});
 }
 
 void Watchdog::onEscalation(unsigned TaskIdx) {
@@ -90,8 +89,9 @@ void Watchdog::onEscalation(unsigned TaskIdx) {
                  {telemetry::TraceArg::num("task", TaskIdx)});
   }
   beginRecoveryClock(M.sim().now());
-  RegionConfig C = P.DegradeToSeqOnEscalation &&
-                           Runner.region().hasVariant(Scheme::Seq)
+  // Degrade to SEQ when the region has it: its distinct task names dodge
+  // a fault bound to a parallel task.
+  RegionConfig C = Runner.region().hasVariant(Scheme::Seq)
                        ? Runner.region().unitConfig(Scheme::Seq)
                        : Runner.config();
   // The escalation fires from inside a worker's resume(); aborting that
@@ -153,12 +153,11 @@ void Watchdog::tick() {
   }
 
   // 2. Progress stall: work is in flight, yet nothing has retired for the
-  // stall threshold. The blame scan over the per-worker heartbeats names
-  // the wedged task; a confident verdict drives a surgical restart of
-  // just that task, anything less falls back to the whole-region abortive
-  // recovery. The *resume window* of a transition (execution torn down,
-  // restart timer armed) is automatic progress — nothing can retire and
-  // nothing can be repaired, and charging it to the stall clock would
+  // stall threshold. Rescue stranded threads and take the whole-region
+  // abortive recovery: kill every worker, rewind to the commit frontier,
+  // resume there. The *resume window* of a transition (execution torn
+  // down, restart timer armed) is automatic progress — nothing can retire
+  // and nothing can be repaired, and charging it to the stall clock would
   // make the first iteration after a long reconfiguration inherit the
   // whole transition window. A *draining* transition is not: a wedged
   // worker never sees the pause bound, so the drain itself can wedge —
@@ -170,15 +169,12 @@ void Watchdog::tick() {
   } else if (Retired != LastRetired) {
     LastRetired = Retired;
     LastProgressAt = Now;
-    SurgicalSinceProgress = false; // the repair took: re-arm surgical
   } else if (Runner.exec() &&
              Now - LastProgressAt >= P.StallThreshold) {
     const RegionExec *E = Runner.exec();
     bool InFlight = E->nextSeq() > E->startSeq() + E->iterationsRetired();
     if (InFlight) {
       ++Stalls;
-      RegionExec::BlameVerdict V =
-          E->blameScan(Now, P.BlameThreshold, P.BlameMargin);
       if (Tel) {
         Tel->metrics().counter("watchdog.stalls").add();
         sim::SimTime OldestBeat = Now;
@@ -191,52 +187,12 @@ void Watchdog::tick() {
                                           1e6),
              telemetry::TraceArg::num("oldest_beat_age_us",
                                       sim::toSeconds(Now - OldestBeat) *
-                                          1e6),
-             telemetry::TraceArg::num("culprit_tasks", V.CulpritTasks),
-             telemetry::TraceArg::num("culprit_workers", V.CulpritWorkers)});
+                                          1e6)});
       }
-      bool Handled = false;
-      if (P.SurgicalRestart && !SurgicalSinceProgress && V.Blamed) {
-        ++BlamesAssigned;
-        LastBlamedTask = V.TaskIdx;
-        if (Tel) {
-          Tel->metrics().counter("watchdog.blames").add();
-          Tel->instant(TelPid, telemetry::TidWatchdog, "watchdog",
-                       "watchdog_blame",
-                       {telemetry::TraceArg::num("task", V.TaskIdx),
-                        telemetry::TraceArg::num(
-                            "beat_age_us",
-                            sim::toSeconds(Now - V.OldestBeat) * 1e6)});
-        }
-        RegionExec::RestartResult R = Ctrl.surgicalRestart(V.TaskIdx);
-        if (R.Restarted > 0 || R.Rescued > 0) {
-          ++SurgicalRestarts;
-          Rescued += R.Rescued;
-          SurgicalSinceProgress = true;
-          beginRecoveryClock(LastProgressAt, /*Surgical=*/true);
-          LastProgressAt = Now; // re-arm: do not refire every tick
-          if (Tel)
-            Tel->metrics().counter("watchdog.surgical_restarts").add();
-          if (OnSurgicalRestart)
-            OnSurgicalRestart(V.TaskIdx);
-          Handled = true;
-        }
-      }
-      if (!Handled) {
-        // Ambiguous or absent blame, a restart that achieved nothing, or
-        // a repeat stall with no progress since the last surgical repair:
-        // the conservative whole-region recovery.
-        if (P.SurgicalRestart) {
-          ++FallbackAborts;
-          if (Tel)
-            Tel->metrics().counter("watchdog.fallback_aborts").add();
-        }
-        unsigned R = M.rescueStranded();
-        Rescued += R;
-        beginRecoveryClock(LastProgressAt);
-        LastProgressAt = Now; // re-arm: do not refire every tick
-        Ctrl.forceRecover(Runner.config());
-      }
+      Rescued += M.rescueStranded();
+      beginRecoveryClock(LastProgressAt);
+      LastProgressAt = Now; // re-arm: do not refire every tick
+      Ctrl.forceRecover(Runner.config());
     }
   }
 
@@ -278,28 +234,18 @@ void Watchdog::tick() {
     const RecoveryWindow &W = RecoveryWindows.front();
     ++RecoveriesCompleted;
     LastMttr = Now - W.StartAt;
-    bool Surgical = W.Surgical;
     RecoveryWindows.pop_front();
-    if (Surgical) {
-      ++SurgicalRecoveriesCompleted;
-      LastSurgicalMttr = LastMttr;
-    }
     if (Tel) {
       Tel->metrics().counter("watchdog.recoveries").add();
       Tel->metrics()
           .histogram("watchdog.mttr_us")
           .add(sim::toSeconds(LastMttr) * 1e6);
-      if (Surgical)
-        Tel->metrics()
-            .histogram("watchdog.surgical_mttr_us")
-            .add(sim::toSeconds(LastMttr) * 1e6);
       Tel->instant(TelPid, telemetry::TidWatchdog, "watchdog",
                    "watchdog_recovered",
-                   {telemetry::TraceArg::num(
-                        "mttr_us", sim::toSeconds(LastMttr) * 1e6),
-                    telemetry::TraceArg::num("surgical", Surgical ? 1 : 0)});
+                   {telemetry::TraceArg::num("mttr_us",
+                                             sim::toSeconds(LastMttr) * 1e6)});
     }
   }
 
-  M.sim().schedule(P.Period, [this] { tick(); });
+  M.sim().schedule(Period, [this] { tick(); });
 }

@@ -17,15 +17,16 @@
 ///  * detects capacity *growth* (a repair returned cores) and grows the
 ///    thread budget back, so the controller re-selects — from its
 ///    per-budget cache when possible — the richer configuration;
-///  * watches region progress against per-task heartbeats and, when
-///    nothing retires for a stall threshold, runs a blame scan over the
-///    per-worker heartbeats: a single confidently wedged task is repaired
-///    surgically (rescue + restart of just that task, the rest of the
-///    region keeps running), and only an ambiguous or failed blame falls
-///    back to the whole-region abortive recovery;
-///  * degrades the region (typically to SEQ) when a transient fault
-///    exhausts its retry budget, side-stepping the poisoned
-///    configuration;
+///  * watches region progress and, when nothing retires for a stall
+///    threshold with work in flight, takes the one stall path: rescue
+///    stranded threads, then the whole-region abortive recovery, which
+///    kills every worker, rewinds the source to the commit frontier and
+///    resumes there;
+///  * degrades the region to SEQ (when it has a SEQ variant) once a
+///    transient fault exhausts its retry budget, side-stepping the
+///    poisoned configuration;
+///  * drains the region off the doomed cores when a failure domain
+///    announces itself ahead of time;
 ///  * records detection latency and MTTR (fault time -> first iteration
 ///    retired after recovery) as metrics histograms.
 ///
@@ -46,30 +47,9 @@ namespace parcae::rt {
 
 /// Tunables of the liveness watchdog.
 struct WatchdogParams {
-  /// Polling period. Detection latency is at most one period.
-  sim::SimTime Period = 250 * sim::USec;
   /// No retired iteration for this long (with work in flight and no
   /// transition in progress) counts as a stall.
   sim::SimTime StallThreshold = 4 * sim::MSec;
-  /// On retry exhaustion, degrade to the SEQ variant (whose distinct task
-  /// names dodge a fault bound to a parallel task). When false, recover
-  /// into the current configuration instead.
-  bool DegradeToSeqOnEscalation = true;
-  /// On a stall, try to blame and restart the single wedged task before
-  /// reaching for the whole-region abortive recovery.
-  bool SurgicalRestart = true;
-  /// A task is only blamed when its oldest culprit worker has been silent
-  /// at least this long (kept below StallThreshold so a genuine stall
-  /// always has a convictable culprit by the time it is detected).
-  sim::SimTime BlameThreshold = 2 * sim::MSec;
-  /// Blame is ambiguous — fall back to abortive recovery — when a second
-  /// task's culprit is within this margin of the oldest one.
-  sim::SimTime BlameMargin = 500 * sim::USec;
-  /// React to failure-domain *warnings* (sim/Faults.h lead time) by
-  /// proactively checkpointing the region and migrating it off the
-  /// doomed cores before they die — zero aborted work, versus the
-  /// reactive rescue + abort path when the domain fails unannounced.
-  bool DrainOnWarning = true;
   /// Speculative re-issue (straggler avoidance, serving mode): when
   /// commit progress has been quiet for SpecStallThreshold and the oldest
   /// in-flight iteration sits mid-compute on a *penalized* core, clone it
@@ -117,21 +97,6 @@ public:
   unsigned threadsRescued() const { return Rescued; }
   /// Speculative re-issues driven (laggard cloned off a penalized core).
   unsigned speculationsIssued() const { return SpeculationsIssued; }
-  /// Stalls where the blame scan convicted a single task.
-  unsigned blamesAssigned() const { return BlamesAssigned; }
-  /// Blamed tasks actually repaired surgically (restart or scoped rescue).
-  unsigned surgicalRestarts() const { return SurgicalRestarts; }
-  /// Stalls that fell back to whole-region abortive recovery (ambiguous
-  /// blame, no culprit, a repeat stall, or a restart that did nothing).
-  unsigned fallbackAborts() const { return FallbackAborts; }
-  /// Surgical recovery windows completed (first retire after the repair).
-  unsigned surgicalRecoveriesCompleted() const {
-    return SurgicalRecoveriesCompleted;
-  }
-  /// Task most recently convicted by the blame scan.
-  unsigned lastBlamedTask() const { return LastBlamedTask; }
-  /// MTTR of the most recent completed *surgical* recovery.
-  sim::SimTime lastSurgicalMttr() const { return LastSurgicalMttr; }
   /// Proactive drains started on a failure-domain warning.
   unsigned drainsStarted() const { return DrainsStarted; }
   /// Drains that completed (region resumed on the survivors).
@@ -142,9 +107,6 @@ public:
   /// Fires when a proactive drain completed (bench/test hook).
   std::function<void()> OnDrainDone;
 
-  /// Fires right after a surgical restart was driven (bench/test hook:
-  /// observe what the rest of the region retired during the repair).
-  std::function<void(unsigned TaskIdx)> OnSurgicalRestart;
   /// Latency of the most recent capacity-drop detection (fault to tick).
   sim::SimTime lastDetectionLatency() const { return LastDetectionLatency; }
   /// Latency of the most recent capacity-growth detection (repair to tick).
@@ -153,13 +115,16 @@ public:
   sim::SimTime lastMttr() const { return LastMttr; }
 
 private:
+  /// Polling period. Detection latency is at most one period.
+  static constexpr sim::SimTime Period = 250 * sim::USec;
+
   void tick();
   void onEscalation(unsigned TaskIdx);
   void onDomainWarning(const sim::FailureDomainEvent &D);
   /// Opens a recovery window clocked from \p FaultAt. Windows stack: a
   /// new fault during a running recovery gets its own window, so bursts
   /// are not folded into one MTTR sample.
-  void beginRecoveryClock(sim::SimTime FaultAt, bool Surgical = false);
+  void beginRecoveryClock(sim::SimTime FaultAt);
 
   RegionController &Ctrl;
   RegionRunner &Runner;
@@ -177,7 +142,6 @@ private:
   struct RecoveryWindow {
     sim::SimTime StartAt = 0;
     std::uint64_t RetiredAtFault = 0;
-    bool Surgical = false; ///< opened by a surgical restart, not an abort
   };
   std::deque<RecoveryWindow> RecoveryWindows;
 
@@ -188,19 +152,9 @@ private:
   unsigned RecoveriesCompleted = 0;
   unsigned Rescued = 0;
   unsigned SpeculationsIssued = 0;
-  unsigned BlamesAssigned = 0;
-  unsigned SurgicalRestarts = 0;
-  unsigned FallbackAborts = 0;
-  unsigned SurgicalRecoveriesCompleted = 0;
-  unsigned LastBlamedTask = 0;
-  /// One-shot guard: a surgical restart that produced no retire before
-  /// the next stall did not fix the problem — escalate to abortive
-  /// recovery instead of restarting the same task forever.
-  bool SurgicalSinceProgress = false;
   sim::SimTime LastDetectionLatency = 0;
   sim::SimTime LastGrowthLatency = 0;
   sim::SimTime LastMttr = 0;
-  sim::SimTime LastSurgicalMttr = 0;
   unsigned DrainsStarted = 0;
   unsigned DrainsCompleted = 0;
   bool DrainActive = false;

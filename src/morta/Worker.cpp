@@ -13,8 +13,8 @@ Worker::Worker(RegionExec &R, unsigned TaskIdx, unsigned Slot,
       IsHead(TaskIdx == 0), IsTail(TaskIdx + 1 == R.Desc.numTasks()),
       CursorFrom(CursorFrom) {
   SendBufs.resize(R.outLinks(TaskIdx).size());
-  // A worker counts as freshly beaten at spawn, so a replacement worker
-  // is not immediately re-blamed for its predecessor's silence.
+  // A worker counts as freshly beaten at spawn, so a speculative clone is
+  // not re-issued at once for its predecessor's silence.
   LastBeatAt = R.machine().sim().now();
 }
 
@@ -218,9 +218,7 @@ Action Worker::stepFetch() {
       }
       if (ChunkNext < Chunk.size()) {
         // Wedge injection fires strictly before the iteration starts: no
-        // token has been consumed, no functor has run, and the unstarted
-        // chunk tail (including this item) is intact for give-back when
-        // the watchdog restarts the task.
+        // token has been consumed and no functor has run.
         if (!Wedged && R.machine().takeWedge(T.name(), ChunkStart + ChunkNext))
           Wedged = true;
         if (Wedged) {
@@ -279,8 +277,7 @@ Action Worker::stepFetch() {
     ChunkHead = true;
     Cursor = ChunkStart;
     // Wedge check on the fresh claim, with ChunkNext still 0: the whole
-    // chunk is unstarted and contiguous with the claim frontier, so a
-    // restart gives every item back to the source.
+    // chunk is unstarted.
     if (!Wedged && R.machine().takeWedge(T.name(), ChunkStart))
       Wedged = true;
     if (Wedged) {
@@ -299,8 +296,7 @@ Action Worker::stepFetch() {
   if (Bound != NoSeq && Cursor >= Bound)
     return finishWith(R.EndBound <= R.PauseBound ? TaskStatus::Complete
                                                  : TaskStatus::Paused);
-  // Wedge check before any token is received: the iteration is still
-  // re-derivable by a replacement worker from the same cursor.
+  // Wedge check before any token is received.
   if (!Wedged && R.machine().takeWedge(T.name(), Cursor))
     Wedged = true;
   if (Wedged) {

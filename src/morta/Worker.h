@@ -65,11 +65,11 @@ public:
 private:
   friend class RegionExec;
 
-  /// Which runtime wait the worker last blocked in. The watchdog's blame
-  /// scan reads this: a Blocked thread whose last wait is a runtime wait
-  /// (channel, source, retry, lock) is a *victim* of someone else's
-  /// stall, while a Blocked thread with WaitKind::None is blocked outside
-  /// every runtime wait — wedged in user code — and a *culprit*.
+  /// Which runtime wait the worker last blocked in; stallReport() prints
+  /// it. A Blocked thread whose last wait is a runtime wait (channel,
+  /// source, retry, lock) waits on someone else, while a Blocked thread
+  /// with WaitKind::None is blocked outside every runtime wait — wedged
+  /// in user code.
   enum class WaitKind { None, Channel, Source, Retry, Lock };
 
   enum class State {
@@ -151,10 +151,9 @@ private:
   /// The worker's simulated thread; RegionExec::abort() terminates it.
   sim::SimThread *Thread = nullptr;
 
-  /// Blame state. Per-task heartbeats are the wrong granularity for blame
-  /// — one wedged lane of a parallel task leaves the task beat fresh
-  /// because its healthy siblings keep beating — so each worker records
-  /// its own last beat too.
+  /// Liveness state. A per-task heartbeat hides one silent lane of a
+  /// parallel task behind its beating siblings, so each worker records its
+  /// own last beat too; speculateLaggard reads it.
   sim::SimTime LastBeatAt = 0;
   WaitKind LastWait = WaitKind::None;
   /// Wedge injection (Machine::takeWedge): the worker hangs in user code,

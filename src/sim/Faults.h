@@ -91,9 +91,10 @@ struct TransientFault {
 /// A task instance that wedges: the worker about to run it hangs forever
 /// (stuck in user code, never returning to the runtime) instead of
 /// executing. Unlike a transient fault there is no retry path — only the
-/// watchdog's blame-and-restart (or abortive recovery) can clear it. A
-/// wedge fires at most once: the restarted worker re-executes the
-/// iteration normally.
+/// watchdog's abortive recovery can clear it, and only in a region with a
+/// sequential tail: a parallel-tail region cannot abort
+/// (RegionExec::canAbort), so a wedge there is not recovered. A wedge
+/// fires at most once: the replay re-executes the iteration normally.
 struct WedgeFault {
   std::string Task;
   std::uint64_t Seq = 0;

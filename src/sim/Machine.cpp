@@ -639,35 +639,24 @@ unsigned Machine::rescueStranded() {
     for (const auto &TP : Threads)
       if (TP->State == ThreadState::Stranded)
         All.push_back(TP.get());
+  assert(All.size() == StrandedCount &&
+         "stranded-count bookkeeping diverged");
   // Records are reused, so record order is not spawn order: re-queue in
   // id (spawn) order to keep the schedule independent of reuse.
   std::sort(All.begin(), All.end(), [](const SimThread *A, const SimThread *B) {
     return A->Id < B->Id;
   });
-  unsigned N = rescueStranded(All);
-  assert(StrandedCount == 0 && "stranded-count bookkeeping diverged");
-  return N;
-}
-
-unsigned Machine::rescueStranded(const std::vector<SimThread *> &Targets) {
-  unsigned N = 0;
-  for (SimThread *T : Targets) {
-    if (!T || T->State != ThreadState::Stranded)
-      continue;
+  for (SimThread *T : All) {
     T->State = ThreadState::Ready;
     ReadyQueue.push_back(T);
-    // Decrement per thread, not wholesale: a partial rescue must leave the
-    // count of the threads it never touched intact.
-    assert(StrandedCount > 0 && "stranded-count bookkeeping diverged");
-    --StrandedCount;
-    ++N;
   }
+  StrandedCount = 0;
+  unsigned N = static_cast<unsigned>(All.size());
   if (N > 0) {
     if (Tel) {
       Tel->metrics().counter("machine.faults.rescued").add(N);
       Tel->instant(TelPid, 0, "machine", "rescue",
-                   {telemetry::TraceArg::num("threads", N),
-                    telemetry::TraceArg::num("still_stranded", StrandedCount)});
+                   {telemetry::TraceArg::num("threads", N)});
     }
     dispatch();
   }

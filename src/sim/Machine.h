@@ -295,16 +295,10 @@ public:
   /// Threads currently stranded on failed cores.
   unsigned strandedThreads() const { return StrandedCount; }
 
-  /// Re-queues every stranded thread on the surviving cores, resuming the
-  /// interrupted burst where it stopped. Returns how many were rescued.
+  /// Re-queues every stranded thread on the surviving cores, in spawn
+  /// order, resuming the interrupted burst where it stopped. Returns how
+  /// many were rescued.
   unsigned rescueStranded();
-
-  /// Scoped rescue: re-queues only the stranded threads among \p Targets
-  /// (non-stranded or null entries are skipped), leaving other stranded
-  /// threads — and the StrandedCount they are counted in — untouched.
-  /// Surgical restart uses this to repair one task without disturbing the
-  /// rest of the region. Returns how many were rescued.
-  unsigned rescueStranded(const std::vector<SimThread *> &Targets);
 
   /// Kills a thread in any state: its core (if running) is freed, gang
   /// reservations are released, and it counts as finished. Used by the
