@@ -267,7 +267,7 @@ void BM_PsdswpPartition(benchmark::State &State) {
   LoopProgram P = makeChase(64);
   PDG G(*P.F, P.AA);
   for (auto _ : State) {
-    PartitionPlan Plan = psdswpPartition(G, CompilerOptions{});
+    PartitionPlan Plan = psdswpPartition(G);
     benchmark::DoNotOptimize(Plan.Tasks.size());
   }
 }

@@ -2,8 +2,7 @@
 # bench_json.sh — run the perf microbenchmarks and collect their
 # machine-readable summaries:
 #   BENCH_simcore.json    events/sec + allocs/event of the discrete-event
-#                         core vs the legacy std::function implementation,
-#                         plus the current core's ring/heap hit counters
+#                         core vs the legacy std::function implementation
 #   BENCH_overheads.json  per-iteration Morta/Decima + channel overhead at
 #                         pinned chunk sizes K = 1 / 8 / 32
 #   BENCH_serve.json      per-phase goodput/p95/shedding of the two-class

@@ -24,7 +24,7 @@
 #     watermark attribution and batch reap/drain paths juggle member
 #     request pointers inside runner callbacks;
 #   * bench_simcore end to end — the event core's in-place handler
-#     invocation, slab recycling and ring/heap pops under ASan/UBSan;
+#     invocation, slab recycling and heap pops under ASan/UBSan;
 #   * bench_serve --trace end to end, with detect_stack_use_after_return
 #     — the trace file's metrics dump is written after every simulator
 #     is gone, so the recorder must not read a dead simulator's clock.

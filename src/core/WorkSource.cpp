@@ -30,10 +30,8 @@ void QueueWorkSource::evictHistory() {
   while (History.size() > HistoryCap) {
     History.pop_front();
     ++HistoryEvictions;
-#if PARCAE_TELEMETRY_ENABLED
     if (telemetry::TraceRecorder *Tel = telemetry::recorder())
       Tel->metrics().counter("work_source.history_evictions").add();
-#endif
   }
 }
 

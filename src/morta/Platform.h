@@ -74,25 +74,10 @@ public:
   virtual double sloLatencySec() const { return -1.0; }
 };
 
-/// Tunables of the daemon's SLO arbitration pass.
-struct PlatformSloParams {
-  /// A donor with an SLO must sit at or below this fraction of its
-  /// target to give a thread away (headroom so the transfer does not
-  /// immediately create a second violator).
-  double DonorHeadroom = 0.75;
-  /// A tenant that gained SLO budget returns it once its latency falls
-  /// to or below this fraction of its target (load dropped).
-  double ReturnHeadroom = 0.5;
-  /// Minimum budget any tenant is left with after donating.
-  unsigned MinBudget = 1;
-};
-
 /// Platform-wide thread-budget arbiter (Algorithm 5 + SLO arbitration).
 class PlatformDaemon {
 public:
-  using SloParams = PlatformSloParams;
-
-  explicit PlatformDaemon(unsigned TotalThreads, SloParams SP = {});
+  explicit PlatformDaemon(unsigned TotalThreads);
   ~PlatformDaemon(); // out-of-line: adapters are incomplete here
 
   /// Registers a program (its controller). Budgets of all tenants are
@@ -172,7 +157,6 @@ private:
   void traceBudgets(const char *Why);
 
   unsigned TotalThreads;
-  SloParams SP;
   std::vector<Entry> Programs;
   std::vector<std::unique_ptr<ControllerTenant>> Adapters;
   std::vector<SloTransfer> Transfers;

@@ -55,7 +55,6 @@ RegionExec::RegionExec(sim::Machine &M, const RuntimeCosts &Costs,
   HasWorker.assign(Desc.numTasks(), std::vector<bool>(MaxWidth, false));
   LastBeat.assign(Desc.numTasks(), M.sim().now());
 
-#if PARCAE_TELEMETRY_ENABLED
   Tel = telemetry::recorder();
   if (Tel) {
     TelPid = Tel->processFor(Desc.Name);
@@ -64,7 +63,6 @@ RegionExec::RegionExec(sim::Machine &M, const RuntimeCosts &Costs,
       Tel->nameThread(TelPid, 1 + T, "task " + Desc.Tasks[T].name());
     RetiredMetric = &Tel->metrics().counter("exec." + Desc.Name + ".retired");
   }
-#endif
 }
 
 RegionExec::~RegionExec() = default;

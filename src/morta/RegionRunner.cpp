@@ -9,13 +9,11 @@ using namespace parcae::rt;
 RegionRunner::RegionRunner(sim::Machine &M, const RuntimeCosts &Costs,
                            const FlexibleRegion &Region, WorkSource &Source)
     : M(M), Costs(Costs), Region(Region), Source(Source) {
-#if PARCAE_TELEMETRY_ENABLED
   Tel = telemetry::recorder();
   if (Tel) {
     TelPid = Tel->processFor(Region.name());
     Tel->nameThread(TelPid, telemetry::TidRunner, "runner");
   }
-#endif
 }
 
 RegionRunner::~RegionRunner() = default;
@@ -40,7 +38,7 @@ void RegionRunner::start(RegionConfig Initial, std::uint64_t StartSeq) {
 
 void RegionRunner::noteLearnedK() {
   std::uint64_t K = std::max(Chunking.current(), Chunking.lastLearned());
-  if (!Chunking.pinned() && K > Chunking.params().MinK)
+  if (!Chunking.pinned() && K > ChunkPolicy::MinK)
     LearnedK[Config.S] = K;
 }
 

@@ -9,13 +9,11 @@ using namespace parcae::rt;
 
 Watchdog::Watchdog(RegionController &Ctrl, WatchdogParams P)
     : Ctrl(Ctrl), Runner(Ctrl.runner()), M(Runner.machine()), P(P) {
-#if PARCAE_TELEMETRY_ENABLED
   Tel = telemetry::recorder();
   if (Tel) {
     TelPid = Tel->processFor(Runner.region().name());
     Tel->nameThread(TelPid, telemetry::TidWatchdog, "watchdog");
   }
-#endif
 }
 
 void Watchdog::start() {

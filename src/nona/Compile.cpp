@@ -18,6 +18,11 @@ namespace sim = parcae::sim;
 
 namespace {
 
+/// Minimum estimated cycles for a subgraph to be pipelined further;
+/// lighter subgraphs coalesce into a single task (the paper's SCCmin
+/// aggregation heuristic).
+constexpr double SccMinWeight = 40.0;
+
 /// Transitive closure over the SCC condensation.
 std::vector<std::vector<bool>> reachability(const PDG &P) {
   unsigned N = static_cast<unsigned>(P.sccs().size());
@@ -59,8 +64,7 @@ bool mergeable(const std::vector<unsigned> &Set,
 /// Recursive partitioning: extract the heaviest mergeable parallel set,
 /// split the rest into predecessor/successor subgraphs, recurse.
 void partitionRec(const PDG &P, const std::vector<std::vector<bool>> &Reach,
-                  std::vector<unsigned> Subgraph, double MinWeight,
-                  std::vector<TaskPlan> &Out) {
+                  std::vector<unsigned> Subgraph, std::vector<TaskPlan> &Out) {
   if (Subgraph.empty())
     return;
   const auto &Sccs = P.sccs();
@@ -87,7 +91,7 @@ void partitionRec(const PDG &P, const std::vector<std::vector<bool>> &Reach,
 
   // Too light to pipeline further, or nothing parallel: one task. It may
   // itself be parallel if every member SCC is.
-  if (Parallel.empty() || Total < MinWeight) {
+  if (Parallel.empty() || Total < SccMinWeight) {
     MakeSingleTask(Parallel.size() == Subgraph.size());
     return;
   }
@@ -143,7 +147,7 @@ void partitionRec(const PDG &P, const std::vector<std::vector<bool>> &Reach,
   std::sort(Preds.begin(), Preds.end());
   std::sort(Succs.begin(), Succs.end());
 
-  partitionRec(P, Reach, std::move(Preds), MinWeight, Out);
+  partitionRec(P, Reach, std::move(Preds), Out);
   {
     TaskPlan T;
     T.Sccs = Merged;
@@ -157,20 +161,19 @@ void partitionRec(const PDG &P, const std::vector<std::vector<bool>> &Reach,
     std::sort(T.InstIds.begin(), T.InstIds.end());
     Out.push_back(std::move(T));
   }
-  partitionRec(P, Reach, std::move(Succs), MinWeight, Out);
+  partitionRec(P, Reach, std::move(Succs), Out);
 }
 
 } // namespace
 
-PartitionPlan parcae::ir::psdswpPartition(const PDG &P,
-                                          const CompilerOptions &Opt) {
+PartitionPlan parcae::ir::psdswpPartition(const PDG &P) {
   PartitionPlan Plan;
   Plan.S = rt::Scheme::PsDswp;
   std::vector<unsigned> All(P.sccs().size());
   for (unsigned I = 0; I < All.size(); ++I)
     All[I] = I;
   auto Reach = reachability(P);
-  partitionRec(P, Reach, std::move(All), Opt.SccMinWeight, Plan.Tasks);
+  partitionRec(P, Reach, std::move(All), Plan.Tasks);
   return Plan;
 }
 
@@ -612,7 +615,7 @@ void seedState(ExecState &St) {
 } // namespace
 
 CompiledLoop::CompiledLoop(const Function &F, AliasOracle AA,
-                           std::uint64_t TripCount, CompilerOptions Opt)
+                           std::uint64_t TripCount)
     : I(std::make_unique<Impl>()), F(F), Region(F.name()),
       TripCount(TripCount) {
   F.verify();
@@ -681,7 +684,7 @@ CompiledLoop::CompiledLoop(const Function &F, AliasOracle AA,
   }
 
   // --- DOANY variant (Section 4.3.1) ----------------------------------
-  if (Opt.EnableDoAny && P->inhibitors().empty()) {
+  if (P->inhibitors().empty()) {
     auto TL = std::make_shared<TaskLower>();
     TL->St = St;
     TL->FullOwnership = true;
@@ -694,15 +697,15 @@ CompiledLoop::CompiledLoop(const Function &F, AliasOracle AA,
     D.Tasks.push_back(MakeVariantTask(TL, "doany", rt::TaskType::Par));
     Region.addVariant(std::move(D));
     Rep += "  DOANY: applicable\n";
-  } else if (Opt.EnableDoAny) {
+  } else {
     Rep += "  DOANY: rejected (" +
            std::to_string(P->inhibitors().size()) +
            " inhibiting dependencies)\n";
   }
 
   // --- PS-DSWP variant (Sections 4.3.2-4.5) ---------------------------
-  if (Opt.EnablePsDswp) {
-    PartitionPlan Plan = psdswpPartition(*P, Opt);
+  {
+    PartitionPlan Plan = psdswpPartition(*P);
     std::string Why;
     bool Valid = checkCoalescenceInvariant(*P, Plan, &Why);
     assert(Valid && "partitioner violated Invariant 4.3.1");

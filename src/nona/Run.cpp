@@ -108,15 +108,14 @@ CompiledRunResult parcae::ir::runCompiledChaotic(CompiledLoop &CL,
 }
 
 ControlledRunResult parcae::ir::runControlled(CompiledLoop &CL,
-                                              unsigned Budget,
-                                              rt::ControllerParams P) {
+                                              unsigned Budget) {
   sim::Simulator Sim;
   sim::Machine M(Sim, Budget);
   rt::RuntimeCosts Costs;
   CL.resetState();
   auto Src = CL.makeSource();
   rt::RegionRunner Runner(M, Costs, CL.region(), *Src);
-  rt::RegionController Ctrl(Runner, P);
+  rt::RegionController Ctrl(Runner);
   Ctrl.start(Budget);
   runBounded(Sim, Runner);
   ControlledRunResult R;

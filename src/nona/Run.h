@@ -75,8 +75,7 @@ struct ControlledRunResult {
 };
 
 /// Runs a compiled loop under the Chapter 6 run-time controller.
-ControlledRunResult runControlled(CompiledLoop &CL, unsigned Budget,
-                                  rt::ControllerParams P = {});
+ControlledRunResult runControlled(CompiledLoop &CL, unsigned Budget);
 
 } // namespace parcae::ir
 

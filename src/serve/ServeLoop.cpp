@@ -75,7 +75,6 @@ private:
 ServeLoop::ServeLoop(sim::Machine &M, const rt::RuntimeCosts &Costs,
                      rt::PlatformDaemon &Daemon)
     : M(M), Sim(M.sim()), Costs(Costs), Daemon(Daemon) {
-#if PARCAE_TELEMETRY_ENABLED
   Tel = telemetry::recorder();
   if (Tel) {
     TelPid = Tel->processFor("serve");
@@ -84,7 +83,6 @@ ServeLoop::ServeLoop(sim::Machine &M, const rt::RuntimeCosts &Costs,
     CntShed = &Tel->metrics().counter("serve.shed");
     CntMigrated = &Tel->metrics().counter("serve.migrations");
   }
-#endif
   // Proactively migrate in-flight request regions off a failure domain
   // when the machine announces it ahead of time. The listener outlives
   // nothing: the loop and the machine share the benchmark's scope, and
@@ -390,12 +388,10 @@ void ServeLoop::finishDrain() {
                telemetry::TraceArg::num(
                    "latency_us",
                    sim::toSeconds(Sim.now() - DrainStartAt) * 1e6)}));
-#if PARCAE_TELEMETRY_ENABLED
   if (Tel)
     Tel->metrics()
         .histogram("serve.drain_latency_us")
         .add(sim::toSeconds(Sim.now() - DrainStartAt) * 1e6);
-#endif
   DrainMigrations.clear();
   DrainCores.clear();
   DrainActive = false;

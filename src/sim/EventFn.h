@@ -5,7 +5,7 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// A move-only callable wrapper for simulator events. Unlike
+/// A non-movable callable wrapper for simulator events. Unlike
 /// std::function, callables up to InlineSize bytes are stored inline, so
 /// the event hot path of the discrete-event core performs no heap
 /// allocation per scheduled event. Larger callables (rare: a capture of
@@ -13,7 +13,8 @@
 ///
 /// The wrapper is single-shot in spirit — the simulator invokes each
 /// event exactly once — but invocation does not consume it, so tests can
-/// call twice if they want to.
+/// call twice if they want to. It never moves: the simulator's slab
+/// default-constructs its cells and fills them in place with assign().
 ///
 //===----------------------------------------------------------------------===//
 
@@ -28,7 +29,7 @@
 
 namespace parcae::sim {
 
-/// Move-only `void()` callable with small-buffer optimization.
+/// Non-movable `void()` callable with small-buffer optimization.
 class EventFn {
 public:
   /// Inline storage: enough for a lambda capturing half a dozen words,
@@ -46,30 +47,14 @@ public:
   }
 
   /// Replaces the held callable, constructing the new one in place — the
-  /// simulator's slab uses this to build events directly in their slot,
-  /// with no intermediate EventFn move. Accepts an EventFn too (plain
-  /// move assignment) so forwarding call sites need no special case.
+  /// simulator's slab uses this to build events directly in their slot.
   template <typename F> void assign(F &&Fn) {
-    if constexpr (std::is_same_v<std::decay_t<F>, EventFn>) {
-      *this = std::forward<F>(Fn);
-    } else {
-      reset();
-      init(std::forward<F>(Fn));
-    }
+    reset();
+    init(std::forward<F>(Fn));
   }
 
-  EventFn(EventFn &&O) noexcept { moveFrom(O); }
-
-  EventFn &operator=(EventFn &&O) noexcept {
-    if (this != &O) {
-      reset();
-      moveFrom(O);
-    }
-    return *this;
-  }
-
-  EventFn(const EventFn &) = delete;
-  EventFn &operator=(const EventFn &) = delete;
+  EventFn(EventFn &&) = delete;
+  EventFn &operator=(EventFn &&) = delete;
 
   ~EventFn() { reset(); }
 
@@ -103,8 +88,6 @@ private:
 
   struct VTable {
     void (*Invoke)(Storage &);
-    /// Move-constructs Dst from Src and destroys Src.
-    void (*Relocate)(Storage &Dst, Storage &Src) noexcept;
     /// Null when destruction is a no-op (trivially destructible inline
     /// callable): the event hot loop then skips the indirect call.
     void (*Dtor)(Storage &) noexcept;
@@ -112,32 +95,23 @@ private:
 
   template <typename D>
   static constexpr bool FitsInline =
-      sizeof(D) <= InlineSize && alignof(D) <= alignof(std::max_align_t) &&
-      std::is_nothrow_move_constructible_v<D>;
+      sizeof(D) <= InlineSize && alignof(D) <= alignof(std::max_align_t);
 
   template <typename D> struct OpsInline {
     static D *get(Storage &St) {
       return std::launder(reinterpret_cast<D *>(St.Buf));
     }
     static void invoke(Storage &St) { (*get(St))(); }
-    static void relocate(Storage &Dst, Storage &Src) noexcept {
-      ::new (static_cast<void *>(Dst.Buf)) D(std::move(*get(Src)));
-      get(Src)->~D();
-    }
     static void dtor(Storage &St) noexcept { get(St)->~D(); }
     static constexpr VTable Table{
-        invoke, relocate,
-        std::is_trivially_destructible_v<D> ? nullptr : dtor};
+        invoke, std::is_trivially_destructible_v<D> ? nullptr : dtor};
   };
 
   template <typename D> struct OpsHeap {
     static D *get(Storage &St) { return static_cast<D *>(St.Ptr); }
     static void invoke(Storage &St) { (*get(St))(); }
-    static void relocate(Storage &Dst, Storage &Src) noexcept {
-      Dst.Ptr = Src.Ptr;
-    }
     static void dtor(Storage &St) noexcept { delete get(St); }
-    static constexpr VTable Table{invoke, relocate, dtor};
+    static constexpr VTable Table{invoke, dtor};
   };
 
   template <typename F> void init(F &&Fn) {
@@ -148,14 +122,6 @@ private:
     } else {
       S.Ptr = new D(std::forward<F>(Fn));
       VT = &OpsHeap<D>::Table;
-    }
-  }
-
-  void moveFrom(EventFn &O) noexcept {
-    VT = O.VT;
-    if (VT) {
-      VT->Relocate(S, O.S);
-      O.VT = nullptr;
     }
   }
 

@@ -48,7 +48,6 @@ void Waitable::notifyOne() {
 Machine::Machine(Simulator &Sim, unsigned NumCores, MachineConfig Cfg)
     : Sim(Sim), Cfg(Cfg), Cores(NumCores), OnlineCount(NumCores) {
   assert(NumCores > 0 && "machine needs at least one core");
-#if PARCAE_TELEMETRY_ENABLED
   Tel = telemetry::recorder();
   if (Tel) {
     Tel->bindClock(Sim);
@@ -61,17 +60,15 @@ Machine::Machine(Simulator &Sim, unsigned NumCores, MachineConfig Cfg)
     CoreRateMetric->set(1.0);
     TelCoreSpan.assign(NumCores, nullptr);
   }
-#endif
 }
 
 Machine::~Machine() {
-  // Surface the event-core tier split (ring and heap hits) in the metrics
-  // dump, and freeze the recorder's time. Done here, not in TraceFile's
-  // destructor: the machine is destroyed while its simulator is still
-  // alive, whereas the recorder outlives both and stamps the dump with
-  // its own now().
+  // Surface the simulator's event count in the metrics dump, and freeze
+  // the recorder's time. Done here, not in TraceFile's destructor: the
+  // machine is destroyed while its simulator is still alive, whereas the
+  // recorder outlives both and stamps the dump with its own now().
   if (Tel) {
-    Tel->captureSimQueueMetrics(Sim);
+    Tel->captureSimEvents(Sim);
     Tel->releaseClock(Sim);
   }
 }
@@ -413,15 +410,13 @@ void Machine::noteSliceRate(unsigned CoreIdx) {
   SimTime Wall = static_cast<SimTime>(static_cast<double>(C.SliceWork) *
                                       C.SliceDilation);
   double Alpha =
-      Cfg.RateTau > 0 ? std::min(1.0, static_cast<double>(Wall) /
-                                          static_cast<double>(Cfg.RateTau))
-                      : 1.0;
-  double Prev = Now - C.RateSampledAt > Cfg.RateSampleTtl ? 1.0 : C.Rate;
+      std::min(1.0, static_cast<double>(Wall) / static_cast<double>(RateTau));
+  double Prev = Now - C.RateSampledAt > RateSampleTtl ? 1.0 : C.Rate;
   C.Rate = Prev + Alpha * (1.0 / C.SliceDilation - Prev);
   C.RateSampledAt = Now;
   if (!Cfg.SlowCoreAvoidance)
     return;
-  bool Pen = C.Rate < Cfg.SlowCoreThreshold;
+  bool Pen = C.Rate < SlowCoreThreshold;
   if (Pen == C.PenalizedMark)
     return;
   C.PenalizedMark = Pen;
@@ -444,7 +439,7 @@ double Machine::coreRate(unsigned CoreIdx) const {
   const Core &C = Cores[CoreIdx];
   // A stale estimate reads as nominal: an idle core cannot re-measure
   // itself, so after the TTL it gets the benefit of the doubt.
-  if (Sim.now() - C.RateSampledAt > Cfg.RateSampleTtl)
+  if (Sim.now() - C.RateSampledAt > RateSampleTtl)
     return 1.0;
   return C.Rate;
 }
@@ -452,7 +447,7 @@ double Machine::coreRate(unsigned CoreIdx) const {
 bool Machine::corePenalized(unsigned CoreIdx) const {
   if (!Cfg.SlowCoreAvoidance || Cores[CoreIdx].Offline)
     return false;
-  if (coreRate(CoreIdx) < Cfg.SlowCoreThreshold)
+  if (coreRate(CoreIdx) < SlowCoreThreshold)
     return true;
   // Live evidence: a running slice that has overstayed its healthy-core
   // schedule (overhead + work; wall == work at nominal speed) is lagging
@@ -466,7 +461,7 @@ bool Machine::corePenalized(unsigned CoreIdx) const {
     SimTime Sofar = Sim.now() - C.SliceAt;
     if (Expect > 0 && Sofar > Expect &&
         static_cast<double>(Expect) / static_cast<double>(Sofar) <
-            Cfg.SlowCoreThreshold)
+            SlowCoreThreshold)
       return true;
   }
   return false;

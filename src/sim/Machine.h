@@ -202,20 +202,10 @@ struct MachineConfig {
   // --- Slow-core avoidance (straggler-aware placement) -----------------
 
   /// When on, dispatch prefers cores whose observed service rate is within
-  /// SlowCoreThreshold of nominal; a penalized core becomes last-resort
-  /// rather than an equal peer. Off by default: legacy scenarios keep
-  /// byte-identical schedules.
+  /// Machine::SlowCoreThreshold of nominal; a penalized core becomes
+  /// last-resort rather than an equal peer. Off by default: legacy
+  /// scenarios keep byte-identical schedules.
   bool SlowCoreAvoidance = false;
-  /// A core whose effective rate (1.0 = nominal) falls below this fraction
-  /// is penalized in placement.
-  double SlowCoreThreshold = 0.75;
-  /// EWMA time constant for per-core rate samples: one slice's weight is
-  /// proportional to its wall time, saturating at RateTau.
-  SimTime RateTau = 1 * MSec;
-  /// A rate estimate older than this reads as nominal again, so a slow
-  /// core that went idle (nothing scheduled on it to re-measure) is
-  /// re-probed instead of shunned forever.
-  SimTime RateSampleTtl = 15 * MSec;
 };
 
 /// The simulated multicore machine.
@@ -331,11 +321,11 @@ public:
   /// Observed effective service rate of \p CoreIdx: an EWMA over finished
   /// slices of work-cycles-per-wall-cycle, so 1.0 means nominal and 0.25
   /// means the core runs 4x dilated. An estimate older than
-  /// MachineConfig::RateSampleTtl reads as 1.0 (the core is re-probed).
+  /// RateSampleTtl reads as 1.0 (the core is re-probed).
   double coreRate(unsigned CoreIdx) const;
 
   /// True when slow-core avoidance is on and \p CoreIdx's effective rate
-  /// is below MachineConfig::SlowCoreThreshold.
+  /// is below SlowCoreThreshold.
   bool corePenalized(unsigned CoreIdx) const;
 
   /// Online cores currently penalized (always 0 with avoidance off).
@@ -354,6 +344,17 @@ private:
   friend class Waitable;
 
   static constexpr std::uint64_t NoThread = ~std::uint64_t{0};
+
+  /// A core whose effective rate (1.0 = nominal) falls below this fraction
+  /// is penalized in placement.
+  static constexpr double SlowCoreThreshold = 0.75;
+  /// EWMA time constant for per-core rate samples: one slice's weight is
+  /// proportional to its wall time, saturating at RateTau.
+  static constexpr SimTime RateTau = 1 * MSec;
+  /// A rate estimate older than this reads as nominal again, so a slow
+  /// core that went idle (nothing scheduled on it to re-measure) is
+  /// re-probed instead of shunned forever.
+  static constexpr SimTime RateSampleTtl = 15 * MSec;
 
   struct Core {
     SimThread *Running = nullptr;

@@ -10,24 +10,14 @@
 /// timers) is driven by events scheduled here. Events fire in (time,
 /// schedule order), so whole-system runs are deterministic.
 ///
-/// The queue has two tiers:
-///
-///  * a due-now FIFO **ring** for events scheduled at the current instant
-///    (wakeups, overlapped resumes);
-///  * a binary **heap** of trivially copyable {time, seq, slot} entries
-///    for every later event, ordered by (time, seq).
-///
-/// At each instant the heap's due-now entries fire before the ring, with
-/// no seq compare between the tiers. An event sits in the heap for time T
-/// only if it was scheduled while the clock was before T, and in the ring
-/// only if it was scheduled at T. The clock never goes back, so every heap
-/// entry due now was scheduled before every ring entry.
+/// The queue is one binary heap of trivially copyable {time, seq, slot}
+/// entries ordered by (time, seq); a zero delay is an entry at now().
 ///
 /// The core is allocation-free in steady state: callbacks are held in
 /// small-buffer EventFn cells inside a chunked slab whose addresses are
 /// stable (so a handler runs in place while scheduling more events), and
-/// the heap and ring are reused vectors. Whole-system runs execute
-/// millions of events, so this is the hottest host-side path.
+/// the heap is a reused vector. Whole-system runs execute millions of
+/// events, so this is the hottest host-side path.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -47,23 +37,21 @@
 
 namespace parcae::sim {
 
-/// Discrete-event simulator: a clock plus a two-tier ordered queue.
+/// Discrete-event simulator: a clock plus an ordered event queue.
 class Simulator {
 public:
-  /// Cheap per-tier dispatch counters, for perf analysis and the
-  /// telemetry metrics registry (sim.queue.* gauges).
+  /// Kept only because perfbench reads it for its `sim.heap_hits` and
+  /// `sim.wheel_hit_frac` metrics; drop all three together.
   struct QueueStats {
-    std::uint64_t RingHits = 0; ///< events dispatched from the ring
-    std::uint64_t HeapHits = 0; ///< events dispatched from the heap
-    std::uint64_t WheelHits = 0; ///< always 0; kept as perfbench reads it
+    std::uint64_t HeapHits = 0;  ///< always eventsProcessed()
+    std::uint64_t WheelHits = 0; ///< always 0
   };
 
   /// Current virtual time.
   SimTime now() const { return Now; }
 
   /// Schedules \p Fn to run \p Delay after the current time. The callable
-  /// is constructed directly in its slab slot — no intermediate EventFn
-  /// relocation on the hot path.
+  /// is constructed directly in its slab slot.
   template <typename F> void schedule(SimTime Delay, F &&Fn) {
     scheduleAt(Now + Delay, std::forward<F>(Fn));
   }
@@ -75,17 +63,7 @@ public:
     assert(At >= Now && "cannot schedule an event in the past");
     std::uint32_t S = grabSlot();
     slot(S).assign(std::forward<F>(Fn));
-    std::uint32_t Seq = NextSeq++;
-    if (At == Now) {
-      // Due-now fast path: wakeups and overlapped resumes fire at the
-      // current instant; they go through a FIFO ring instead of the heap.
-      // FIFO equals (time, seq) order here because every ring entry has
-      // At == Now, and the clock cannot advance while the ring is
-      // non-empty (runOne drains due-now work first).
-      Ring.push_back(DueNow{Seq, S});
-      return;
-    }
-    Heap.push_back(Scheduled{At, Seq, S});
+    Heap.push_back(Scheduled{At, NextSeq++, S});
     std::push_heap(Heap.begin(), Heap.end(), Later{});
   }
 
@@ -106,19 +84,14 @@ public:
   /// Total number of events executed (sanity metric for tests).
   std::uint64_t eventsProcessed() const { return EventsProcessed; }
 
-  bool empty() const { return Heap.empty() && RingHead == Ring.size(); }
+  bool empty() const { return Heap.empty(); }
 
-  /// Pre-sizes both tiers and the callback slab (steady state then never
+  /// Pre-sizes the heap and the callback slab (steady state then never
   /// allocates as long as at most \p Events are outstanding at once).
   void reserve(std::size_t Events);
 
-  /// Tier dispatch counters (see QueueStats).
-  QueueStats queueStats() const {
-    QueueStats S;
-    S.RingHits = RingHits;
-    S.HeapHits = HeapHits;
-    return S;
-  }
+  /// See QueueStats.
+  QueueStats queueStats() const { return {EventsProcessed, 0}; }
 
   /// Livelock guard: aborting after this many consecutive events at one
   /// virtual instant. Unlike the seed's assert, this check is always on —
@@ -147,12 +120,6 @@ private:
     std::uint32_t Seq;
     std::uint32_t Slot;
   };
-  /// Ring entry for events due at the current instant (At implied = Now).
-  /// Ring order is FIFO; Seq only feeds the livelock diagnostic.
-  struct DueNow {
-    std::uint32_t Seq;
-    std::uint32_t Slot;
-  };
   /// True when A was scheduled after B (wrap-safe; see Scheduled::Seq).
   static bool seqAfter(std::uint32_t A, std::uint32_t B) {
     return static_cast<std::int32_t>(A - B) > 0;
@@ -166,15 +133,6 @@ private:
       return seqAfter(A.Seq, B.Seq);
     }
   };
-
-  /// Pops the earliest event due exactly at Now: the heap top if it is
-  /// due, else the ring front (see the file comment for why that is
-  /// (time, seq) order). Returns false when nothing is due now.
-  bool popDueNow(std::uint32_t &OutSlot);
-  /// Removes the heap top and returns its slot.
-  std::uint32_t popHeap();
-  /// Earliest pending timestamp (false: queue empty). O(1).
-  bool nextPendingTime(SimTime &T) const;
 
   // Callback slab: fixed-size chunks, so slot addresses stay stable while
   // the slab grows — a running handler may schedule (and thus grow the
@@ -211,13 +169,6 @@ private:
   std::uint64_t EventsProcessed = 0;
   bool Stopped = false;
   std::vector<Scheduled> Heap;
-  /// FIFO of events due at the current instant; drained before the clock
-  /// may advance, after the heap's entries due at the same instant.
-  std::vector<DueNow> Ring;
-  std::size_t RingHead = 0;
-  // Tier dispatch counters (see queueStats()).
-  std::uint64_t RingHits = 0;
-  std::uint64_t HeapHits = 0;
   std::vector<std::unique_ptr<EventFn[]>> Pool;
   std::size_t PoolSize = 0;
   std::uint32_t FreeHead = NoSlot;

@@ -33,10 +33,8 @@ void TraceRecorder::nameThread(std::uint32_t Pid, std::uint32_t Tid,
   ThreadNames.push_back({{Pid, Tid}, std::move(Name)});
 }
 
-void TraceRecorder::captureSimQueueMetrics(const sim::Simulator &Sim) {
-  sim::Simulator::QueueStats S = Sim.queueStats();
-  Metrics.gauge("sim.queue.ring_hits").set(static_cast<double>(S.RingHits));
-  Metrics.gauge("sim.queue.heap_hits").set(static_cast<double>(S.HeapHits));
+void TraceRecorder::captureSimEvents(const sim::Simulator &Sim) {
+  Metrics.gauge("sim.events").set(static_cast<double>(Sim.eventsProcessed()));
 }
 
 void TraceRecorder::record(Phase Ph, std::uint32_t Pid, std::uint32_t Tid,

@@ -24,11 +24,10 @@
 ///
 /// Tracing is off by default: the process-wide sink (recorder()) starts
 /// null, and every emission site goes through the PARCAE_TRACE macro,
-/// which reduces to a single pointer test when tracing is off and to
-/// nothing at all when PARCAE_DISABLE_TELEMETRY is defined. Timestamps are
-/// virtual: the recorder is bound to a sim::Simulator clock, and rebinding
-/// to a fresh simulator (one per experiment run) rebases time so multi-run
-/// traces stay monotone.
+/// which reduces to a single pointer test when tracing is off. Timestamps
+/// are virtual: the recorder is bound to a sim::Simulator clock, and
+/// rebinding to a fresh simulator (one per experiment run) rebases time so
+/// multi-run traces stay monotone.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -47,21 +46,12 @@
 namespace parcae::telemetry {
 
 /// Emits into \p Rec only when a recorder is installed; the call (and its
-/// argument expressions) is not evaluated otherwise. Compiles to nothing
-/// under PARCAE_DISABLE_TELEMETRY.
-#ifndef PARCAE_DISABLE_TELEMETRY
-#define PARCAE_TELEMETRY_ENABLED 1
+/// argument expressions) is not evaluated otherwise.
 #define PARCAE_TRACE(Rec, Call)                                                \
   do {                                                                         \
     if (::parcae::telemetry::TraceRecorder *PtRec_ = (Rec))                    \
       PtRec_->Call;                                                            \
   } while (0)
-#else
-#define PARCAE_TELEMETRY_ENABLED 0
-#define PARCAE_TRACE(Rec, Call)                                                \
-  do {                                                                         \
-  } while (0)
-#endif
 
 /// One key/value argument attached to an event (number or string).
 struct TraceArg {
@@ -199,13 +189,12 @@ public:
   MetricsRegistry &metrics() { return Metrics; }
   const MetricsRegistry &metrics() const { return Metrics; }
 
-  /// Copies \p S's event-queue tier statistics into the registry as
-  /// sim.queue.* gauges (ring and heap dispatch counts). Gauges, not
-  /// counters, so a re-capture overwrites rather than double-counts.
-  /// Machine's destructor calls this — the simulator is still alive
-  /// there, unlike in TraceFile's destructor — so every traced run
-  /// surfaces the event-core tier split in its metrics dump.
-  void captureSimQueueMetrics(const sim::Simulator &S);
+  /// Copies the number of events \p S has dispatched into the registry
+  /// as the sim.events gauge. A gauge, not a counter, so a re-capture
+  /// overwrites rather than double-counts. Machine's destructor calls
+  /// this — the simulator is still alive there, unlike in TraceFile's
+  /// destructor — so every traced run surfaces it in its metrics dump.
+  void captureSimEvents(const sim::Simulator &S);
 
 private:
   void record(Phase Ph, std::uint32_t Pid, std::uint32_t Tid, const char *Cat,
