@@ -141,21 +141,19 @@ double us(sim::SimTime T) { return static_cast<double>(T) / sim::USec; }
 
 // --- Straggler A/B scenario (--straggler) -------------------------------
 //
-// The same pipeline under a seeded hail of straggler windows (8-24x
+// The same pipeline under a seeded hail of straggler windows (16-48x
 // dilation scattered across all 8 cores), run twice in-process from the
-// same plan: once with the mitigation stack off (baseline: affinity keeps
+// same plan: once with slow-core avoidance off (baseline: affinity keeps
 // re-landing workers on dilated cores) and once with slow-core-aware
-// placement + watchdog speculative re-issue on. A fixed PS-DSWP<1,5,1>
-// schedule (no controller) keeps the comparison about placement, not
-// configuration search, and a sky-high stall threshold keeps the abortive
-// recovery path out of both sides. The makespan ratio is the gate.
+// placement on. A fixed PS-DSWP<1,5,1> schedule (no controller, no
+// watchdog) keeps the comparison about placement, not configuration
+// search or recovery. The makespan ratio is the gate.
 
 constexpr sim::SimTime StragglerMaxWindow = 12 * sim::MSec;
 
 struct StragglerOutcome {
   sim::SimTime Makespan = 0;
   double P95GapUs = 0;     ///< p95 inter-retirement gap
-  unsigned Speculations = 0;
   bool Ok = true;
 };
 
@@ -180,18 +178,6 @@ StragglerOutcome runStraggler(std::uint64_t Seed, bool Mitigate) {
   CountedWorkSource Src(NumIters);
   RuntimeCosts Costs;
   RegionRunner Runner(M, Costs, Region, Src);
-  RegionController Ctrl(Runner); // never started: fixed schedule
-  WatchdogParams WP;
-  WP.Speculate = Mitigate;
-  // One dilated iteration of the 24 us "work" stage runs 0.4-1.2 ms at
-  // 16-48x: speculate as soon as the frontier has been quiet for two
-  // watchdog ticks.
-  WP.SpecStallThreshold = 500 * sim::USec;
-  WP.SpecAgeThreshold = 250 * sim::USec;
-  // Dilated cores are slow, not dead: keep the stall/abort machinery out
-  // of both sides of the comparison.
-  WP.StallThreshold = 1 * sim::Sec;
-  Watchdog Dog(Ctrl, WP);
 
   StragglerOutcome Out;
   std::vector<sim::SimTime> Gaps;
@@ -203,10 +189,8 @@ StragglerOutcome runStraggler(std::uint64_t Seed, bool Mitigate) {
   Runner.OnComplete = [&] { Out.Makespan = Sim.now(); };
 
   Runner.start({Scheme::PsDswp, {1, 5, 1}});
-  Dog.start();
   Sim.runUntil(4 * sim::Sec);
 
-  Out.Speculations = Dog.speculationsIssued();
   if (!Runner.completed())
     Out.Ok = false;
   if (Tail.size() != NumIters)
@@ -250,12 +234,11 @@ int runStragglerMode(const bench::BenchFlags &Flags) {
       Mit.P95GapUs > 0 ? Base.P95GapUs / Mit.P95GapUs : 0.0;
 
   std::printf("-- A/B --\n");
-  std::printf("%14s %14s %14s %14s\n", "", "makespan(ms)", "p95 gap(us)",
-              "speculations");
-  std::printf("%14s %14.2f %14.0f %14u\n", "baseline",
-              us(Base.Makespan) / 1000.0, Base.P95GapUs, Base.Speculations);
-  std::printf("%14s %14.2f %14.0f %14u\n", "mitigated",
-              us(Mit.Makespan) / 1000.0, Mit.P95GapUs, Mit.Speculations);
+  std::printf("%14s %14s %14s\n", "", "makespan(ms)", "p95 gap(us)");
+  std::printf("%14s %14.2f %14.0f\n", "baseline", us(Base.Makespan) / 1000.0,
+              Base.P95GapUs);
+  std::printf("%14s %14.2f %14.0f\n", "mitigated", us(Mit.Makespan) / 1000.0,
+              Mit.P95GapUs);
   std::printf("   improvement: %.2fx makespan, %.2fx p95 retire gap\n",
               Improvement, P95Improvement);
 
@@ -266,10 +249,6 @@ int runStragglerMode(const bench::BenchFlags &Flags) {
     Fail("mitigated run lost or reordered output (exactly-once broken)");
   if (Improvement < 1.15)
     Fail("makespan improvement below the 1.15x gate");
-  if (Mit.Speculations < 1)
-    Fail("speculative re-issue never fired");
-  if (Base.Speculations != 0)
-    Fail("baseline must not speculate");
 
   if (Flags.JsonPath) {
     std::FILE *J = std::fopen(Flags.JsonPath, "w");
@@ -282,11 +261,10 @@ int runStragglerMode(const bench::BenchFlags &Flags) {
                  "\"seed\":%llu,\"makespan_base_us\":%.1f,"
                  "\"makespan_mitigated_us\":%.1f,\"improvement\":%.4f,"
                  "\"p95_gap_base_us\":%.1f,\"p95_gap_mitigated_us\":%.1f,"
-                 "\"p95_improvement\":%.4f,\"speculations\":%u,"
-                 "\"ok\":%s}\n",
+                 "\"p95_improvement\":%.4f,\"ok\":%s}\n",
                  static_cast<unsigned long long>(Seed), us(Base.Makespan),
                  us(Mit.Makespan), Improvement, Base.P95GapUs, Mit.P95GapUs,
-                 P95Improvement, Mit.Speculations, Ok ? "true" : "false");
+                 P95Improvement, Ok ? "true" : "false");
     std::fclose(J);
     std::printf("   wrote %s\n", Flags.JsonPath);
   }

@@ -8,8 +8,7 @@
 #   BENCH_serve.json      per-phase goodput/p95/shedding of the two-class
 #                         open-loop serving scenario (bench_serve)
 #   BENCH_straggler.json  slow-core A/B of bench_resilience --straggler:
-#                         makespan + p95 retire-gap improvement and the
-#                         speculative re-issue count
+#                         makespan + p95 retire-gap improvement
 #
 # Usage: bench_json.sh <bench-bindir> [outdir]
 #   <bench-bindir>  directory containing bench_simcore / bench_overheads
@@ -28,8 +27,8 @@ mkdir -p "$OUTDIR"
 # ratio, full/underfull batches, spin-up amortization) alongside the
 # legacy per-phase summary.
 "$BINDIR/bench_serve" --batch --json "$OUTDIR/BENCH_serve.json" >/dev/null
-# Straggler A/B: same seed run with and without slow-core avoidance +
-# speculative re-issue; the JSON carries both makespans and the ratio.
+# Straggler A/B: same seed run with and without slow-core avoidance;
+# the JSON carries both makespans and the ratio.
 "$BINDIR/bench_resilience" --straggler \
   --json "$OUTDIR/BENCH_straggler.json" >/dev/null
 

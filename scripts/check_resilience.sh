@@ -30,10 +30,10 @@
 # three seeds, running each seed twice, and asserts:
 #   * the 1.15x makespan-improvement gate holds (RESILIENCE: OK) with the
 #     exactly-once tail intact on both sides of the A/B;
-#   * byte-identical reruns per seed — slow-core-aware placement and
-#     speculative re-issue are deterministic in virtual time;
-#   * the trace shows the avoidance story: the straggler windows open,
-#     cores get penalized, and the watchdog re-issues stalled chunks.
+#   * byte-identical reruns per seed — slow-core-aware placement is
+#     deterministic in virtual time;
+#   * the trace shows the avoidance story: the straggler windows open and
+#     the rate sensor penalizes the slow cores.
 #
 # Usage: check_resilience.sh <path-to-bench_resilience> [workdir] [mode]
 #   mode: legacy | burst | wedge | straggler | all (default all)
@@ -128,7 +128,7 @@ if [ "$MODE" = straggler ] || [ "$MODE" = all ]; then
   for S in 7 21 42; do
     twice "strag.$S" "$S" 'RESILIENCE: OK' --straggler
     # The A/B verdict itself: a real (>= 1.15x, gated by the bench)
-    # makespan improvement from avoidance + speculation.
+    # makespan improvement from slow-core-aware placement.
     grep -Eq '^   improvement: [0-9]+\.[0-9]+x makespan' \
       "$WORKDIR/resil.strag.$S.1.out" ||
       fail "straggler seed $S: no makespan improvement line"
@@ -136,20 +136,16 @@ if [ "$MODE" = straggler ] || [ "$MODE" = all ]; then
 
   STRACE="$WORKDIR/resil.strag.42.1.trace.json"
   [ -s "$STRACE" ] || fail "straggler trace file missing or empty: $STRACE"
-  # The avoidance story, in trace landmarks: dilation windows open, the
-  # rate sensor penalizes the slow cores, and the watchdog clones chunks
-  # that stall the commit frontier.
+  # The avoidance story, in trace landmarks: dilation windows open and
+  # the rate sensor penalizes the slow cores.
   grep -q '"fault_straggler"' "$STRACE" ||
     fail "no straggler-window instant in trace"
   grep -q '"core_penalized"' "$STRACE" ||
     fail "no core-penalized instant in trace"
-  grep -q '"watchdog_speculate"' "$STRACE" ||
-    fail "no speculative re-issue instant in trace"
   SMETRICS="$STRACE.metrics.txt"
   [ -s "$SMETRICS" ] || fail "straggler metrics dump missing: $SMETRICS"
   grep -q 'machine\.cores_penalized' "$SMETRICS" ||
     fail "no penalized-core counter"
-  grep -q 'watchdog\.speculations' "$SMETRICS" || fail "no speculation counter"
 fi
 
 echo "check_resilience.sh: OK ($MODE, $WORKDIR)"

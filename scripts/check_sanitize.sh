@@ -18,8 +18,8 @@
 #   * bench_checkpoint end to end in all three modes (hot restart,
 #     warning drain, live serve migration);
 #   * bench_resilience end to end (the legacy mixed-fault scenario) plus
-#     its --straggler A/B — the speculative cancel-then-clone path, whose
-#     worker teardown/respawn juggles in-flight buffers and epochs;
+#     its --straggler A/B — the per-core rate sensor, rank-based
+#     dispatch and the wall-clock cap on dilated slices;
 #   * bench_serve --batch end to end — the batched-dispatch A/B, whose
 #     watermark attribution and batch reap/drain paths juggle member
 #     request pointers inside runner callbacks;

@@ -114,19 +114,6 @@ inline void registerFaultFeatures(Decima &D, sim::Machine &M) {
                     [&M] { return static_cast<double>(M.repairsApplied()); });
 }
 
-/// Registers the slow-core platform features against \p M:
-/// "MinCoreRate" (the lowest observed effective service rate across
-/// online cores, 1.0 = every core nominal, 0.25 = the worst core runs
-/// 4x dilated) and "PenalizedCores" (online cores currently below the
-/// placement threshold — always 0 with slow-core avoidance off).
-/// Mechanisms read these to tell "the platform shrank" (OnlineCores)
-/// apart from "the platform slowed" (MinCoreRate).
-inline void registerCoreRateFeatures(Decima &D, sim::Machine &M) {
-  D.registerFeature("MinCoreRate", [&M] { return M.minCoreRate(); });
-  D.registerFeature("PenalizedCores",
-                    [&M] { return static_cast<double>(M.penalizedCores()); });
-}
-
 /// Periodically samples a set of named platform features into the trace
 /// (as counter tracks) and the metrics registry (as gauges). Features not
 /// registered on this platform are skipped — their presence is workload-

@@ -78,37 +78,17 @@ void RegionExec::start() {
       spawnWorker(T, S, NextSeq);
 }
 
-Worker *RegionExec::spawnWorker(unsigned TaskIdx, unsigned Slot,
-                                std::uint64_t CursorFrom, Worker *CloneOf) {
+void RegionExec::spawnWorker(unsigned TaskIdx, unsigned Slot,
+                             std::uint64_t CursorFrom) {
   assert(!HasWorker[TaskIdx][Slot] && "slot already has a worker");
   auto Body = std::make_unique<Worker>(*this, TaskIdx, Slot, CursorFrom);
   Worker *W = Body.get();
-  if (CloneOf) {
-    // Speculative clone: inherit the in-flight iteration wholesale —
-    // produced-but-unsent tokens, received inputs, the functor's staged
-    // outputs, the chunk claim — and arm the resume-at-compute path.
-    // Installed before M.spawn, which dispatches synchronously.
-    assert(CloneOf->SendBufs.size() == W->SendBufs.size());
-    W->SendBufs = std::move(CloneOf->SendBufs);
-    W->SpecResume = true;
-    W->SpecCost = CloneOf->Ctx.Cost;
-    W->Ctx = CloneOf->Ctx;
-    W->Cursor = CloneOf->Cursor;
-    W->InIteration = true;
-    W->UsedReduction = CloneOf->UsedReduction;
-    W->Chunk = CloneOf->Chunk;
-    W->ChunkNext = CloneOf->ChunkNext;
-    W->ChunkStart = CloneOf->ChunkStart;
-    W->ChunkIters = CloneOf->ChunkIters;
-    W->ChunkHead = CloneOf->ChunkHead;
-  }
   ActiveByTask[TaskIdx].push_back(W);
   HasWorker[TaskIdx][Slot] = true;
   ++ActiveWorkers;
   W->Thread = M.spawn(Desc.Name + "/" + Desc.Tasks[TaskIdx].name() + "#" +
                           std::to_string(Slot),
                       std::move(Body));
-  return W;
 }
 
 void RegionExec::noteFault(unsigned TaskIdx, std::uint64_t Seq,
@@ -159,76 +139,6 @@ void RegionExec::abort() {
   for (auto &Row : HasWorker)
     Row.assign(Row.size(), false);
   ActiveWorkers = 0;
-}
-
-RegionExec::SpeculateResult
-RegionExec::speculateLaggard(sim::SimTime Now, sim::SimTime AgeThreshold) {
-  SpeculateResult Res;
-  if (!Started || Completed)
-    return Res;
-  // The laggard is the in-flight worker holding the oldest iteration —
-  // the one every retirement past the commit frontier ultimately waits on.
-  Worker *Lag = nullptr;
-  for (auto &List : ActiveByTask)
-    for (Worker *W : List)
-      if (W->InIteration && (!Lag || W->Cursor < Lag->Cursor))
-        Lag = W;
-  if (!Lag)
-    return Res;
-  // Re-issue only a laggard that is (a) mid main-compute — the functor has
-  // already run, so the clone can re-pay the charge without re-running it,
-  // and no lock or channel interaction is in flight — (b) actually running
-  // on a penalized core (a healthy-core laggard is just slow work; cloning
-  // it buys nothing), (c) silent past the age threshold, and (d) not a
-  // gang compute (helper reservations are not clonable).
-  if (Lag->St != Worker::State::Compute || Lag->CritHeld)
-    return Res;
-  if (Lag->Ctx.Gang > 1)
-    return Res;
-  if (!Lag->Thread || Lag->Thread->state() != sim::ThreadState::Running)
-    return Res;
-  int CoreIdx = Lag->Thread->coreIdx();
-  if (CoreIdx < 0 || !M.corePenalized(static_cast<unsigned>(CoreIdx)))
-    return Res;
-  if (Now - Lag->LastBeatAt < AgeThreshold)
-    return Res;
-
-  unsigned TaskIdx = Lag->taskIdx();
-  unsigned Slot = Lag->slot();
-  std::uint64_t Seq = Lag->Cursor;
-
-  // Delist the loser before anything that can dispatch, cancel its
-  // in-flight slice (terminate bumps the core's slice epoch, so the
-  // queued endSlice no-ops), and let spawnWorker move its unsent outputs
-  // and iteration state into the clone before the clone's thread can run.
-  // The Machine keeps a terminated thread's body until the event ends, so
-  // the loser is still readable there. A terminated thread never resumes,
-  // so the loser can never reach IterDone: the clone's retirement is the
-  // only one.
-  auto &List = ActiveByTask[TaskIdx];
-  auto It = std::find(List.begin(), List.end(), Lag);
-  assert(It != List.end());
-  List.erase(It);
-  assert(HasWorker[TaskIdx][Slot]);
-  HasWorker[TaskIdx][Slot] = false;
-  assert(ActiveWorkers > 0);
-  --ActiveWorkers;
-  M.terminate(Lag->Thread);
-  spawnWorker(TaskIdx, Slot, Lag->CursorFrom, Lag);
-  ++Speculations;
-  updateLowWater(TaskIdx);
-  beat(TaskIdx);
-  if (Tel) {
-    Tel->metrics().counter("exec." + Desc.Name + ".speculations").add();
-    Tel->instant(TelPid, telemetry::TidExec, "exec", "speculate",
-                 {telemetry::TraceArg::str("task", Desc.Tasks[TaskIdx].name()),
-                  telemetry::TraceArg::num("seq", static_cast<double>(Seq)),
-                  telemetry::TraceArg::num("core", CoreIdx)});
-  }
-  Res.Issued = true;
-  Res.TaskIdx = TaskIdx;
-  Res.Seq = Seq;
-  return Res;
 }
 
 void RegionExec::requestPause() {

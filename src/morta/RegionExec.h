@@ -130,32 +130,6 @@ public:
     return LastBeat[TaskIdx];
   }
 
-  // --- Speculative re-issue (straggler avoidance) ---------------------
-
-  /// Outcome of a speculative re-issue attempt.
-  struct SpeculateResult {
-    bool Issued = false;
-    unsigned TaskIdx = 0;  ///< task of the re-issued iteration (when Issued)
-    std::uint64_t Seq = 0; ///< iteration cloned onto a backup (when Issued)
-  };
-
-  /// Serving-mode straggler speculation: when commit progress stalls, the
-  /// watchdog calls this to re-issue the laggard — the in-flight worker
-  /// holding the oldest iteration — onto a backup worker, provided the
-  /// laggard is mid main-compute on a *penalized* core and has been silent
-  /// for at least \p AgeThreshold. The loser is cancelled first via the
-  /// existing epoch-cancel machinery (Machine::terminate bumps its core's
-  /// slice epoch), so it can never reach IterDone: the clone's retirement
-  /// past the frontier is the only one — first past the frontier wins,
-  /// exactly-once retirement preserved. The clone inherits the iteration's
-  /// full state (inputs, functor outputs, chunk claim, unsent send
-  /// buffers) and re-pays only the compute charge; slow-core-aware
-  /// placement then lands it on a healthy core.
-  SpeculateResult speculateLaggard(sim::SimTime Now, sim::SimTime AgeThreshold);
-
-  /// Speculative re-issues performed in this execution.
-  std::uint64_t speculations() const { return Speculations; }
-
   /// Transient fault attempts observed in this execution.
   std::uint64_t faultsInjected() const { return FaultsInjected; }
   /// Faults whose retries exhausted Costs.MaxFaultRetries.
@@ -263,13 +237,8 @@ private:
   }
   SimLock &lockFor(int LockId);
 
-  /// Spawns a worker for (\p TaskIdx, \p Slot). \p CloneOf, when
-  /// non-null, is a terminated predecessor whose in-flight iteration the
-  /// new worker resumes at the compute charge (speculative re-issue; see
-  /// speculateLaggard): its state is copied and its produced-but-unsent
-  /// tokens are moved over *before* the new thread can run.
-  Worker *spawnWorker(unsigned TaskIdx, unsigned Slot, std::uint64_t CursorFrom,
-                      Worker *CloneOf = nullptr);
+  /// Spawns a worker for (\p TaskIdx, \p Slot).
+  void spawnWorker(unsigned TaskIdx, unsigned Slot, std::uint64_t CursorFrom);
 
   std::vector<Link *> &inLinks(unsigned TaskIdx) { return InLinks[TaskIdx]; }
   std::vector<Link *> &outLinks(unsigned TaskIdx) { return OutLinks[TaskIdx]; }
@@ -311,7 +280,6 @@ private:
   ChunkPolicy *Chunking = nullptr;
   static constexpr std::uint64_t RetunePeriod = 256;
   std::vector<sim::SimTime> LastBeat; // per task
-  std::uint64_t Speculations = 0;
   std::uint64_t FaultsInjected = 0;
   std::uint64_t Escalations = 0;
   bool EscalationFired = false;

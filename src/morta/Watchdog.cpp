@@ -194,35 +194,6 @@ void Watchdog::tick() {
     }
   }
 
-  // 2b. Speculative re-issue: progress has been quiet past the (low)
-  // speculation threshold but not yet long enough for the stall machinery
-  // — the signature of a chunk crawling on a dilated core rather than a
-  // wedge or a dead core. Re-issue the laggard onto a backup worker;
-  // speculateLaggard itself verifies the laggard really is mid-compute on
-  // a penalized core, so this is a no-op on a healthy machine. The clone
-  // starts freshly beaten on a healthy core, which keeps one quiet window
-  // from being re-speculated every tick.
-  if (P.Speculate && Runner.exec() && Retired == LastRetired &&
-      Now - LastProgressAt >= P.SpecStallThreshold &&
-      Now - LastProgressAt < P.StallThreshold) {
-    RegionExec::SpeculateResult S =
-        Runner.exec()->speculateLaggard(Now, P.SpecAgeThreshold);
-    if (S.Issued) {
-      ++SpeculationsIssued;
-      if (Tel) {
-        Tel->metrics().counter("watchdog.speculations").add();
-        Tel->instant(TelPid, telemetry::TidWatchdog, "watchdog",
-                     "watchdog_speculate",
-                     {telemetry::TraceArg::num("task", S.TaskIdx),
-                      telemetry::TraceArg::num("seq",
-                                               static_cast<double>(S.Seq)),
-                      telemetry::TraceArg::num(
-                          "quiet_us",
-                          sim::toSeconds(Now - LastProgressAt) * 1e6)});
-      }
-    }
-  }
-
   // 3. MTTR: a recovery window completes when the first iteration retires
   // after the fault that opened it. Windows are ordered by fault time, so
   // completions pop from the front; a burst that opened several windows

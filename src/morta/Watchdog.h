@@ -50,19 +50,12 @@ struct WatchdogParams {
   /// No retired iteration for this long (with work in flight and no
   /// transition in progress) counts as a stall.
   sim::SimTime StallThreshold = 4 * sim::MSec;
-  /// Speculative re-issue (straggler avoidance, serving mode): when
-  /// commit progress has been quiet for SpecStallThreshold and the oldest
-  /// in-flight iteration sits mid-compute on a *penalized* core, clone it
-  /// onto a backup worker (RegionExec::speculateLaggard) — the clone
-  /// lands on a healthy core and the loser is epoch-cancelled. Needs
-  /// MachineConfig::SlowCoreAvoidance on, or no core is ever penalized.
-  /// Off by default.
+  /// Unread: the watchdog re-issues nothing, since slow-core-aware
+  /// placement (MachineConfig::SlowCoreAvoidance) is the one straggler
+  /// response. Kept only because perfbench sets them; drop them with its
+  /// `morta.speculations` metric.
   bool Speculate = false;
-  /// Progress silence before speculation is considered. Kept well below
-  /// StallThreshold so re-issue beats the abortive path to a core that is
-  /// merely slow, not dead.
   sim::SimTime SpecStallThreshold = 1 * sim::MSec;
-  /// The laggard worker's own silence before its iteration is re-issued.
   sim::SimTime SpecAgeThreshold = 500 * sim::USec;
 };
 
@@ -95,8 +88,10 @@ public:
   }
   /// Stranded threads rescued in total.
   unsigned threadsRescued() const { return Rescued; }
-  /// Speculative re-issues driven (laggard cloned off a penalized core).
-  unsigned speculationsIssued() const { return SpeculationsIssued; }
+  /// Always 0: nothing is re-issued, placement alone answers a slow
+  /// core. Kept only because perfbench reads it for its
+  /// `morta.speculations` metric; drop both together.
+  unsigned speculationsIssued() const { return 0; }
   /// Proactive drains started on a failure-domain warning.
   unsigned drainsStarted() const { return DrainsStarted; }
   /// Drains that completed (region resumed on the survivors).
@@ -151,7 +146,6 @@ private:
   unsigned EscalationsHandled = 0;
   unsigned RecoveriesCompleted = 0;
   unsigned Rescued = 0;
-  unsigned SpeculationsIssued = 0;
   sim::SimTime LastDetectionLatency = 0;
   sim::SimTime LastGrowthLatency = 0;
   sim::SimTime LastMttr = 0;

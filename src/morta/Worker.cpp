@@ -13,14 +13,6 @@ Worker::Worker(RegionExec &R, unsigned TaskIdx, unsigned Slot,
       IsHead(TaskIdx == 0), IsTail(TaskIdx + 1 == R.Desc.numTasks()),
       CursorFrom(CursorFrom) {
   SendBufs.resize(R.outLinks(TaskIdx).size());
-  // A worker counts as freshly beaten at spawn, so a speculative clone is
-  // not re-issued at once for its predecessor's silence.
-  LastBeatAt = R.machine().sim().now();
-}
-
-void Worker::beat() {
-  LastBeatAt = R.machine().sim().now();
-  R.beat(TaskIdx);
 }
 
 bool Worker::anyBuffered() const {
@@ -34,16 +26,6 @@ Action Worker::resume(sim::Machine &M, sim::SimThread &) {
   const RuntimeCosts &C = R.Costs;
   switch (St) {
   case State::Init:
-    if (SpecResume) {
-      // Speculative clone: re-pay the laggard's interrupted compute (the
-      // functor itself must not re-run; see Worker.h). The cost lands in
-      // ComputeTime a second time on purpose — the machine really does
-      // execute the work twice.
-      SpecResume = false;
-      R.Stats[TaskIdx].ComputeTime += SpecCost;
-      St = State::Compute;
-      return Action::compute(C.ThreadSpawn + SpecCost);
-    }
     St = State::Fetch;
     return Action::compute(C.ThreadSpawn + C.InitCost + T.InitCost);
 
@@ -162,7 +144,7 @@ Action Worker::resume(sim::Machine &M, sim::SimThread &) {
   case State::IterDone:
     ++R.Stats[TaskIdx].Iterations;
     R.noteIteration(TaskIdx);
-    beat();
+    R.beat(TaskIdx);
     if (IsTail)
       R.retireIteration(TaskIdx);
     InIteration = false;
@@ -386,7 +368,7 @@ Action Worker::stepSend() {
 
 Action Worker::runFunctor(sim::Machine &M) {
   const RuntimeCosts &C = R.Costs;
-  beat();
+  R.beat(TaskIdx);
   // Transient fault injection: the plan says the first FailCount attempts
   // of this (task, seq) fault before the functor runs. Burn the attempt
   // cost, back off exponentially, retry. The functor only ever executes

@@ -137,31 +137,14 @@ private:
   /// zero-cost Fetch/Send spin when the window is also full).
   bool IdleFlushDone = false;
 
-  /// Speculative clone (RegionExec::speculateLaggard): the first resume
-  /// continues the terminated laggard's in-flight iteration at the main
-  /// compute charge instead of starting from Fetch. The laggard already
-  /// ran the functor — its side effects are durable, and a sequential
-  /// tail's commit already advanced the frontier — so the clone must NOT
-  /// re-run it; it re-pays SpecCost (the functor's declared cost) on its
-  /// own, healthy core and proceeds to Critical/Send/IterDone, retiring
-  /// the iteration exactly once.
-  bool SpecResume = false;
-  sim::SimTime SpecCost = 0;
-
   /// The worker's simulated thread; RegionExec::abort() terminates it.
   sim::SimThread *Thread = nullptr;
 
-  /// Liveness state. A per-task heartbeat hides one silent lane of a
-  /// parallel task behind its beating siblings, so each worker records its
-  /// own last beat too; speculateLaggard reads it.
-  sim::SimTime LastBeatAt = 0;
   WaitKind LastWait = WaitKind::None;
   /// Wedge injection (Machine::takeWedge): the worker hangs in user code,
   /// blocked forever on a waitable nothing ever notifies.
   bool Wedged = false;
   sim::Waitable WedgeHang;
-  /// Beats the task heartbeat and this worker's own.
-  void beat();
 
   // Transient-fault retry state. Attempt counts tries of the current
   // iteration; it resets when a new iteration is claimed, so the functor

@@ -445,26 +445,8 @@ double Machine::coreRate(unsigned CoreIdx) const {
 }
 
 bool Machine::corePenalized(unsigned CoreIdx) const {
-  if (!Cfg.SlowCoreAvoidance || Cores[CoreIdx].Offline)
-    return false;
-  if (coreRate(CoreIdx) < SlowCoreThreshold)
-    return true;
-  // Live evidence: a running slice that has overstayed its healthy-core
-  // schedule (overhead + work; wall == work at nominal speed) is lagging
-  // *right now*, before any completed slice can feed the EWMA. This is
-  // what lets speculation convict the core its laggard is stuck on — by
-  // definition that core is mid-slice, so a completed-slice-only sensor
-  // would learn of the dilation only after the laggard escapes.
-  const Core &C = Cores[CoreIdx];
-  if (C.Running) {
-    SimTime Expect = C.SliceOverhead + C.SliceWork;
-    SimTime Sofar = Sim.now() - C.SliceAt;
-    if (Expect > 0 && Sofar > Expect &&
-        static_cast<double>(Expect) / static_cast<double>(Sofar) <
-            SlowCoreThreshold)
-      return true;
-  }
-  return false;
+  return Cfg.SlowCoreAvoidance && !Cores[CoreIdx].Offline &&
+         coreRate(CoreIdx) < SlowCoreThreshold;
 }
 
 unsigned Machine::penalizedCores() const {

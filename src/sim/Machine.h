@@ -324,15 +324,15 @@ public:
   /// RateSampleTtl reads as 1.0 (the core is re-probed).
   double coreRate(unsigned CoreIdx) const;
 
-  /// True when slow-core avoidance is on and \p CoreIdx's effective rate
-  /// is below SlowCoreThreshold.
+  /// True when slow-core avoidance is on and \p CoreIdx is online with an
+  /// effective rate below SlowCoreThreshold.
   bool corePenalized(unsigned CoreIdx) const;
 
   /// Online cores currently penalized (always 0 with avoidance off).
   unsigned penalizedCores() const;
 
   /// Minimum effective rate across online cores (1.0 on an idle or
-  /// healthy machine) — the Decima MinCoreRate sensor.
+  /// healthy machine); traced as the `machine.core_rate` gauge.
   double minCoreRate() const;
 
   /// Telemetry sink (null = tracing off). Picked up from the process-wide
@@ -396,10 +396,8 @@ private:
   /// Queues a finished or terminated thread for release.
   void retire(SimThread *T);
   /// Releases the bodies of threads retired before the current event and
-  /// puts their records on the free list. The event of death is exempt:
-  /// its callers may still read the dead body (RegionExec salvages a
-  /// terminated worker's buffers and clones its state right after
-  /// terminate()), and a body may be retired from inside its own resume().
+  /// puts their records on the free list. The event of death is exempt,
+  /// because a body may be retired from inside its own resume().
   void releaseRetired();
   void setBusyCount(unsigned N);
   void emitBusySample();
