@@ -340,10 +340,9 @@ int runDrain(std::uint64_t Seed) {
               static_cast<unsigned long long>(Runner.totalRetired()),
               static_cast<unsigned long long>(NumIters));
   std::printf("   drain: %u started, %u completed, warning-to-resumed"
-              " %.0f us, %u checkpoint(s), %u chunk reseed(s)\n",
+              " %.0f us, %u checkpoint(s)\n",
               Dog.drainsStarted(), Dog.drainsCompleted(),
-              us(Dog.lastDrainLatency()), Runner.checkpoints(),
-              Runner.chunkReseeds());
+              us(Dog.lastDrainLatency()), Runner.checkpoints());
   std::printf("   aborts avoided: %u abortive recovery(s), %u thread(s)"
               " rescued, %u capacity-drop detection(s)\n",
               Runner.recoveries(), Dog.threadsRescued(), Dog.detections());

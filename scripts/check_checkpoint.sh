@@ -113,7 +113,6 @@ if [ "$MODE" = drain ] || [ "$MODE" = all ]; then
   # where a quiesce-to-restore delta has no meaning).
   grep -q 'checkpoint\.restore_latency_us' "$DMETRICS" ||
     fail "no restore-latency histogram"
-  grep -q 'chunk\.reseed' "$DMETRICS" || fail "no chunk-reseed counter"
 fi
 
 if [ "$MODE" = serve ] || [ "$MODE" = all ]; then

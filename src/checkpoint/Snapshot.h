@@ -10,7 +10,7 @@
 /// a different simulated machine — with no re-measurement and no loss or
 /// duplication of retired work.
 ///
-/// A snapshot captures four things:
+/// A snapshot captures five things:
 ///
 ///  * the *work cursor*: the sequence number the next execution starts
 ///    at (== the commit frontier == iterations retired at the quiesced
@@ -19,10 +19,12 @@
 ///    queue's unpulled tail (core/WorkSource.h's WorkSourceState);
 ///  * the *enforced configuration*: scheme plus the per-task width
 ///    (DoP) schedule the region was running under;
+///  * the *chunk size*: the chunk policy's K at the quiesced point, which
+///    seeds the fresh runner's policy;
 ///  * the *learned controller state*: the sequential baseline, the best
-///    configuration found, the per-budget config cache (Section 6.4.2),
-///    and the chunk policy's learned K — so a restored controller seeds
-///    MONITOR directly instead of re-running INIT/CALIBRATE/OPTIMIZE.
+///    configuration found and the per-budget config cache (Section
+///    6.4.2) — so a restored controller seeds MONITOR directly instead
+///    of re-running INIT/CALIBRATE/OPTIMIZE.
 ///
 /// The serialized form is versioned line-oriented text; doubles use
 /// %.17g so a serialize/deserialize/serialize round trip is
@@ -66,7 +68,7 @@ struct RegionSnapshot {
   std::string Region;        ///< FlexibleRegion name (sanity check only)
   std::uint64_t Cursor = 0;  ///< next sequence number to execute
   std::uint64_t Retired = 0; ///< iterations retired (== Cursor when quiesced)
-  std::uint64_t ChunkK = 1;  ///< chunk policy K to re-seed
+  std::uint64_t ChunkK = 1;  ///< chunk policy K to seed
   rt::RegionConfig Config;   ///< enforced scheme + width schedule
   rt::WorkSourceState Source;
   ControllerMemory Ctrl;

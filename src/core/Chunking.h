@@ -16,10 +16,12 @@
 /// K is tuned online, DCAFE-style: grow K while the measured fixed
 /// overhead is a large fraction of per-iteration work, shrink it when
 /// channel queues deepen (load imbalance: big chunks route long runs of
-/// iterations to one consumer slot). Around a pause/drain K degrades to
-/// the minimum so a reconfiguration never waits on a worker draining a
-/// deep chunk — reconfigure latency (Fig. 8.6) and the commit-frontier
-/// exactly-once guarantees are preserved at chunk size 1 semantics.
+/// iterations to one consumer slot). Apart from that retuning, K moves
+/// only by pin() for fixed-K A/Bs and by seed() on checkpoint restore;
+/// reconfigurations, recoveries and checkpoints leave it alone. A
+/// draining execution claims one iteration at a time whatever K is, and
+/// its head gives back the unstarted tail of a chunk, so a
+/// reconfiguration never waits on a deep chunk (RegionExec::chunkKFor).
 ///
 /// The policy's K is the region-wide upper bound. Like DCAFE, which
 /// chunks only as far as dependences allow, each task then gets at most
@@ -40,7 +42,7 @@
 namespace parcae::rt {
 
 /// Online chunk-size controller. One instance per region, owned by the
-/// RegionRunner so the learned K survives reconfigurations.
+/// RegionRunner so the tuned K survives reconfigurations.
 class ChunkPolicy {
 public:
   static constexpr std::uint64_t MinK = 1;
@@ -55,45 +57,20 @@ public:
   /// Chunk size workers should claim right now.
   std::uint64_t current() const { return Pinned ? PinnedK : K; }
 
-  /// Fixes K (benchmark A/B runs); retune/degrade become no-ops.
+  /// Fixes K (benchmark A/B runs); retune and seed become no-ops.
   void pin(std::uint64_t Fixed) {
     Pinned = true;
     PinnedK = std::max<std::uint64_t>(Fixed, 1);
   }
-  void unpin() { Pinned = false; }
-  bool pinned() const { return Pinned; }
 
-  /// Pause/drain entry point: collapse to the minimum so the drain
-  /// obligation is one iteration deep per worker. The pre-collapse K is
-  /// remembered (lastLearned) so recovery and checkpoint/restore can
-  /// re-seed the policy instead of re-learning from 1.
-  void degradeForPause() {
-    if (Pinned)
-      return;
-    if (K != MinK)
-      LastLearned = K;
-    K = MinK;
-  }
-
-  /// Re-seeds K (clamped to [MinK, MaxK]); a no-op while pinned. Used
-  /// after recovery and on checkpoint restore so a region resumes with
-  /// the chunk size it had already learned.
+  /// Sets K (clamped to [MinK, MaxK]); a no-op while pinned. Used on
+  /// checkpoint restore so a fresh runner resumes at the chunk size the
+  /// migrated region ran at.
   void seed(std::uint64_t NewK) {
     if (Pinned)
       return;
     K = std::clamp(NewK, MinK, MaxK);
-    if (K != MinK)
-      LastLearned = K;
   }
-
-  /// Last K the policy learned before a degradeForPause collapsed it
-  /// (MinK until anything beyond the minimum was ever learned).
-  std::uint64_t lastLearned() const { return LastLearned; }
-
-  /// Forgets the learned K. The runner calls this when a new execution
-  /// starts under a scheme with no recorded K, so a value learned under
-  /// a *different* scheme is never misattributed to this one.
-  void forgetLearned() { LastLearned = MinK; }
 
   /// One tuning step from fresh measurements:
   ///  \p FixedOverhead  cycles of per-claim fixed cost (hooks, status
@@ -124,7 +101,6 @@ public:
 
 private:
   std::uint64_t K = 1;
-  std::uint64_t LastLearned = 1;
   bool Pinned = false;
   std::uint64_t PinnedK = 1;
 };

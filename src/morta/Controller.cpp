@@ -95,16 +95,6 @@ void RegionController::recordTrace(double Thr) {
     ThrMetric->add(Thr);
 }
 
-void RegionController::applyConfig(RegionConfig C) {
-  // Pre-degrade the chunk size before the switch lands: if the runner
-  // takes the full pause-drain path, workers should not claim multi-item
-  // chunks whose drain would stretch the reconfigure latency. (The
-  // execution degrades again on requestPause; this just closes the gap
-  // between the controller's decision and the pause reaching workers.)
-  Runner.chunkPolicy().degradeForPause();
-  Runner.reconfigure(std::move(C));
-}
-
 void RegionController::beginMeasure(std::uint64_t Iters) {
   WindowIters = Iters;
   Measuring = true;
@@ -160,10 +150,6 @@ void RegionController::tick() {
       // it from the configuration actually running now.
       WindowIters = std::max(WindowIters, measureWindowIters());
       Window.mark(Runner.totalRetired(), Sim.now());
-      TaskWindows.assign(Runner.config().DoP.size(), TaskWindow());
-      if (const RegionExec *E = Runner.exec())
-        for (unsigned T = 0; T < E->numTasks(); ++T)
-          TaskWindows[T].mark(*E, T, Sim.now());
       MarkPending = false;
     }
     if (measureReady()) {
@@ -265,7 +251,7 @@ void RegionController::enterCalibrate(RegionConfig C) {
   transitionTo(CtrlState::Calibrate);
   if (SchemeIdx == 0)
     BudgetLimited = false;
-  applyConfig(std::move(C));
+  Runner.reconfigure(std::move(C));
   recordTrace(0);
   beginMeasure(measureWindowIters());
 }
@@ -335,7 +321,7 @@ void RegionController::stepOptimize(double Thr) {
       RegionConfig C = Runner.config();
       C.DoP[Opt.TaskIdx] = Next;
       dopMove("dop_move", Cur, Next);
-      applyConfig(std::move(C));
+      Runner.reconfigure(std::move(C));
       beginMeasure(measureWindowIters());
       return;
     }
@@ -350,7 +336,7 @@ void RegionController::stepOptimize(double Thr) {
     RegionConfig C = Runner.config();
     C.DoP[Opt.TaskIdx] = Opt.PrevDoP - 1;
     dopMove("dop_move", Cur, Opt.PrevDoP - 1);
-    applyConfig(std::move(C));
+    Runner.reconfigure(std::move(C));
     beginMeasure(measureWindowIters());
     return;
   } else {
@@ -359,7 +345,7 @@ void RegionController::stepOptimize(double Thr) {
     if (C.DoP[Opt.TaskIdx] != Opt.PrevDoP) {
       C.DoP[Opt.TaskIdx] = Opt.PrevDoP;
       dopMove("dop_revert", Cur, Opt.PrevDoP);
-      applyConfig(std::move(C));
+      Runner.reconfigure(std::move(C));
     }
   }
   Opt.Opt[Opt.TaskIdx] = true;
@@ -395,7 +381,7 @@ void RegionController::stepOptimizeNextTask(double BaseThr) {
       Opt.Opt[T] = true;
       continue;
     }
-    applyConfig(std::move(C));
+    Runner.reconfigure(std::move(C));
     beginMeasure(measureWindowIters());
     return;
   }
@@ -427,7 +413,7 @@ void RegionController::finishSchemeSearch(double Thr) {
                     telemetry::TraceArg::num("thr_seq", Tseq),
                     telemetry::TraceArg::num("budget_limited",
                                              BudgetLimited ? 1 : 0)}));
-  applyConfig(Best.C);
+  Runner.reconfigure(Best.C);
   enterMonitor();
   if (OnOptimized)
     OnOptimized(Best.C.totalThreads());
@@ -665,7 +651,6 @@ bool RegionController::drainRestart(std::vector<unsigned> Cores,
           Mach.offlineCore(Core);
         OnlineCap = std::max(1u, Mach.onlineCores());
         Budget = std::max(1u, std::min(Granted, OnlineCap));
-        Runner.chunkPolicy().seed(CP->ChunkK);
         RegionConfig C = resumeConfigFor(CP->Config);
         PARCAE_TRACE(
             Tel, instant(TelPid, telemetry::TidController, "ctrl", "migrate",
@@ -708,7 +693,7 @@ void RegionController::applyBudget(unsigned N) {
     if (E.Budget == N) {
       Best = {E.C, E.Thr};
       BudgetLimited = E.Limited;
-      applyConfig(E.C);
+      Runner.reconfigure(E.C);
       enterMonitor();
       if (OnOptimized)
         OnOptimized(E.C.totalThreads());

@@ -96,7 +96,7 @@ public:
   bool checkpointTo(std::function<void(ckpt::RegionSnapshot)> Cb);
 
   /// Starts controlling a region restored from \p S: the work source is
-  /// rewound to the snapshot state, the chunk policy re-seeded, the
+  /// rewound to the snapshot state, the chunk policy seeded, the
   /// learned memory imported, and execution resumed at the snapshot
   /// cursor under the cached configuration for the effective budget (the
   /// snapshot config, fitted, when no cache entry matches). The
@@ -158,7 +158,6 @@ private:
   /// logical phase entry gets its own span, even INIT -> CALIBRATE ->
   /// CALIBRATE across schemes).
   void transitionTo(CtrlState NewSt);
-  void applyConfig(RegionConfig C);
   void beginMeasure(std::uint64_t Iters);
   bool measureReady() const;
   double measuredRate() const;
@@ -201,7 +200,6 @@ private:
   bool Measuring = false;
   bool MarkPending = false;
   std::uint64_t WarmupAnchor = NoSeq;
-  std::vector<TaskWindow> TaskWindows;
 
   // Algorithm 4 search state.
   struct OptState {

@@ -118,8 +118,6 @@ void RegionExec::noteFault(unsigned TaskIdx, std::uint64_t Seq,
 void RegionExec::abort() {
   assert(canAbort() && "abort requires a sequential tail");
   Aborted = true;
-  if (Chunking)
-    Chunking->degradeForPause(); // resume cautiously after recovery
   PARCAE_TRACE(Tel, instant(TelPid, telemetry::TidExec, "exec", "abort",
                             {telemetry::TraceArg::num(
                                  "frontier",
@@ -144,11 +142,9 @@ void RegionExec::abort() {
 void RegionExec::requestPause() {
   if (PauseBound != NoSeq || Completed)
     return;
-  // Collapse chunking first: the drain obligation must not include
-  // deep chunks claimed after this point, and workers holding chunks
-  // give the unstarted tail back (Worker::stepFetch).
-  if (Chunking)
-    Chunking->degradeForPause();
+  // From here on every task claims one iteration at a time
+  // (chunkKFor), and a head holding a chunk gives its unstarted tail
+  // back (Worker::stepFetch), so the drain obligation stays one deep.
   PauseBound = NextSeq;
   PARCAE_TRACE(Tel, instant(TelPid, telemetry::TidExec, "exec", "pause",
                             {telemetry::TraceArg::num(

@@ -174,7 +174,7 @@ public:
   // --- Chunked claiming -----------------------------------------------
 
   /// Installs the chunk-size policy (owned by the RegionRunner so the
-  /// learned K survives reconfigurations). Null — the default for
+  /// tuned K survives reconfigurations). Null — the default for
   /// directly constructed executions — means chunk size 1, i.e. the
   /// classic one-claim-per-iteration protocol.
   void setChunkPolicy(ChunkPolicy *P) { Chunking = P; }

@@ -2,8 +2,6 @@
 
 #include "morta/RegionRunner.h"
 
-#include <algorithm>
-
 using namespace parcae::rt;
 
 RegionRunner::RegionRunner(sim::Machine &M, const RuntimeCosts &Costs,
@@ -36,26 +34,7 @@ void RegionRunner::start(RegionConfig Initial, std::uint64_t StartSeq) {
   beginExec(std::move(Initial), StartSeq);
 }
 
-void RegionRunner::noteLearnedK() {
-  std::uint64_t K = std::max(Chunking.current(), Chunking.lastLearned());
-  if (!Chunking.pinned() && K > ChunkPolicy::MinK)
-    LearnedK[Config.S] = K;
-}
-
 void RegionRunner::beginExec(RegionConfig C, std::uint64_t StartSeq) {
-  // Chunk-aware resume: re-seed the learned K for the scheme about to
-  // run instead of re-learning from MinK after every pause or abort.
-  if (!Chunking.pinned()) {
-    auto It = LearnedK.find(C.S);
-    if (It != LearnedK.end()) {
-      Chunking.seed(It->second);
-      ++ChunkReseeds;
-      if (Tel)
-        Tel->metrics().counter("chunk.reseed").add();
-    } else {
-      Chunking.forgetLearned();
-    }
-  }
   Exec = std::make_unique<RegionExec>(M, Costs, Region.variant(C.S), Source,
                                       C, StartSeq);
   Exec->setChunkPolicy(&Chunking);
@@ -130,7 +109,6 @@ bool RegionRunner::reconfigure(RegionConfig Target) {
 
 void RegionRunner::onQuiescent() {
   assert(Transitioning && "quiescent without a pending transition");
-  noteLearnedK();
   std::uint64_t StartSeq = Exec->nextSeq();
   RetiredBase += Exec->iterationsRetired();
   FaultsBase += Exec->faultsInjected();
@@ -184,10 +162,6 @@ bool RegionRunner::requestCheckpoint(
   assert(Done && "a checkpoint needs a completion callback");
   if (Completed || !Started || Suspended || CheckpointDone)
     return false;
-  // Capture the learned chunk size before the pause discipline collapses
-  // it to MinK (degradeForPause records it, but only transitions through
-  // a non-minimal K do; the live value is authoritative here).
-  CheckpointK = std::max(Chunking.current(), Chunking.lastLearned());
   CheckpointAt = M.sim().now();
   CheckpointDone = std::move(Done);
   if (!Transitioning) {
@@ -214,7 +188,7 @@ void RegionRunner::completeCheckpoint(std::uint64_t StartSeq) {
   LastCheckpoint.Cursor = StartSeq;
   LastCheckpoint.Retired = RetiredBase;
   LastCheckpoint.Config = Config;
-  LastCheckpoint.ChunkK = CheckpointK;
+  LastCheckpoint.ChunkK = Chunking.current();
   if (Tel) {
     if (TelOpenSpan) {
       Tel->end(TelPid, telemetry::TidRunner, "runner", TelOpenSpan);
@@ -230,7 +204,7 @@ void RegionRunner::completeCheckpoint(std::uint64_t StartSeq) {
                   telemetry::TraceArg::num(
                       "retired", static_cast<double>(RetiredBase)),
                   telemetry::TraceArg::num(
-                      "chunk_k", static_cast<double>(CheckpointK)),
+                      "chunk_k", static_cast<double>(LastCheckpoint.ChunkK)),
                   telemetry::TraceArg::str("config", Config.str())});
   }
   dispatchCheckpointDone(/*Captured=*/true);
@@ -306,7 +280,6 @@ bool RegionRunner::recover(RegionConfig Target) {
                                          static_cast<double>(InFlight))});
     TelOpenSpan = "recover";
   }
-  noteLearnedK();
   // Absolute, not cumulative: the frontier may be one ahead of the retire
   // counter when the abort lands between the tail's functor (side effect
   // durable, frontier advanced) and its IterDone (retire counted). The

@@ -32,14 +32,13 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
 
 namespace parcae::rt {
 
 /// The runner's transferable slice of a region checkpoint, captured at a
 /// quiesced point: the exactly-once cursor, the cumulative retire count,
-/// the configuration in force, and the learned chunk size.
+/// the configuration in force, and the chunk policy's K.
 struct RunnerCheckpoint {
   std::uint64_t Cursor = 0;  ///< next sequence number to execute
   std::uint64_t Retired = 0; ///< totalRetired() (== Cursor when quiesced)
@@ -87,10 +86,6 @@ public:
   /// Checkpoints captured over the runner's lifetime.
   unsigned checkpoints() const { return Checkpoints; }
 
-  /// Chunk-policy re-seeds from a previously learned K (fresh executions
-  /// that skipped re-learning from K = MinK).
-  unsigned chunkReseeds() const { return ChunkReseeds; }
-
   /// Switches to \p Target. Asynchronous: in-flight iterations finish
   /// under the old configuration. Ignored if the region completed or a
   /// switch is already in progress (the request is coalesced into the
@@ -124,10 +119,9 @@ public:
   RegionExec *exec() { return Exec.get(); }
   const RegionExec *exec() const { return Exec.get(); }
 
-  /// The region's chunk-size policy. Owned here so the learned K
-  /// survives reconfigurations; each execution tunes it online and
-  /// degrades it to 1 around pause/drain. Benchmarks pin() it for
-  /// fixed-K A/B runs.
+  /// The region's chunk-size policy. Owned here so the tuned K survives
+  /// reconfigurations, recoveries and checkpoints; each execution retunes
+  /// it online. Benchmarks pin() it for fixed-K A/B runs.
   ChunkPolicy &chunkPolicy() { return Chunking; }
   const ChunkPolicy &chunkPolicy() const { return Chunking; }
 
@@ -174,8 +168,6 @@ private:
   /// Arms the delayed resume. Pending is read when the delay fires, so a
   /// reconfigure/recover landing inside the window still takes effect.
   void scheduleResume(std::uint64_t StartSeq, sim::SimTime Delay);
-  /// Records the outgoing execution's learned chunk K for its scheme.
-  void noteLearnedK();
   /// The quiesced endpoint of requestCheckpoint(): captures the
   /// checkpoint, suspends the runner, and defers Done one event.
   void completeCheckpoint(std::uint64_t StartSeq);
@@ -203,16 +195,11 @@ private:
   unsigned FullPauses = 0;
   unsigned Recoveries = 0;
   unsigned Checkpoints = 0;
-  unsigned ChunkReseeds = 0;
   /// Pending checkpoint completion; non-null between requestCheckpoint()
   /// and the deferred Done dispatch.
   std::function<void(const RunnerCheckpoint *)> CheckpointDone;
   RunnerCheckpoint LastCheckpoint;
   sim::SimTime CheckpointAt = 0; ///< when the quiesce was requested
-  std::uint64_t CheckpointK = 1; ///< learned K captured pre-degrade
-  /// Last learned chunk K per scheme; beginExec re-seeds the policy from
-  /// this instead of re-learning from MinK (chunk-aware recovery).
-  std::map<Scheme, std::uint64_t> LearnedK;
   std::uint64_t FaultsBase = 0;
   std::uint64_t EscalationsBase = 0;
   sim::SimTime PauseRequestedAt = 0;

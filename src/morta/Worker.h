@@ -22,10 +22,11 @@
 /// group of K of its own iterations, which lie width apart in sequence
 /// space, so its K is also divided by its task's width
 /// (RegionExec::chunkKFor). Output tokens are batched per out-link and
-/// flushed at chunk boundaries. K degrades to 1 around pause/drain, and a
-/// pausing head gives unstarted chunk items back to the source when they
-/// are the contiguous tail of the claim space — so reconfigure latency
-/// and the exactly-once guarantees match chunk-size-1 semantics.
+/// flushed at chunk boundaries. While a pause is pending chunkKFor hands
+/// every task 1, and a pausing head gives unstarted chunk items back to
+/// the source when they are the contiguous tail of the claim space — so
+/// reconfigure latency and the exactly-once guarantees match
+/// chunk-size-1 semantics.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -570,8 +570,6 @@ void Machine::offlineCore(unsigned CoreIdx) {
     }
     emitCapacitySample();
   }
-  if (OnTopologyChange)
-    OnTopologyChange(OnlineCount);
   dispatch();
 }
 
@@ -600,8 +598,6 @@ void Machine::onlineCore(unsigned CoreIdx) {
                  {telemetry::TraceArg::num("online", OnlineCount)});
     emitCapacitySample();
   }
-  if (OnTopologyChange)
-    OnTopologyChange(OnlineCount);
   // Ready threads queued behind the reduced capacity can use the core now.
   dispatch();
 }

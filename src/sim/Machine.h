@@ -299,10 +299,6 @@ public:
   /// latency is measured against this).
   SimTime lastOfflineAt() const { return LastOfflineAt; }
 
-  /// Fires after the online-core count changes in either direction
-  /// (offlineCore shrinks it, onlineCore grows it back).
-  std::function<void(unsigned OnlineCores)> OnTopologyChange;
-
   /// Transient-fault query for workers: attempts of (\p Task, \p Seq) that
   /// fault before one succeeds (0 when no plan is installed).
   unsigned transientFailCount(const std::string &Task,

@@ -16,6 +16,7 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <vector>
 
 using namespace parcae;
@@ -174,6 +175,11 @@ TEST(ChunkPolicy, CapsAtMaxK) {
   // Pathologically fine iterations: the cap bounds the rewind window.
   P.retune(/*FixedOverhead=*/10'000, /*ExecPerIter=*/10, /*Pressure=*/0.0);
   EXPECT_EQ(P.current(), ChunkPolicy::MaxK);
+  // A restored K is clamped to the same range.
+  P.seed(0);
+  EXPECT_EQ(P.current(), ChunkPolicy::MinK);
+  P.seed(1000);
+  EXPECT_EQ(P.current(), ChunkPolicy::MaxK);
 }
 
 TEST(ChunkPolicy, QueuePressureShrinks) {
@@ -187,61 +193,14 @@ TEST(ChunkPolicy, QueuePressureShrinks) {
   EXPECT_EQ(P.current(), 2u);
 }
 
-TEST(ChunkPolicy, DegradeForPauseDropsToMin) {
-  ChunkPolicy P;
-  P.retune(10'000, 10, 0.0);
-  ASSERT_GT(P.current(), 1u);
-  P.degradeForPause();
-  EXPECT_EQ(P.current(), 1u);
-}
-
-TEST(ChunkPolicy, DegradeRecordsLearnedKAndSeedRestoresIt) {
-  ChunkPolicy P;
-  P.retune(/*FixedOverhead=*/400, /*ExecPerIter=*/1000, /*Pressure=*/0.0);
-  ASSERT_EQ(P.current(), 8u);
-  // The pause collapse remembers what was learned...
-  P.degradeForPause();
-  EXPECT_EQ(P.current(), 1u);
-  EXPECT_EQ(P.lastLearned(), 8u);
-  // ...so recovery / checkpoint restore re-seeds instead of re-learning.
-  P.seed(P.lastLearned());
-  EXPECT_EQ(P.current(), 8u);
-  // Seeding clamps to the legal range and itself counts as learned.
-  P.seed(1000);
-  EXPECT_EQ(P.current(), ChunkPolicy::MaxK);
-  EXPECT_EQ(P.lastLearned(), ChunkPolicy::MaxK);
-  // A degrade at MinK must not clobber the remembered K with 1.
-  P.degradeForPause();
-  P.degradeForPause();
-  EXPECT_EQ(P.lastLearned(), ChunkPolicy::MaxK);
-}
-
-TEST(ChunkPolicy, ForgetLearnedResetsToMin) {
-  ChunkPolicy P;
-  EXPECT_EQ(P.lastLearned(), ChunkPolicy::MinK) << "nothing learned yet";
-  P.seed(16);
-  ASSERT_EQ(P.lastLearned(), 16u);
-  // A scheme switch with no recorded K for the new scheme forgets, so a
-  // value learned under a different scheme is never misattributed.
-  P.forgetLearned();
-  EXPECT_EQ(P.lastLearned(), ChunkPolicy::MinK);
-  // Pinned policies ignore seeding entirely.
-  P.pin(4);
-  P.seed(32);
-  EXPECT_EQ(P.current(), 4u);
-}
-
 TEST(ChunkPolicy, PinOverridesTuning) {
   ChunkPolicy P;
   P.pin(16);
-  EXPECT_TRUE(P.pinned());
   EXPECT_EQ(P.current(), 16u);
-  P.retune(0, 1'000'000, 0.9); // would shrink if unpinned
+  P.retune(0, 1'000'000, 0.9); // would shrink without the pin
   EXPECT_EQ(P.current(), 16u);
-  P.degradeForPause(); // no-op while pinned
+  P.seed(32); // a restore does not override a pin either
   EXPECT_EQ(P.current(), 16u);
-  P.unpin();
-  EXPECT_EQ(P.current(), 1u); // tuned K was never touched
 }
 
 //===----------------------------------------------------------------------===//
@@ -327,6 +286,82 @@ TEST(ChunkedExec, ExactlyOnceAcrossAbortiveRecoveryWithChunking) {
   EXPECT_EQ(Runner.recoveries(), 2u);
   ASSERT_EQ(Tail.size(), 2000u);
   for (std::int64_t I = 0; I < 2000; ++I)
+    ASSERT_EQ(Tail[static_cast<std::size_t>(I)], I);
+}
+
+TEST(ChunkedExec, ControlActionsKeepChunkK) {
+  // K changes only when it is retuned. An in-place DoP change, a switch
+  // to SEQ, an abortive recovery and a checkpoint each leave the tuned K
+  // as it was, and the checkpoint carries that K.
+  sim::Simulator Sim;
+  sim::Machine M(Sim, 8);
+  RuntimeCosts Costs;
+  constexpr std::int64_t N = 8000;
+  CountedWorkSource Src(N);
+  std::vector<std::int64_t> Tail;
+  FlexibleRegion Region = makeSPS(&Tail, /*MidCost=*/600);
+  RegionDesc Seq;
+  Seq.Name = "chunked-seq";
+  Seq.S = Scheme::Seq;
+  Seq.Tasks.emplace_back("all", TaskType::Seq, [&Tail](IterationContext &C) {
+    C.Cost = 500; // fine-grained enough that SEQ also tunes K above 1
+    Tail.push_back(static_cast<std::int64_t>(C.Seq));
+  });
+  Region.addVariant(std::move(Seq));
+  RegionRunner Runner(M, Costs, Region, Src);
+  ChunkPolicy &P = Runner.chunkPolicy();
+  // Runs until Done() holds; false if the simulation ran dry first.
+  auto RunUntil = [&](auto Done) {
+    while (!Done() && Sim.runOne()) {
+    }
+    return Done();
+  };
+  // Runs past a few retunes and returns the K they left.
+  auto Tuned = [&] {
+    std::uint64_t Until = Runner.totalRetired() + 1000;
+    RunUntil([&] { return Runner.totalRetired() >= Until; });
+    return P.current();
+  };
+  auto Resumed = [&] { return !Runner.transitioning(); };
+  Runner.start({Scheme::PsDswp, {1, 2, 1}});
+
+  std::uint64_t K = Tuned();
+  ASSERT_GT(K, 1u);
+  ASSERT_TRUE(Runner.reconfigure({Scheme::PsDswp, {1, 3, 1}}));
+  EXPECT_EQ(Runner.fullPauses(), 0u) << "expected an in-place DoP change";
+  EXPECT_EQ(P.current(), K) << "in-place DoP change";
+
+  K = Tuned();
+  ASSERT_GT(K, 1u);
+  ASSERT_TRUE(Runner.reconfigure({Scheme::Seq, {1}}));
+  EXPECT_EQ(P.current(), K) << "switch to SEQ requested";
+  ASSERT_TRUE(RunUntil(Resumed));
+  EXPECT_EQ(P.current(), K) << "SEQ execution started";
+
+  K = Tuned();
+  ASSERT_GT(K, 1u);
+  ASSERT_TRUE(Runner.recover(Runner.config()));
+  EXPECT_EQ(Runner.recoveries(), 1u);
+  EXPECT_EQ(P.current(), K) << "abortive recovery";
+  ASSERT_TRUE(RunUntil(Resumed));
+  EXPECT_EQ(P.current(), K) << "replay started";
+
+  K = Tuned();
+  ASSERT_GT(K, 1u);
+  std::optional<RunnerCheckpoint> CP;
+  ASSERT_TRUE(Runner.requestCheckpoint([&](const RunnerCheckpoint *C) {
+    if (C)
+      CP = *C;
+  }));
+  EXPECT_EQ(P.current(), K) << "checkpoint requested";
+  ASSERT_TRUE(RunUntil([&] { return CP.has_value(); }));
+  EXPECT_EQ(CP->ChunkK, K);
+  EXPECT_EQ(P.current(), K) << "checkpoint taken";
+  Runner.resume(CP->Config, CP->Cursor);
+  Sim.run();
+  EXPECT_TRUE(Runner.completed());
+  ASSERT_EQ(Tail.size(), static_cast<std::size_t>(N));
+  for (std::int64_t I = 0; I < N; ++I)
     ASSERT_EQ(Tail[static_cast<std::size_t>(I)], I);
 }
 

@@ -541,8 +541,6 @@ TEST(FaultInjection, DomainRepairRestoresCapacity) {
   sim::FaultPlan Plan;
   Plan.addDomain("rack0", {2, 3, 5}, 1 * sim::MSec, /*Downtime=*/2 * sim::MSec);
   M.installFaultPlan(std::move(Plan));
-  unsigned TopologyChanges = 0;
-  M.OnTopologyChange = [&TopologyChanges](unsigned) { ++TopologyChanges; };
   Sim.scheduleAt(2 * sim::MSec, [&M] { EXPECT_EQ(M.onlineCores(), 5u); });
   Sim.scheduleAt(3 * sim::MSec + 1, [&M] {
     EXPECT_EQ(M.onlineCores(), 8u);
@@ -551,7 +549,6 @@ TEST(FaultInjection, DomainRepairRestoresCapacity) {
   });
   Sim.run();
   EXPECT_EQ(M.onlineCores(), 8u);
-  EXPECT_EQ(TopologyChanges, 6u) << "3 offlines + 3 repairs";
 }
 
 TEST(FaultInjection, ScatterDomainIsDeterministic) {
