@@ -2,9 +2,10 @@
 //
 // The platform-wide Morta daemon optimizing two Nona-compiled programs
 // simultaneously (Section 8.3.4, Figure 8.9 and Algorithm 5). Program A
-// (histogram) saturates early because of its critical section; program B
-// (montecarlo) scales. The daemon splits the 24 threads evenly, then
-// reclaims A's slack and hands it to B.
+// (seqchain) is a serial call chain: the profitability check keeps it at
+// SEQ, so one thread is all it can use. Program B (montecarlo) scales.
+// The daemon splits the 24 threads evenly, then reclaims A's slack and
+// hands it to B.
 //
 //===----------------------------------------------------------------------===//
 
@@ -25,7 +26,7 @@ int main() {
   sim::Machine M(Sim, 24);
   rt::RuntimeCosts Costs;
 
-  LoopProgram PA = makeHistogram(4000000, 64);
+  LoopProgram PA = makeSeqchain(4000000);
   LoopProgram PB = makeMonteCarlo(4000000);
   CompiledLoop CA(*PA.F, PA.AA, PA.TripCount);
   CompiledLoop CB(*PB.F, PB.AA, PB.TripCount);
@@ -40,7 +41,7 @@ int main() {
   rt::PlatformDaemon Daemon(24);
   std::printf("== Figure 8.9: platform-wide optimization of two programs"
               " ==\n\n");
-  std::printf("t=0: histogram launches alone (budget 24)\n");
+  std::printf("t=0: seqchain launches alone (budget 24)\n");
   Daemon.addProgram(CtrlA);
   Sim.runUntil(100 * sim::MSec);
   Daemon.addProgram(CtrlB);
@@ -60,8 +61,8 @@ int main() {
               Table::num(static_cast<long long>(M.busyCores()))});
   }
   T.print();
-  std::printf("\n(expected: histogram's critical section caps its useful"
-              " DoP; the daemon reclaims its slack and montecarlo's budget"
+  std::printf("\n(expected: seqchain's serial chain keeps it at SEQ<1>;"
+              " the daemon reclaims its slack and montecarlo's budget"
               " grows past the even 12/12 split)\n");
   return 0;
 }

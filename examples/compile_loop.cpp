@@ -48,8 +48,8 @@ int main() {
   std::map<unsigned, std::int64_t> Reds;
   Memory RefMem = CompiledLoop::interpret(*Ref.F, Ref.TripCount, &Reds);
   bool Ok = CL.memory() == RefMem;
-  for (auto [Phi, Val] : Reds)
-    Ok = Ok && CL.reductionValue(Phi) == Val;
+  for (unsigned Phi : P.ReductionPhis)
+    Ok = Ok && CL.reductionValue(Phi) == Reds.at(Phi);
   std::printf("semantics vs sequential reference: %s\n",
               Ok ? "IDENTICAL" : "MISMATCH");
   return Ok ? 0 : 1;

@@ -27,10 +27,10 @@ int main() {
   sim::Machine M(Sim, 16);
   rt::RuntimeCosts Costs;
 
-  // P1: scalable Monte-Carlo pricing. P2: histogram, whose critical
-  // section caps its useful parallelism at a handful of threads.
+  // P1: scalable Monte-Carlo pricing. P2: seqchain, a serial call chain
+  // whose controller keeps it at SEQ: one thread is all it can use.
   LoopProgram P1 = makeMonteCarlo(3000000);
-  LoopProgram P2 = makeHistogram(3000000, 64);
+  LoopProgram P2 = makeSeqchain(3000000);
   CompiledLoop C1(*P1.F, P1.AA, P1.TripCount);
   CompiledLoop C2(*P2.F, P2.AA, P2.TripCount);
   C1.resetState();
@@ -49,7 +49,7 @@ int main() {
   std::printf("t=80ms   P1 settled on %s\n", R1.config().str().c_str());
 
   Daemon.addProgram(Ctl2);
-  std::printf("t=80ms   P2 (histogram) launches: budgets %u / %u\n",
+  std::printf("t=80ms   P2 (seqchain) launches: budgets %u / %u\n",
               Daemon.budgetOf(Ctl1), Daemon.budgetOf(Ctl2));
 
   for (int Ms = 160; Ms <= 640; Ms += 160) {
@@ -60,7 +60,7 @@ int main() {
                 R2.config().str().c_str(), Daemon.budgetOf(Ctl2),
                 M.busyCores());
   }
-  std::printf("\nP2 saturates early (hash-bin critical section); the"
-              " daemon reclaims its slack for P1.\n");
+  std::printf("\nP2 stays at SEQ (serial call chain); the daemon"
+              " reclaims its slack for P1.\n");
   return 0;
 }

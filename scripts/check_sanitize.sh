@@ -11,10 +11,16 @@
 #     reuse after a body is released — including the waiter-list
 #     compaction test (Machine.UnnotifiedBlockAnyHalfStaysBounded), which
 #     dereferences stale entries' thread records;
-#   * the ChunkedPipeline suite and CompiledPerf.ControlledDualPipe* —
-#     width-clamped cost groups on the dualpipe network, fixed and under
-#     in-place and full reconfigurations, whose send buffers and chunk
-#     claims cross worker retirement and respawn;
+#   * the ChunkedPipeline suite and CompiledPerf.ControlledDualPipe*
+#     (run with the rest of CompiledPerf, below) — width-clamped cost
+#     groups on the dualpipe network, fixed and under in-place and full
+#     reconfigurations, whose send buffers and chunk claims cross worker
+#     retirement and respawn;
+#   * the Nona suites (PdgTest, CompileTest, SemanticsTest, CompiledPerf
+#     and Space/NonaSemanticsProperty) — the PDG's recurrence and
+#     array-reduction recognizers over edited IR, the compiled tasks'
+#     per-iteration engine (runIteration) on every variant, and the
+#     reference interpreter that evaluates the IR over dense value slots;
 #   * bench_checkpoint end to end in all three modes (hot restart,
 #     warning drain, live serve migration);
 #   * bench_resilience end to end (the legacy mixed-fault scenario) plus
@@ -65,7 +71,7 @@ if ! build; then
 fi
 
 "$BUILDDIR/tests/parcae_tests" \
-  --gtest_filter='Checkpoint*:FaultInjection*:ServeLoop*:ChunkPolicy*:QueueWorkSource*:Machine*:ChunkedPipeline*:CompiledPerf.ControlledDualPipe*' \
+  --gtest_filter='Checkpoint*:FaultInjection*:ServeLoop*:ChunkPolicy*:QueueWorkSource*:Machine*:ChunkedPipeline*:PdgTest*:CompileTest*:SemanticsTest*:CompiledPerf*:Space/NonaSemanticsProperty*' \
   --gtest_brief=1 ||
   fail "unit suites reported a failure (or a sanitizer fired)"
 

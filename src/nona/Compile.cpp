@@ -305,6 +305,8 @@ struct ExecState {
   std::map<unsigned, unsigned> RedUpdateByPhi;       ///< phi id -> update id
   std::map<unsigned, std::int64_t> CarriedPhi;       ///< other phis: value
   std::map<unsigned, std::int64_t> CarriedPhiInit;
+  /// By instruction id: the load or store of a privatized array reduction.
+  std::vector<char> Privatized;
 
   const Instruction *TailBranch = nullptr;
 
@@ -444,7 +446,11 @@ void runIteration(const TaskLower &T, rt::IterationContext &Ctx) {
       case Opcode::Load: {
         std::int64_t Idx = I.Uses.empty() ? 0 : envGet(Env, I.Uses[0]);
         Env[I.Def] = St.Mem.load(I.MemObject, Idx);
-        if (I.Commutative)
+        // A privatized array reduction updates the worker's own copy:
+        // plain compute. The host runs one functor at a time and the
+        // loaded value feeds only the update, so updating shared memory
+        // in place leaves what merging the copies at exit would.
+        if (I.Commutative && !St.Privatized[I.Id])
           CritCost[I.MemObject] += I.Latency;
         else
           Cost += I.Latency;
@@ -455,7 +461,7 @@ void runIteration(const TaskLower &T, rt::IterationContext &Ctx) {
             I.Uses.size() < 2 ? 0 : envGet(Env, I.Uses[0]);
         std::int64_t V = envGet(Env, I.Uses.back());
         St.Mem.store(I.MemObject, Idx, V);
-        if (I.Commutative)
+        if (I.Commutative && !St.Privatized[I.Id])
           CritCost[I.MemObject] += I.Latency;
         else
           Cost += I.Latency;
@@ -638,6 +644,10 @@ CompiledLoop::CompiledLoop(const Function &F, AliasOracle AA,
     }
   }
 
+  St->Privatized.assign(F.numInsts(), 0);
+  for (const ArrayReductionInfo &A : P->arrayReductions())
+    St->Privatized[A.LoadId] = St->Privatized[A.StoreId] = 1;
+
   // Intra-loop immediate post-dominators for path skipping.
   {
     const BasicBlock *Sink = nullptr;
@@ -659,11 +669,22 @@ CompiledLoop::CompiledLoop(const Function &F, AliasOracle AA,
          std::to_string(P->sccs().size()) + " SCCs, " +
          std::to_string(P->inhibitors().size()) +
          " non-removable carried deps\n";
+  for (const ArrayReductionInfo &A : P->arrayReductions())
+    Rep += "  Privatized: @m" + std::to_string(A.MemObject) + " " +
+           opcodeName(A.Kind) + " reduction over " +
+           std::to_string(A.Extent) + " entries\n";
 
   auto MakeVariantTask = [&](std::shared_ptr<TaskLower> TL, std::string Name,
                              rt::TaskType Type) {
     rt::Task T(std::move(Name), Type,
                [TL](rt::IterationContext &Ctx) { runIteration(*TL, Ctx); });
+    // Every exiting worker of the task owning an array reduction merges
+    // its private copy: one load and one store per entry.
+    for (const ArrayReductionInfo &A : P->arrayReductions())
+      if (TL->FullOwnership || TL->Owned[A.StoreId])
+        T.FiniCost += static_cast<sim::SimTime>(A.Extent) *
+                      (F.instById(A.LoadId)->Latency +
+                       F.instById(A.StoreId)->Latency);
     return T;
   };
 
@@ -810,55 +831,122 @@ void CompiledLoop::setWorkScale(double S) {
 
 std::string CompiledLoop::report() const { return I->Report; }
 
+namespace {
+
+/// The reference semantics of one non-phi, non-terminator instruction
+/// over dense value slots.
+void evalInst(const Instruction &I, std::vector<std::int64_t> &Val,
+              Memory &Mem) {
+  auto Get = [&](ValueId V) { return Val[static_cast<std::size_t>(V)]; };
+  std::int64_t R = 0;
+  switch (I.Op) {
+  case Opcode::Const:
+    R = I.Imm;
+    break;
+  case Opcode::Add:
+    R = Get(I.Uses[0]) + Get(I.Uses[1]);
+    break;
+  case Opcode::Sub:
+    R = Get(I.Uses[0]) - Get(I.Uses[1]);
+    break;
+  case Opcode::Mul:
+    R = Get(I.Uses[0]) * Get(I.Uses[1]);
+    break;
+  case Opcode::Mod: {
+    std::int64_t D = Get(I.Uses[1]);
+    assert(D > 0 && "mod by non-positive divisor");
+    R = Get(I.Uses[0]) % D;
+    break;
+  }
+  case Opcode::Min:
+    R = std::min(Get(I.Uses[0]), Get(I.Uses[1]));
+    break;
+  case Opcode::Max:
+    R = std::max(Get(I.Uses[0]), Get(I.Uses[1]));
+    break;
+  case Opcode::CmpLt:
+    R = Get(I.Uses[0]) < Get(I.Uses[1]) ? 1 : 0;
+    break;
+  case Opcode::Load:
+    R = Mem.load(I.MemObject, I.Uses.empty() ? 0 : Get(I.Uses[0]));
+    break;
+  case Opcode::Store:
+    Mem.store(I.MemObject, I.Uses.size() < 2 ? 0 : Get(I.Uses[0]),
+              Get(I.Uses.back()));
+    return;
+  case Opcode::Call: {
+    std::vector<std::int64_t> Args;
+    for (ValueId U : I.Uses)
+      Args.push_back(Get(U));
+    R = evalCall(I, Args, Mem);
+    break;
+  }
+  case Opcode::Phi:
+  case Opcode::Br:
+  case Opcode::CondBr:
+  case Opcode::Ret:
+    assert(false && "phis and terminators are not evaluated here");
+    return;
+  }
+  Val[static_cast<std::size_t>(I.Def)] = R;
+}
+
+} // namespace
+
 Memory CompiledLoop::interpret(
     const Function &F, std::uint64_t TripCount,
     std::map<unsigned, std::int64_t> *ReductionsOut) {
   F.verify();
-  AliasOracle AA; // conservative: fine for reference interpretation
-  PDG P(F, AA);
-  ExecState St(F);
-  St.TripCount = TripCount;
-  St.TailBranch = F.TheLoop.Tail->terminator();
-  for (const RecurrenceInfo &R : P.recurrences()) {
-    if (R.IsInduction) {
-      St.InductionByPhi[R.PhiId] = R;
-    } else {
-      ReductionState RS;
-      RS.Info = R;
-      St.RedByUpdate.emplace(R.UpdateId, std::move(RS));
-      St.RedUpdateByPhi[R.PhiId] = R.UpdateId;
-    }
-  }
-  {
-    const BasicBlock *Sink = nullptr;
-    for (const auto &B : F.blocks())
-      if (B->Succs.empty())
-        Sink = B.get();
-    PostDominators PD(F, Sink);
-    for (const BasicBlock *B : F.TheLoop.Blocks)
-      if (const BasicBlock *IP = PD.ipdom(B))
-        St.IPDomInLoop[B] = IP;
-  }
-  seedState(St);
+  const Loop &L = F.TheLoop;
+  Memory Mem;
+  std::vector<std::int64_t> Val(static_cast<std::size_t>(F.numValues()), 0);
+  auto Get = [&](ValueId V) { return Val[static_cast<std::size_t>(V)]; };
+  auto EvalBlock = [&](const BasicBlock &B) {
+    for (const auto &IP : B.Insts)
+      if (!IP->isPhi() && !IP->isBranch())
+        evalInst(*IP, Val, Mem);
+  };
 
-  TaskLower TL;
-  TL.St = std::shared_ptr<ExecState>(&St, [](ExecState *) {});
-  TL.FullOwnership = true;
-  TL.IsHead = true;
-  TL.OwnsTailBranch = true;
+  if (L.Preheader)
+    EvalBlock(*L.Preheader);
+  // The header phis and, in the same order, the value each takes at the
+  // next header entry.
+  std::vector<const Instruction *> Phis;
+  std::vector<std::int64_t> Carried;
+  for (const auto &IP : L.Header->Insts)
+    if (IP->isPhi()) {
+      Phis.push_back(IP.get());
+      Carried.push_back(Get(IP->Uses[0]));
+    }
 
   for (std::uint64_t Iter = 0; Iter < TripCount; ++Iter) {
-    rt::IterationContext Ctx;
-    Ctx.Seq = Iter;
-    Ctx.Slot = 0;
-    runIteration(TL, Ctx);
-    if (Ctx.EndOfStream)
+    for (std::size_t K = 0; K < Phis.size(); ++K)
+      Val[static_cast<std::size_t>(Phis[K]->Def)] = Carried[K];
+    const BasicBlock *B = L.Header;
+    for (std::size_t Steps = 1;; ++Steps) {
+      assert(Steps <= L.Blocks.size() && L.contains(B) &&
+             "the body walk must reach the tail without leaving the loop");
+      EvalBlock(*B);
+      if (B == L.Tail)
+        break;
+      const Instruction *Term = B->terminator();
+      B = Term->Op == Opcode::CondBr && Get(Term->Uses[0]) == 0
+              ? B->Succs[1]
+              : B->Succs[0];
+    }
+    for (std::size_t K = 0; K < Phis.size(); ++K)
+      Carried[K] = Get(Phis[K]->Uses[1]);
+    const Instruction *Back = L.Tail->terminator();
+    const BasicBlock *Next =
+        Get(Back->Uses[0]) != 0 ? L.Tail->Succs[0] : L.Tail->Succs[1];
+    if (Next != L.Header)
       break;
   }
+
   if (ReductionsOut) {
     ReductionsOut->clear();
-    for (const auto &[PhiId, UpdId] : St.RedUpdateByPhi)
-      (*ReductionsOut)[PhiId] = St.RedByUpdate.at(UpdId).merged();
+    for (std::size_t K = 0; K < Phis.size(); ++K)
+      (*ReductionsOut)[Phis[K]->Id] = Carried[K];
   }
-  return St.Mem;
+  return Mem;
 }

@@ -19,6 +19,12 @@
 /// SCCs into one parallel task and recursively partitions the predecessor
 /// and successor subgraphs (Section 4.3.2).
 ///
+/// Reductions are privatized and merged (Section 7.4). A scalar one
+/// accumulates per worker slot. A commutative array reduction (see
+/// ArrayReductionInfo) runs its load and store as ordinary per-iteration
+/// compute instead of a critical section, and every exiting worker of the
+/// task that owns it pays one merge of the array through Task::FiniCost.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef PARCAE_NONA_COMPILE_H
@@ -101,9 +107,12 @@ public:
   /// Compilation summary: schemes, tasks, channels (for reports/tests).
   std::string report() const;
 
-  /// Reference semantics: interprets the loop sequentially (host-side, no
-  /// simulation). Returns final memory; fills \p ReductionsOut with final
-  /// reduction values keyed by phi id.
+  /// Reference semantics: evaluates the function's IR directly and in
+  /// order (host-side, no simulation). It shares none of the compiled
+  /// tasks' machinery, so it is an independent oracle for them. Returns
+  /// final memory; fills \p ReductionsOut with every header phi's final
+  /// value (what its carried operand holds after the last iteration),
+  /// keyed by phi id.
   static Memory
   interpret(const Function &F, std::uint64_t TripCount,
             std::map<unsigned, std::int64_t> *ReductionsOut = nullptr);

@@ -150,7 +150,8 @@ LoopProgram parcae::ir::makeHistogram(std::uint64_t N, std::int64_t Bins) {
   St->Commutative = true;
   B.finish();
   // The bins are shared; commutativity annotations make the updates
-  // DOANY-able with a critical section (Section 4.3.1).
+  // DOANY-able (Section 4.3.1). The update is an array reduction over
+  // Bins entries, so Nona privatizes it instead of locking (Section 7.4).
   P.AA.setClass(2, MemClass::Shared);
   return P;
 }

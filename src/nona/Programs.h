@@ -11,7 +11,8 @@
 ///
 ///  * vecsum     — sum reduction over an array (DOANY via reduction)
 ///  * saxpy      — independent element-wise update (DOANY, no locks)
-///  * histogram  — commutative updates of shared bins (DOANY + critical)
+///  * histogram  — commutative updates of shared bins: an array reduction
+///                 (DOANY, bins privatized per worker and merged at exit)
 ///  * montecarlo — commutative PRNG calls + sum reduction (DOANY via
 ///                 commutativity annotation, the paper's rand() example)
 ///  * chase      — pointer chase + heavy payload (PS-DSWP only: the

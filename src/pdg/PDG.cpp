@@ -35,6 +35,7 @@ PDG::PDG(const Function &F, const AliasOracle &AA) {
       Nodes.push_back(I.get());
     }
   recognizeRecurrences(F);
+  recognizeArrayReductions(F);
   buildRegisterDeps(F);
   buildMemoryDeps(F, AA);
   buildControlDeps(F);
@@ -100,6 +101,80 @@ void PDG::recognizeRecurrences(const Function &F) {
     R.IsInduction = IsInduction;
     R.StepValue = IsInduction ? Other : NoValue;
     Recurrences.push_back(R);
+  }
+}
+
+void PDG::recognizeArrayReductions(const Function &F) {
+  // One pass over the function: the definition of every value, the
+  // number of in-loop uses of every value, and the loop's memory
+  // accesses, grouped by object.
+  struct ValueInfo {
+    const Instruction *Def = nullptr;
+    unsigned LoopUses = 0;
+  };
+  std::vector<ValueInfo> Vals(static_cast<std::size_t>(F.numValues()));
+  auto Info = [&](ValueId V) -> ValueInfo & {
+    return Vals[static_cast<std::size_t>(V)];
+  };
+  for (const auto &B : F.blocks())
+    for (const auto &I : B->Insts)
+      if (I->Def != NoValue)
+        Info(I->Def).Def = I.get();
+  std::vector<const Instruction *> Accesses;
+  for (const Instruction *N : Nodes) {
+    for (ValueId U : N->Uses)
+      ++Info(U).LoopUses;
+    if (accessesMemory(*N))
+      Accesses.push_back(N);
+  }
+  std::stable_sort(Accesses.begin(), Accesses.end(),
+                   [](const Instruction *A, const Instruction *B) {
+                     return A->MemObject < B->MemObject;
+                   });
+
+  for (std::size_t First = 0, Last; First < Accesses.size(); First = Last) {
+    Last = First + 1;
+    while (Last < Accesses.size() &&
+           Accesses[Last]->MemObject == Accesses[First]->MemObject)
+      ++Last;
+    // 1. Exactly one commutative load and one commutative store of the
+    //    same index value.
+    if (Last - First != 2)
+      continue;
+    const Instruction *Ld = Accesses[First], *St = Accesses[First + 1];
+    if (Ld->Op != Opcode::Load)
+      std::swap(Ld, St);
+    if (Ld->Op != Opcode::Load || St->Op != Opcode::Store ||
+        !Ld->Commutative || !St->Commutative || Ld->Uses.size() != 1 ||
+        St->Uses.size() != 2 || Ld->Uses[0] != St->Uses[0])
+      continue;
+    // 2. The stored value is load op x, op a kind ReductionState merges.
+    const Instruction *Upd = Info(St->Uses[1]).Def;
+    if (!Upd || Upd->Uses.size() != 2 ||
+        (Upd->Op != Opcode::Add && Upd->Op != Opcode::Min &&
+         Upd->Op != Opcode::Max) ||
+        (Upd->Uses[0] != Ld->Def && Upd->Uses[1] != Ld->Def))
+      continue;
+    // 3. The loaded value feeds only op, and op only the store.
+    if (Info(Ld->Def).LoopUses != 1 || Info(Upd->Def).LoopUses != 1)
+      continue;
+    // 4. The index is v mod c for a constant c > 0: a private copy needs
+    //    a known extent.
+    const Instruction *Idx = Info(Ld->Uses[0]).Def;
+    if (!Idx || Idx->Op != Opcode::Mod || Idx->Uses.size() != 2)
+      continue;
+    const Instruction *C = Info(Idx->Uses[1]).Def;
+    if (!C || C->Op != Opcode::Const || C->Imm <= 0)
+      continue;
+
+    ArrayReductionInfo A;
+    A.MemObject = Ld->MemObject;
+    A.LoadId = Ld->Id;
+    A.UpdateId = Upd->Id;
+    A.StoreId = St->Id;
+    A.Kind = Upd->Op;
+    A.Extent = C->Imm;
+    ArrayReductions.push_back(A);
   }
 }
 

@@ -19,6 +19,11 @@
 /// via synchronization. Tarjan's SCC over the non-removable edges yields
 /// the DAG_SCC that the DOANY and PS-DSWP transforms consume.
 ///
+/// A commutative read-modify-write of a shared array whose extent is known
+/// is also recognized as an array reduction. Its edges stay commutative;
+/// the lowering uses the fact to privatize the array instead of running
+/// the update as a critical section (Section 7.4).
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef PARCAE_PDG_PDG_H
@@ -84,6 +89,22 @@ struct RecurrenceInfo {
   ValueId StepValue = NoValue;
 };
 
+/// A recognized commutative array reduction: inside the loop, object
+/// MemObject is touched only by `L = Load O[i]` and `Store O[i] = L op x`
+/// (op is Add, Min or Max; both accesses annotated commutative), L feeds
+/// only op and op only the store, and i is `v mod c` for a constant
+/// c > 0. Each worker can then update a private copy of the array's c
+/// entries and merge it into the shared one once.
+struct ArrayReductionInfo {
+  int MemObject = -1;
+  unsigned LoadId = 0;
+  unsigned UpdateId = 0;
+  unsigned StoreId = 0;
+  Opcode Kind = Opcode::Add;
+  /// Entries of a private copy: the constant c of the index `v mod c`.
+  std::int64_t Extent = 0;
+};
+
 /// The PDG plus its SCC condensation.
 class PDG {
 public:
@@ -97,6 +118,10 @@ public:
 
   /// Recognized recurrence for a phi, if any.
   const RecurrenceInfo *recurrenceFor(unsigned PhiId) const;
+
+  const std::vector<ArrayReductionInfo> &arrayReductions() const {
+    return ArrayReductions;
+  }
 
   /// Non-removable loop-carried edges (the parallelism inhibitors Nona
   /// reports to the programmer, Section 3.2).
@@ -125,12 +150,14 @@ private:
   void buildMemoryDeps(const Function &F, const AliasOracle &AA);
   void buildControlDeps(const Function &F);
   void recognizeRecurrences(const Function &F);
+  void recognizeArrayReductions(const Function &F);
   void condense();
 
   std::vector<const Instruction *> Nodes;
   std::map<unsigned, unsigned> NodeIndex; ///< inst id -> Nodes index
   std::vector<PDGEdge> Edges;
   std::vector<RecurrenceInfo> Recurrences;
+  std::vector<ArrayReductionInfo> ArrayReductions;
   std::vector<SCC> Sccs;
   std::vector<std::pair<unsigned, unsigned>> SccEdges;
   std::map<unsigned, unsigned> SccIndex; ///< inst id -> scc index

@@ -32,6 +32,55 @@ rt::RegionConfig configFor(CompiledLoop &CL, rt::Scheme S,
   return C;
 }
 
+/// The instruction named \p Name (histogram's loop body is iv, hash, bin,
+/// old, inc and newbin; its preheader holds the constant bins).
+Instruction *instNamed(Function &F, const std::string &Name) {
+  for (auto &B : F.blocks())
+    for (auto &I : B->Insts)
+      if (I->Name == Name)
+        return I.get();
+  ADD_FAILURE() << "no instruction named " << Name;
+  return nullptr;
+}
+
+/// Emits an instruction in front of \p Before, in its block
+/// (Function::emit appends at the end of the block).
+Instruction *emitBefore(Function &F, Instruction *Before, Opcode Op,
+                        std::vector<ValueId> Uses, std::string Name) {
+  BasicBlock *B = Before->Parent;
+  Instruction *I = F.emit(B, Op, std::move(Uses), std::move(Name));
+  auto At = std::find_if(B->Insts.begin(), B->Insts.end(),
+                         [&](const auto &P) { return P.get() == Before; });
+  std::rotate(At, B->Insts.end() - 1, B->Insts.end());
+  return I;
+}
+
+/// DOANY<6> over DOANY<1> on 8 cores.
+double doAnySpeedup(CompiledLoop &CL) {
+  auto T1 = runCompiled(CL, configFor(CL, rt::Scheme::DoAny, 1), 8);
+  auto T6 = runCompiled(CL, configFor(CL, rt::Scheme::DoAny, 6), 8);
+  return static_cast<double>(T1.Time) / static_cast<double>(T6.Time);
+}
+
+/// What the one task of \p S's variant charges: critical-section cycles
+/// on object \p Obj for iteration 0, and its FiniCost.
+struct TaskCharge {
+  sim::SimTime Crit = 0;
+  sim::SimTime Fini = 0;
+};
+TaskCharge chargeOf(CompiledLoop &CL, rt::Scheme S, int Obj) {
+  CL.resetState();
+  const rt::Task &T = CL.region().variant(S).Tasks.at(0);
+  rt::IterationContext Ctx;
+  T.Fn(Ctx);
+  TaskCharge C;
+  C.Fini = T.FiniCost;
+  for (const rt::CriticalSection &CS : Ctx.Criticals)
+    if (CS.LockId == Obj)
+      C.Crit += CS.Cycles;
+  return C;
+}
+
 } // namespace
 
 TEST(IrTest, VecsumVerifiesAndPrints) {
@@ -112,6 +161,19 @@ TEST(PdgTest, SharedWithoutAnnotationInhibits) {
   EXPECT_FALSE(G.inhibitors().empty());
 }
 
+TEST(PdgTest, HistogramBinsAreAnArrayReduction) {
+  LoopProgram P = makeHistogram(10, 64);
+  PDG G(*P.F, P.AA);
+  ASSERT_EQ(G.arrayReductions().size(), 1u);
+  const ArrayReductionInfo &A = G.arrayReductions()[0];
+  EXPECT_EQ(A.MemObject, 2);
+  EXPECT_EQ(A.Kind, Opcode::Add);
+  EXPECT_EQ(A.Extent, 64);
+  EXPECT_EQ(A.LoadId, instNamed(*P.F, "old")->Id);
+  EXPECT_EQ(A.UpdateId, instNamed(*P.F, "inc")->Id);
+  EXPECT_EQ(A.StoreId, instNamed(*P.F, "newbin")->Id);
+}
+
 TEST(PdgTest, CountedLoopControlIsRemovable) {
   LoopProgram P = makeSaxpy(10);
   PDG G(*P.F, P.AA);
@@ -184,6 +246,113 @@ TEST(CompileTest, ReportMentionsStructure) {
   std::string R = CL.report();
   EXPECT_NE(R.find("PDG"), std::string::npos);
   EXPECT_NE(R.find("PS-DSWP"), std::string::npos);
+}
+
+TEST(CompileTest, HistogramBinsArePrivatized) {
+  LoopProgram P = makeHistogram(16, 64);
+  CompiledLoop CL(*P.F, P.AA, P.TripCount);
+  EXPECT_NE(CL.report().find("Privatized: @m2 add reduction over 64 entries"),
+            std::string::npos)
+      << CL.report();
+  // The update is plain compute; every exiting worker merges 64 entries
+  // at one 250-cycle load and one 250-cycle store each.
+  const sim::SimTime Merge = 64 * 500;
+  for (rt::Scheme S : {rt::Scheme::Seq, rt::Scheme::DoAny}) {
+    TaskCharge C = chargeOf(CL, S, 2);
+    EXPECT_EQ(C.Crit, 0u) << rt::schemeName(S);
+    EXPECT_EQ(C.Fini, Merge) << rt::schemeName(S);
+  }
+  // Under PS-DSWP only the stage that owns the update merges.
+  std::vector<sim::SimTime> Fini;
+  for (const rt::Task &T : CL.region().variant(rt::Scheme::PsDswp).Tasks)
+    if (T.FiniCost != 0)
+      Fini.push_back(T.FiniCost);
+  EXPECT_EQ(Fini, std::vector<sim::SimTime>{Merge});
+}
+
+TEST(CompileTest, MinAndMaxBinUpdatesArePrivatized) {
+  for (Opcode Op : {Opcode::Min, Opcode::Max}) {
+    LoopProgram P = makeHistogram(16, 64);
+    instNamed(*P.F, "inc")->Op = Op;
+    CompiledLoop CL(*P.F, P.AA, P.TripCount);
+    ASSERT_EQ(CL.pdg().arrayReductions().size(), 1u) << opcodeName(Op);
+    EXPECT_EQ(CL.pdg().arrayReductions()[0].Kind, Op);
+    EXPECT_NE(CL.report().find(std::string("@m2 ") + opcodeName(Op)),
+              std::string::npos)
+        << CL.report();
+    EXPECT_EQ(chargeOf(CL, rt::Scheme::DoAny, 2).Crit, 0u) << opcodeName(Op);
+  }
+}
+
+TEST(CompileTest, ArrayReductionNearMissesStayCriticalSections) {
+  // Each edit breaks one condition of ArrayReductionInfo. The bin update
+  // then keeps running as a critical section on object 2 (load and store
+  // latency, plus 250 cycles for a third access), no task merges
+  // anything, and DOANY stays lock-bound.
+  struct NearMiss {
+    const char *What;
+    std::function<void(LoopProgram &)> Edit;
+    sim::SimTime Crit;
+  };
+  const NearMiss Cases[] = {
+      {"loaded bin used a second time",
+       [](LoopProgram &P) {
+         // prev[i] = bins[b]++: the old count is recorded too.
+         Function &F = *P.F;
+         Instruction *Prev = emitBefore(
+             F, F.TheLoop.Header->terminator(), Opcode::Store,
+             {instNamed(F, "iv")->Def, instNamed(F, "old")->Def}, "prev");
+         Prev->MemObject = 7;
+         Prev->Latency = 100;
+         P.AA.setClass(7, MemClass::IterationPrivate);
+       },
+       500},
+      {"stored value is old * 1",
+       [](LoopProgram &P) { instNamed(*P.F, "inc")->Op = Opcode::Mul; },
+       500},
+      {"a third access to the bins",
+       [](LoopProgram &P) {
+         Function &F = *P.F;
+         Instruction *Peek =
+             emitBefore(F, F.TheLoop.Header->terminator(), Opcode::Load,
+                        {instNamed(F, "bin")->Def}, "peek");
+         Peek->MemObject = 2;
+         Peek->Latency = 250;
+         Peek->Commutative = true;
+       },
+       750},
+      {"index is the induction variable",
+       [](LoopProgram &P) {
+         ValueId IV = instNamed(*P.F, "iv")->Def;
+         instNamed(*P.F, "old")->Uses = {IV};
+         instNamed(*P.F, "newbin")->Uses[0] = IV;
+       },
+       500},
+      {"index is hash mod a loop-variant divisor",
+       [](LoopProgram &P) {
+         Function &F = *P.F;
+         Instruction *Bin = instNamed(F, "bin");
+         Instruction *D = emitBefore(
+             F, Bin, Opcode::Add,
+             {instNamed(F, "iv")->Def, instNamed(F, "bins")->Def}, "div");
+         Bin->Uses[1] = D->Def;
+       },
+       500},
+  };
+  for (const NearMiss &C : Cases) {
+    LoopProgram P = makeHistogram(800, 64);
+    C.Edit(P);
+    P.F->verify();
+    CompiledLoop CL(*P.F, P.AA, P.TripCount);
+    EXPECT_TRUE(CL.pdg().arrayReductions().empty()) << C.What;
+    EXPECT_EQ(CL.report().find("Privatized"), std::string::npos) << C.What;
+    for (rt::Scheme S : {rt::Scheme::Seq, rt::Scheme::DoAny}) {
+      TaskCharge T = chargeOf(CL, S, 2);
+      EXPECT_EQ(T.Crit, C.Crit) << C.What << " under " << rt::schemeName(S);
+      EXPECT_EQ(T.Fini, 0u) << C.What << " under " << rt::schemeName(S);
+    }
+    EXPECT_LT(doAnySpeedup(CL), 3.0) << C.What;
+  }
 }
 
 //===----------------------------------------------------------------------===//
@@ -262,6 +431,17 @@ TEST(SemanticsTest, MinMax) {
 TEST(SemanticsTest, DualPipe) {
   checkSemantics([] { return makeDualPipe(300); });
 }
+TEST(SemanticsTest, HistogramMinMaxBins) {
+  for (Opcode Op : {Opcode::Min, Opcode::Max})
+    checkSemantics([Op] {
+      // bins[b] = op(bins[b], hash): a min or max array reduction.
+      LoopProgram P = makeHistogram(300, 16);
+      Instruction *Upd = instNamed(*P.F, "inc");
+      Upd->Op = Op;
+      Upd->Uses[1] = instNamed(*P.F, "hash")->Def;
+      return P;
+    });
+}
 
 //===----------------------------------------------------------------------===//
 // Performance shape
@@ -275,6 +455,14 @@ TEST(CompiledPerf, DoAnyScalesMonteCarlo) {
   double Speedup =
       static_cast<double>(T1.Time) / static_cast<double>(T6.Time);
   EXPECT_GT(Speedup, 4.0) << CL.report();
+}
+
+TEST(CompiledPerf, DoAnyScalesHistogram) {
+  // The bin updates are a privatized array reduction, not a critical
+  // section, so DOANY scales like montecarlo's.
+  LoopProgram P = makeHistogram(800, 64);
+  CompiledLoop CL(*P.F, P.AA, P.TripCount);
+  EXPECT_GT(doAnySpeedup(CL), 4.0) << CL.report();
 }
 
 TEST(PartitionTest, DualPipeIsANetwork) {
