@@ -12,7 +12,8 @@
 //     (scripts/bench_json.sh collects it into BENCH_overheads.json) and
 //     skips part 3.
 //  3. Host-side compiler costs (google-benchmark): PDG construction,
-//     PS-DSWP partitioning, and whole-loop compilation.
+//     PS-DSWP partitioning, whole-loop compilation, and one iteration of
+//     each suite loop's compiled SEQ task.
 //
 //===----------------------------------------------------------------------===//
 
@@ -281,6 +282,32 @@ void BM_CompileLoop(benchmark::State &State) {
   }
 }
 BENCHMARK(BM_CompileLoop);
+
+// Host cost of one iteration of a compiled task: the SEQ task's functor of
+// each suite loop, called directly on a reused context, without the
+// simulator around it. Seq cycles through a window of Window iterations
+// (state reset at each wrap), so memory stays small.
+void BM_CompiledIteration(benchmark::State &State) {
+  constexpr std::uint64_t Window = 1024;
+  LoopProgram P =
+      benchmarkSuite(Window).at(static_cast<std::size_t>(State.range(0)))();
+  State.SetLabel(P.Name);
+  CompiledLoop CL(*P.F, P.AA, P.TripCount);
+  const Task &T = CL.region().variant(Scheme::Seq).Tasks.at(0);
+  IterationContext Ctx;
+  std::uint64_t Seq = 0;
+  for (auto _ : State) {
+    Ctx.Seq = Seq;
+    Ctx.Criticals.clear();
+    T.Fn(Ctx);
+    benchmark::DoNotOptimize(Ctx.Cost);
+    if (++Seq == Window) {
+      Seq = 0;
+      CL.resetState();
+    }
+  }
+}
+BENCHMARK(BM_CompiledIteration)->DenseRange(0, 8);
 
 void BM_WidthScheduleQuery(benchmark::State &State) {
   WidthSchedule S(4);

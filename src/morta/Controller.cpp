@@ -505,15 +505,15 @@ void RegionController::onCapacityChange(unsigned Online) {
   applyBudget(N);
 }
 
-void RegionController::forceRecover(RegionConfig C) {
+bool RegionController::forceRecover(RegionConfig C) {
   if (!Started || St == CtrlState::Done || Runner.completed())
-    return;
+    return false;
   PARCAE_TRACE(Tel,
                instant(TelPid, telemetry::TidController, "ctrl",
                        "force_recover",
                        {telemetry::TraceArg::str("config", C.str())}));
   recordTrace(0);
-  Runner.recover(std::move(C));
+  bool Accepted = Runner.recover(std::move(C));
   // Whatever measurement was in flight is meaningless across an abort;
   // settle into MONITOR around the recovered configuration.
   Measuring = false;
@@ -521,6 +521,7 @@ void RegionController::forceRecover(RegionConfig C) {
   WarmupAnchor = NoSeq;
   enterMonitor();
   scheduleTick();
+  return Accepted;
 }
 
 parcae::ckpt::ControllerMemory RegionController::exportMemory() const {
@@ -528,23 +529,18 @@ parcae::ckpt::ControllerMemory RegionController::exportMemory() const {
   M.SeqThroughput = Tseq;
   M.Best = Best.C;
   M.BestThr = Best.Thr;
-  M.Cache.reserve(Cache.size());
-  for (const CacheEntry &E : Cache)
-    M.Cache.push_back({E.Budget, E.C, E.Thr, E.Limited});
+  M.Cache = Cache;
   return M;
 }
 
 void RegionController::importMemory(const ckpt::ControllerMemory &M) {
   Tseq = M.SeqThroughput;
   Best = {M.Best, M.BestThr};
-  Cache.clear();
-  Cache.reserve(M.Cache.size());
-  for (const ckpt::ControllerMemory::CacheEntry &E : M.Cache)
-    Cache.push_back({E.Budget, E.C, E.Thr, E.Limited});
+  Cache = M.Cache;
 }
 
 RegionConfig RegionController::resumeConfigFor(RegionConfig Preferred) {
-  for (const CacheEntry &E : Cache) {
+  for (const auto &E : Cache) {
     if (E.Budget == Budget) {
       Best = {E.C, E.Thr};
       BudgetLimited = E.Limited;
@@ -689,7 +685,7 @@ void RegionController::applyBudget(unsigned N) {
     return; // the baseline phase proceeds; the new budget applies after it
   recordTrace(0);
   // Cached configuration for this exact budget? Reuse it (Section 6.4.2).
-  for (const CacheEntry &E : Cache) {
+  for (const auto &E : Cache) {
     if (E.Budget == N) {
       Best = {E.C, E.Thr};
       BudgetLimited = E.Limited;

@@ -76,8 +76,10 @@ public:
   /// the in-flight execution is aborted (or drained, when aborting is
   /// impossible), the work source rewound to the commit frontier, and
   /// execution resumed. The controller re-enters MONITOR around the new
-  /// configuration.
-  void forceRecover(RegionConfig C);
+  /// configuration. Returns whether the runner accepted the switch: it
+  /// refuses, for one, a drain into the running configuration, which is
+  /// what a region that cannot abort falls back to.
+  bool forceRecover(RegionConfig C);
 
   // --- Checkpoint / restore / drain (src/checkpoint) -------------------
 
@@ -214,14 +216,9 @@ private:
 
   bool BudgetLimited = false;
 
-  // Config cache per thread budget (Section 6.4.2).
-  struct CacheEntry {
-    unsigned Budget;
-    RegionConfig C;
-    double Thr;
-    bool Limited;
-  };
-  std::vector<CacheEntry> Cache;
+  // Config cache per thread budget (Section 6.4.2), in the form a
+  // checkpoint carries it.
+  std::vector<ckpt::ControllerMemory::CacheEntry> Cache;
 
   // MONITOR bookkeeping.
   double MonitorBaseThr = 0.0;

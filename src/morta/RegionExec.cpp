@@ -53,7 +53,6 @@ RegionExec::RegionExec(sim::Machine &M, const RuntimeCosts &Costs,
   Stats.resize(Desc.numTasks());
   ActiveByTask.resize(Desc.numTasks());
   HasWorker.assign(Desc.numTasks(), std::vector<bool>(MaxWidth, false));
-  LastBeat.assign(Desc.numTasks(), M.sim().now());
 
   Tel = telemetry::recorder();
   if (Tel) {
@@ -94,7 +93,6 @@ void RegionExec::spawnWorker(unsigned TaskIdx, unsigned Slot,
 void RegionExec::noteFault(unsigned TaskIdx, std::uint64_t Seq,
                            unsigned Attempt) {
   ++FaultsInjected;
-  beat(TaskIdx); // a faulting task is still live, just unlucky
   if (Tel) {
     Tel->metrics().counter("exec." + Desc.Name + ".faults").add();
     Tel->instant(TelPid, 1 + TaskIdx, "fault", "task_fault",

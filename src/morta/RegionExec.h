@@ -122,14 +122,6 @@ public:
   /// OnComplete fires.
   void abort();
 
-  /// Last virtual time task \p TaskIdx showed liveness (an iteration
-  /// retired, a fetch, or a fault attempt). The watchdog's stall instant
-  /// reports the oldest of these as `oldest_beat_age_us`.
-  sim::SimTime lastHeartbeat(unsigned TaskIdx) const {
-    assert(TaskIdx < LastBeat.size());
-    return LastBeat[TaskIdx];
-  }
-
   /// Transient fault attempts observed in this execution.
   std::uint64_t faultsInjected() const { return FaultsInjected; }
   /// Faults whose retries exhausted Costs.MaxFaultRetries.
@@ -218,8 +210,6 @@ private:
   void retireIteration(unsigned TaskIdx);
   /// One DCAFE-style tuning step of the chunk policy from live stats.
   void retuneChunking();
-  /// Liveness heartbeat (see lastHeartbeat).
-  void beat(unsigned TaskIdx) { LastBeat[TaskIdx] = M.sim().now(); }
   /// Records a transient fault attempt; escalates past the retry budget.
   void noteFault(unsigned TaskIdx, std::uint64_t Seq, unsigned Attempt);
   /// Advances the commit frontier after the sequential tail emits \p Seq.
@@ -279,7 +269,6 @@ private:
   /// needs no timer and dies with the workers.
   ChunkPolicy *Chunking = nullptr;
   static constexpr std::uint64_t RetunePeriod = 256;
-  std::vector<sim::SimTime> LastBeat; // per task
   std::uint64_t FaultsInjected = 0;
   std::uint64_t Escalations = 0;
   bool EscalationFired = false;

@@ -2,7 +2,6 @@
 
 #include "morta/Watchdog.h"
 
-#include <algorithm>
 #include <cassert>
 
 using namespace parcae::rt;
@@ -161,13 +160,15 @@ void Watchdog::tick() {
   // worker never sees the pause bound, so the drain itself can wedge —
   // the stall clock must keep running or the watchdog never notices.
   std::uint64_t Retired = Runner.totalRetired();
+  if (Retired != LastRetired)
+    StallRefused = false;
   if (Runner.transitioning() && !Runner.exec()) {
     LastProgressAt = Now;
     LastRetired = Retired;
   } else if (Retired != LastRetired) {
     LastRetired = Retired;
     LastProgressAt = Now;
-  } else if (Runner.exec() &&
+  } else if (!StallRefused && Runner.exec() &&
              Now - LastProgressAt >= P.StallThreshold) {
     const RegionExec *E = Runner.exec();
     bool InFlight = E->nextSeq() > E->startSeq() + E->iterationsRetired();
@@ -175,22 +176,23 @@ void Watchdog::tick() {
       ++Stalls;
       if (Tel) {
         Tel->metrics().counter("watchdog.stalls").add();
-        sim::SimTime OldestBeat = Now;
-        for (unsigned T = 0; T < E->numTasks(); ++T)
-          OldestBeat = std::min(OldestBeat, E->lastHeartbeat(T));
         Tel->instant(
             TelPid, telemetry::TidWatchdog, "watchdog", "watchdog_stall",
             {telemetry::TraceArg::num("stalled_us",
                                       sim::toSeconds(Now - LastProgressAt) *
-                                          1e6),
-             telemetry::TraceArg::num("oldest_beat_age_us",
-                                      sim::toSeconds(Now - OldestBeat) *
                                           1e6)});
       }
       Rescued += M.rescueStranded();
       beginRecoveryClock(LastProgressAt);
       LastProgressAt = Now; // re-arm: do not refire every tick
-      Ctrl.forceRecover(Runner.config());
+      if (!Ctrl.forceRecover(Runner.config())) {
+        // Refused: a region that cannot abort falls back to draining into
+        // the running configuration, which is no switch. Nothing will
+        // recover, so drop the window just opened and stay quiet until
+        // an iteration retires.
+        RecoveryWindows.pop_back();
+        StallRefused = true;
+      }
     }
   }
 

@@ -74,7 +74,8 @@ public:
   unsigned detections() const { return Detections; }
   /// Capacity growths detected (one per tick that saw more online cores).
   unsigned growthsDetected() const { return Growths; }
-  /// Progress stalls detected.
+  /// Progress stalls detected. A stall whose recovery the runner refuses
+  /// counts once: the next one needs an iteration to retire first.
   unsigned stallsDetected() const { return Stalls; }
   /// Retry-budget escalations handled.
   unsigned escalationsHandled() const { return EscalationsHandled; }
@@ -130,6 +131,9 @@ private:
   unsigned KnownOnline = 0;
   std::uint64_t LastRetired = 0;
   sim::SimTime LastProgressAt = 0;
+  /// The last stall's recovery was refused: report no further stall
+  /// until an iteration retires.
+  bool StallRefused = false;
 
   /// One open MTTR clock per outstanding fault, oldest first. A window
   /// completes at the first retire after its fault (outside a

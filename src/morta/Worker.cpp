@@ -144,7 +144,6 @@ Action Worker::resume(sim::Machine &M, sim::SimThread &) {
   case State::IterDone:
     ++R.Stats[TaskIdx].Iterations;
     R.noteIteration(TaskIdx);
-    R.beat(TaskIdx);
     if (IsTail)
       R.retireIteration(TaskIdx);
     InIteration = false;
@@ -368,7 +367,6 @@ Action Worker::stepSend() {
 
 Action Worker::runFunctor(sim::Machine &M) {
   const RuntimeCosts &C = R.Costs;
-  R.beat(TaskIdx);
   // Transient fault injection: the plan says the first FailCount attempts
   // of this (task, seq) fault before the functor runs. Burn the attempt
   // cost, back off exponentially, retry. The functor only ever executes

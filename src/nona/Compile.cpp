@@ -232,7 +232,7 @@ namespace {
 constexpr unsigned MaxSlots = 64;
 
 struct ReductionState {
-  RecurrenceInfo Info;
+  Opcode Kind = Opcode::Add;
   std::int64_t Init = 0;
   std::vector<std::int64_t> Partials = std::vector<std::int64_t>(MaxSlots, 0);
   std::vector<char> Used = std::vector<char>(MaxSlots, 0);
@@ -244,7 +244,7 @@ struct ReductionState {
       Partials[Slot] = V;
       return;
     }
-    switch (Info.Kind) {
+    switch (Kind) {
     case Opcode::Add:
       Partials[Slot] += V;
       break;
@@ -264,7 +264,7 @@ struct ReductionState {
     for (unsigned S = 0; S < MaxSlots; ++S) {
       if (!Used[S])
         continue;
-      switch (Info.Kind) {
+      switch (Kind) {
       case Opcode::Add:
         Acc += Partials[S];
         break;
@@ -287,77 +287,159 @@ struct ReductionState {
   }
 };
 
+/// What a task does with an instruction when its walk reaches it.
+enum class Role : std::uint8_t {
+  Plain,           ///< evaluated by its owner
+  Induction,       ///< recomputed by every task from the iteration index
+  ReductionPhi,    ///< no value: the reduction lives in private partials
+  ReductionUpdate, ///< accumulated into its owner's partial
+  CarriedPhi,      ///< read by its owner from the value committed last
+};
+
+/// The lowering of one instruction, fixed when the loop is compiled
+/// except for the values seedState and the carried-phi commits write.
+struct InstPlan {
+  Role R = Role::Plain;
+  /// A Load, Store or Call charged to a critical section on its memory
+  /// object instead of to the iteration's own cost.
+  bool Critical = false;
+  /// ReductionPhi, ReductionUpdate: index into ExecState::Reductions.
+  unsigned Red = 0;
+  /// Induction: the step value. ReductionUpdate: the non-phi operand.
+  /// CarriedPhi: the value carried into the next iteration.
+  ValueId Operand = NoValue;
+  /// Induction: the value is Init + Step * Seq. CarriedPhi: Init at
+  /// Seq 0, after that Last, once its owner has committed one.
+  std::int64_t Init = 0, Step = 0, Last = 0;
+  bool HasLast = false;
+};
+
 /// Shared execution state of one compiled loop (persists across scheme
 /// switches, exactly like the program's heap does in the real system).
 struct ExecState {
   const Function &F;
   Memory Mem;
-  std::map<ValueId, std::int64_t> LiveIns;
-  std::map<const BasicBlock *, const BasicBlock *> IPDomInLoop;
   double WorkScale = 1.0;
-  std::uint64_t TripCount = 0;
+  std::vector<InstPlan> Plan; ///< by instruction id
+  std::vector<ReductionState> Reductions;
+  std::vector<unsigned> CarriedPhis;           ///< instruction ids
+  std::vector<const BasicBlock *> IPDomInLoop; ///< by block id
 
-  // Recurrences.
-  std::map<unsigned, RecurrenceInfo> InductionByPhi; ///< phi id -> info
-  std::map<unsigned, std::int64_t> InductionInit;    ///< phi id -> init
-  std::map<unsigned, std::int64_t> InductionStep;    ///< phi id -> step
-  std::map<unsigned, ReductionState> RedByUpdate;    ///< update id -> state
-  std::map<unsigned, unsigned> RedUpdateByPhi;       ///< phi id -> update id
-  std::map<unsigned, std::int64_t> CarriedPhi;       ///< other phis: value
-  std::map<unsigned, std::int64_t> CarriedPhiInit;
-  /// By instruction id: the load or store of a privatized array reduction.
-  std::vector<char> Privatized;
-
-  const Instruction *TailBranch = nullptr;
+  /// The value frame: one slot per value id, and whether the running
+  /// task has the value. One frame serves every task of the loop only
+  /// because the host runs one functor at a time. Each iteration starts
+  /// from the live-ins the preheader computed.
+  std::vector<std::int64_t> Val, LiveIn;
+  std::vector<char> Avail, LiveInAvail;
+  std::vector<std::int64_t> Args; ///< a call's arguments
 
   explicit ExecState(const Function &F) : F(F) {}
+
+  std::int64_t get(ValueId V) const {
+    assert(Avail[V] && "value not available in this task");
+    return Val[V];
+  }
+  void set(ValueId V, std::int64_t X) {
+    Val[V] = X;
+    Avail[V] = 1;
+  }
+
+  /// Evaluates one non-phi, non-terminator instruction into the frame.
+  /// Returns the cycles it costs: its latency for a Load or Store, its
+  /// latency scaled by WorkScale for a Call, nothing for arithmetic.
+  sim::SimTime eval(const Instruction &I);
 };
+
+sim::SimTime ExecState::eval(const Instruction &I) {
+  std::int64_t R = 0;
+  sim::SimTime Lat = 0;
+  switch (I.Op) {
+  case Opcode::Const:
+    R = I.Imm;
+    break;
+  case Opcode::Add:
+    R = get(I.Uses[0]) + get(I.Uses[1]);
+    break;
+  case Opcode::Sub:
+    R = get(I.Uses[0]) - get(I.Uses[1]);
+    break;
+  case Opcode::Mul:
+    R = get(I.Uses[0]) * get(I.Uses[1]);
+    break;
+  case Opcode::Mod: {
+    std::int64_t D = get(I.Uses[1]);
+    assert(D > 0 && "mod by non-positive divisor");
+    R = get(I.Uses[0]) % D;
+    break;
+  }
+  case Opcode::Min:
+    R = std::min(get(I.Uses[0]), get(I.Uses[1]));
+    break;
+  case Opcode::Max:
+    R = std::max(get(I.Uses[0]), get(I.Uses[1]));
+    break;
+  case Opcode::CmpLt:
+    R = get(I.Uses[0]) < get(I.Uses[1]) ? 1 : 0;
+    break;
+  case Opcode::Load:
+    R = Mem.load(I.MemObject, I.Uses.empty() ? 0 : get(I.Uses[0]));
+    Lat = I.Latency;
+    break;
+  case Opcode::Store:
+    Mem.store(I.MemObject, I.Uses.size() < 2 ? 0 : get(I.Uses[0]),
+              get(I.Uses.back()));
+    return I.Latency;
+  case Opcode::Call:
+    Args.clear();
+    for (ValueId U : I.Uses)
+      Args.push_back(get(U));
+    R = evalCall(I, Args, Mem);
+    Lat = static_cast<sim::SimTime>(static_cast<double>(I.Latency) *
+                                    WorkScale);
+    break;
+  case Opcode::Phi:
+  case Opcode::Br:
+  case Opcode::CondBr:
+  case Opcode::Ret:
+    assert(false && "phis and terminators are not evaluated here");
+    return 0;
+  }
+  set(I.Def, R);
+  return Lat;
+}
 
 /// Per-task lowering data captured by the task's functor.
 struct TaskLower {
   std::shared_ptr<ExecState> St;
-  bool FullOwnership = false;
   bool IsHead = false;
-  bool OwnsTailBranch = false;
-  std::vector<char> Owned;                    ///< by instruction id
-  std::vector<std::vector<ValueId>> InVals;   ///< per in-link payload
-  std::vector<std::vector<ValueId>> OutVals;  ///< per out-link payload
+  std::vector<char> Owned;                   ///< by instruction id
+  std::vector<std::vector<ValueId>> InVals;  ///< per in-link payload
+  std::vector<std::vector<ValueId>> OutVals; ///< per out-link payload
 };
-
-std::int64_t envGet(const std::map<ValueId, std::int64_t> &Env, ValueId V) {
-  auto It = Env.find(V);
-  assert(It != Env.end() && "value not available in this task");
-  return It->second;
-}
 
 /// Executes iteration Ctx.Seq of this task's slice; fills cost, critical
 /// sections, output payloads, and the end-of-stream flag.
 void runIteration(const TaskLower &T, rt::IterationContext &Ctx) {
   ExecState &St = *T.St;
   const Loop &L = St.F.TheLoop;
-  std::map<ValueId, std::int64_t> Env = St.LiveIns;
+  St.Val = St.LiveIn;
+  St.Avail = St.LiveInAvail;
 
   // Ingest payloads (head tasks receive the raw work token instead).
   if (!T.IsHead) {
     assert(Ctx.In.size() == T.InVals.size() && "in-link payload mismatch");
     for (std::size_t I = 0; I < Ctx.In.size(); ++I) {
-      auto Vals =
-          std::static_pointer_cast<std::vector<std::int64_t>>(Ctx.In[I].Ref);
+      const auto *Vals =
+          static_cast<const std::vector<std::int64_t> *>(Ctx.In[I].Ref.get());
       assert(Vals && Vals->size() == T.InVals[I].size());
       for (std::size_t J = 0; J < T.InVals[I].size(); ++J)
-        Env[T.InVals[I][J]] = (*Vals)[J];
+        St.set(T.InVals[I][J], (*Vals)[J]);
     }
   }
-
-  auto Mine = [&](const Instruction &I) {
-    return T.FullOwnership || T.Owned[I.Id];
-  };
 
   std::int64_t Seq = static_cast<std::int64_t>(Ctx.Seq);
   sim::SimTime Cost = 0;
   std::map<int, sim::SimTime> CritCost;
-  bool ContinueCond = true;
-  bool SawTailCond = false;
 
   const BasicBlock *B = L.Header;
   unsigned Guard = 0;
@@ -367,132 +449,53 @@ void runIteration(const TaskLower &T, rt::IterationContext &Ctx) {
       const Instruction &I = *IP;
       if (I.isBranch())
         break;
-
-      if (I.isPhi()) {
-        auto Ind = St.InductionByPhi.find(I.Id);
-        if (Ind != St.InductionByPhi.end()) {
-          // Induction: every task recomputes locally from the iteration
-          // index (the relaxed recurrence of Section 4.1).
-          Env[I.Def] =
-              St.InductionInit.at(I.Id) + St.InductionStep.at(I.Id) * Seq;
-          if (Mine(I))
-            Cost += I.Latency;
-          continue;
+      const InstPlan &P = St.Plan[I.Id];
+      bool Mine = T.Owned[I.Id];
+      switch (P.R) {
+      case Role::Plain:
+        // A value this task does not own arrives by payload if it needs
+        // it.
+        if (Mine) {
+          sim::SimTime Lat = St.eval(I);
+          if (P.Critical)
+            CritCost[I.MemObject] += Lat;
+          else
+            Cost += Lat;
         }
-        if (St.RedUpdateByPhi.count(I.Id))
-          continue; // reduction phi: value lives in privatized partials
-        if (Mine(I)) {
-          // Ordinary carried phi: sequential task, iterations in order.
-          Env[I.Def] = Ctx.Seq == 0 ? St.CarriedPhiInit.at(I.Id)
-                                    : St.CarriedPhi.at(I.Id);
+        break;
+      case Role::Induction:
+        // Every task recomputes it from the iteration index (the relaxed
+        // recurrence of Section 4.1).
+        St.set(I.Def, P.Init + P.Step * Seq);
+        if (Mine)
           Cost += I.Latency;
-        }
-        continue;
-      }
-
-      // Non-induction reduction update: accumulate privately.
-      bool IsRedUpdate = false;
-      for (auto &[UpdId, Red] : St.RedByUpdate) {
-        if (UpdId != I.Id)
-          continue;
-        IsRedUpdate = true;
-        if (Mine(I)) {
-          // The non-phi operand.
-          const Instruction *Phi = St.F.instById(Red.Info.PhiId);
-          ValueId Other =
-              I.Uses[0] == Phi->Def ? I.Uses[1] : I.Uses[0];
-          Red.apply(Ctx.Slot, envGet(Env, Other));
+        break;
+      case Role::ReductionPhi:
+        break;
+      case Role::ReductionUpdate:
+        if (Mine) {
+          St.Reductions[P.Red].apply(Ctx.Slot, St.get(P.Operand));
           Cost += I.Latency;
         }
         break;
-      }
-      if (IsRedUpdate)
-        continue;
-
-      if (!Mine(I))
-        continue; // value arrives by payload if this task needs it
-
-      switch (I.Op) {
-      case Opcode::Const:
-        Env[I.Def] = I.Imm;
-        break;
-      case Opcode::Add:
-        Env[I.Def] = envGet(Env, I.Uses[0]) + envGet(Env, I.Uses[1]);
-        break;
-      case Opcode::Sub:
-        Env[I.Def] = envGet(Env, I.Uses[0]) - envGet(Env, I.Uses[1]);
-        break;
-      case Opcode::Mul:
-        Env[I.Def] = envGet(Env, I.Uses[0]) * envGet(Env, I.Uses[1]);
-        break;
-      case Opcode::Mod: {
-        std::int64_t D = envGet(Env, I.Uses[1]);
-        assert(D > 0 && "mod by non-positive divisor");
-        Env[I.Def] = envGet(Env, I.Uses[0]) % D;
-        break;
-      }
-      case Opcode::Min:
-        Env[I.Def] =
-            std::min(envGet(Env, I.Uses[0]), envGet(Env, I.Uses[1]));
-        break;
-      case Opcode::Max:
-        Env[I.Def] =
-            std::max(envGet(Env, I.Uses[0]), envGet(Env, I.Uses[1]));
-        break;
-      case Opcode::CmpLt:
-        Env[I.Def] =
-            envGet(Env, I.Uses[0]) < envGet(Env, I.Uses[1]) ? 1 : 0;
-        break;
-      case Opcode::Load: {
-        std::int64_t Idx = I.Uses.empty() ? 0 : envGet(Env, I.Uses[0]);
-        Env[I.Def] = St.Mem.load(I.MemObject, Idx);
-        // A privatized array reduction updates the worker's own copy:
-        // plain compute. The host runs one functor at a time and the
-        // loaded value feeds only the update, so updating shared memory
-        // in place leaves what merging the copies at exit would.
-        if (I.Commutative && !St.Privatized[I.Id])
-          CritCost[I.MemObject] += I.Latency;
-        else
+      case Role::CarriedPhi:
+        // Sequential task, iterations in order.
+        if (Mine) {
+          assert((Seq == 0 || P.HasLast) &&
+                 "carried phi read before its owner committed a value");
+          St.set(I.Def, Seq == 0 ? P.Init : P.Last);
           Cost += I.Latency;
+        }
         break;
-      }
-      case Opcode::Store: {
-        std::int64_t Idx =
-            I.Uses.size() < 2 ? 0 : envGet(Env, I.Uses[0]);
-        std::int64_t V = envGet(Env, I.Uses.back());
-        St.Mem.store(I.MemObject, Idx, V);
-        if (I.Commutative && !St.Privatized[I.Id])
-          CritCost[I.MemObject] += I.Latency;
-        else
-          Cost += I.Latency;
-        break;
-      }
-      case Opcode::Call: {
-        std::vector<std::int64_t> Args;
-        for (ValueId U : I.Uses)
-          Args.push_back(envGet(Env, U));
-        Env[I.Def] = evalCall(I, Args, St.Mem);
-        auto Lat = static_cast<sim::SimTime>(
-            static_cast<double>(I.Latency) * St.WorkScale);
-        if (I.Commutative && I.MemObject >= 0)
-          CritCost[I.MemObject] += Lat;
-        else
-          Cost += Lat;
-        break;
-      }
-      case Opcode::Phi:
-      case Opcode::Br:
-      case Opcode::CondBr:
-      case Opcode::Ret:
-        assert(false && "terminators and phis handled elsewhere");
       }
     }
 
     const Instruction *Term = B->terminator();
     if (B == L.Tail) {
-      if (T.FullOwnership || T.Owned[Term->Id]) {
-        ContinueCond = envGet(Env, Term->Uses[0]) != 0;
-        SawTailCond = true;
+      // Uncounted loops: the head owning the exit branch ends the stream.
+      if (T.Owned[Term->Id]) {
+        if (St.get(Term->Uses[0]) == 0 && T.IsHead)
+          Ctx.EndOfStream = true;
         Cost += Term->Latency;
       }
       break;
@@ -504,48 +507,79 @@ void runIteration(const TaskLower &T, rt::IterationContext &Ctx) {
     // In-loop conditional: follow it if the condition is available,
     // otherwise no instruction of this task lives inside the region —
     // jump straight to the join point.
-    auto It = Env.find(Term->Uses[0]);
-    if (It != Env.end()) {
-      if (T.FullOwnership || T.Owned[Term->Id])
+    ValueId Cond = Term->Uses[0];
+    if (St.Avail[Cond]) {
+      if (T.Owned[Term->Id])
         Cost += Term->Latency;
-      B = It->second != 0 ? B->Succs[0] : B->Succs[1];
+      B = St.Val[Cond] != 0 ? B->Succs[0] : B->Succs[1];
     } else {
-      B = St.IPDomInLoop.at(B);
+      B = St.IPDomInLoop[B->Id];
+      assert(B && "in-loop conditional without an in-loop join point");
     }
   }
 
   // Commit carried phis this task owns.
-  for (const auto &IP : L.Header->Insts) {
-    const Instruction &I = *IP;
-    if (!I.isPhi() || !Mine(I))
+  for (unsigned Id : St.CarriedPhis) {
+    if (!T.Owned[Id])
       continue;
-    if (St.InductionByPhi.count(I.Id) || St.RedUpdateByPhi.count(I.Id))
-      continue;
-    auto It = Env.find(I.Uses[1]);
-    assert(It != Env.end() && "carried value not computed by its task");
-    St.CarriedPhi[I.Id] = It->second;
+    InstPlan &P = St.Plan[Id];
+    assert(St.Avail[P.Operand] && "carried value not computed by its task");
+    P.Last = St.Val[P.Operand];
+    P.HasLast = true;
   }
 
-  // Uncounted loops: the task owning the exit branch ends the stream.
-  if (SawTailCond && T.IsHead && !ContinueCond)
-    Ctx.EndOfStream = true;
-
-  // Emit output payloads.
+  // Emit output payloads. A value defined on an untaken path is never
+  // read downstream; it goes as 0.
   assert(Ctx.Out.size() == T.OutVals.size() && "out-link payload mismatch");
   for (std::size_t K = 0; K < T.OutVals.size(); ++K) {
     auto Vals = std::make_shared<std::vector<std::int64_t>>();
     Vals->reserve(T.OutVals[K].size());
-    for (ValueId V : T.OutVals[K]) {
-      auto It = Env.find(V);
-      // Values defined on untaken paths are never read downstream.
-      Vals->push_back(It == Env.end() ? 0 : It->second);
-    }
+    for (ValueId V : T.OutVals[K])
+      Vals->push_back(St.Avail[V] ? St.Val[V] : 0);
     Ctx.Out[K].Ref = std::move(Vals);
   }
 
   Ctx.Cost = Cost;
   for (auto [Obj, Cycles] : CritCost)
     Ctx.Criticals.push_back({Obj, Cycles});
+}
+
+/// Evaluates the preheader (the body of Tinit) with the loop body's
+/// evaluator into the live-in template, and seeds the recurrences' and
+/// carried phis' initial values from it.
+void seedState(ExecState &St) {
+  const Loop &L = St.F.TheLoop;
+  St.Val.assign(static_cast<std::size_t>(St.F.numValues()), 0);
+  St.Avail.assign(St.Val.size(), 0);
+  if (L.Preheader)
+    for (const auto &IP : L.Preheader->Insts)
+      if (!IP->isBranch())
+        St.eval(*IP);
+  St.LiveIn = St.Val;
+  St.LiveInAvail = St.Avail;
+
+  for (const auto &IP : L.Header->Insts) {
+    const Instruction &I = *IP;
+    if (!I.isPhi())
+      continue;
+    assert(St.Avail[I.Uses[0]] && "phi initial value must be a live-in");
+    std::int64_t Init = St.Val[I.Uses[0]];
+    InstPlan &P = St.Plan[I.Id];
+    switch (P.R) {
+    case Role::Induction:
+      assert(St.Avail[P.Operand] && "induction step must be a loop live-in");
+      P.Init = Init;
+      P.Step = St.Val[P.Operand];
+      break;
+    case Role::ReductionPhi:
+      St.Reductions[P.Red].Init = Init;
+      St.Reductions[P.Red].reset();
+      break;
+    default: // CarriedPhi
+      P.Init = Init;
+      P.HasLast = false;
+    }
+  }
 }
 
 } // namespace
@@ -556,69 +590,8 @@ void runIteration(const TaskLower &T, rt::IterationContext &Ctx) {
 
 struct CompiledLoop::Impl {
   std::shared_ptr<ExecState> St;
-  std::vector<std::shared_ptr<TaskLower>> Lowerings;
   std::string Report;
 };
-
-namespace {
-
-/// Evaluates the preheader once (the body of Tinit) into live-in values,
-/// and seeds recurrence/carried-phi initial values.
-void seedState(ExecState &St) {
-  const Loop &L = St.F.TheLoop;
-  St.LiveIns.clear();
-  if (L.Preheader) {
-    std::map<ValueId, std::int64_t> Env;
-    for (const auto &IP : L.Preheader->Insts) {
-      const Instruction &I = *IP;
-      switch (I.Op) {
-      case Opcode::Const:
-        Env[I.Def] = I.Imm;
-        break;
-      case Opcode::Add:
-        Env[I.Def] = envGet(Env, I.Uses[0]) + envGet(Env, I.Uses[1]);
-        break;
-      case Opcode::Load: {
-        std::int64_t Idx = I.Uses.empty() ? 0 : envGet(Env, I.Uses[0]);
-        Env[I.Def] = St.Mem.load(I.MemObject, Idx);
-        break;
-      }
-      case Opcode::Br:
-        break;
-      default:
-        assert(false && "unsupported preheader instruction");
-      }
-    }
-    St.LiveIns = std::move(Env);
-  }
-
-  for (const auto &IP : L.Header->Insts) {
-    const Instruction &I = *IP;
-    if (!I.isPhi())
-      continue;
-    std::int64_t Init = 0;
-    auto It = St.LiveIns.find(I.Uses[0]);
-    assert(It != St.LiveIns.end() && "phi initial value must be a live-in");
-    Init = It->second;
-    if (St.InductionByPhi.count(I.Id)) {
-      St.InductionInit[I.Id] = Init;
-      ValueId StepV = St.InductionByPhi.at(I.Id).StepValue;
-      auto StepIt = St.LiveIns.find(StepV);
-      assert(StepIt != St.LiveIns.end() &&
-             "induction step must be a loop live-in");
-      St.InductionStep[I.Id] = StepIt->second;
-    } else if (St.RedUpdateByPhi.count(I.Id)) {
-      auto &Red = St.RedByUpdate.at(St.RedUpdateByPhi.at(I.Id));
-      Red.Init = Init;
-      Red.reset();
-    } else {
-      St.CarriedPhiInit[I.Id] = Init;
-    }
-  }
-  St.CarriedPhi.clear();
-}
-
-} // namespace
 
 CompiledLoop::CompiledLoop(const Function &F, AliasOracle AA,
                            std::uint64_t TripCount)
@@ -628,25 +601,47 @@ CompiledLoop::CompiledLoop(const Function &F, AliasOracle AA,
   P = std::make_unique<PDG>(F, AA);
 
   auto St = std::make_shared<ExecState>(F);
-  St->TripCount = TripCount;
-  St->TailBranch = F.TheLoop.Tail->terminator();
   I->St = St;
 
-  // Recurrence tables.
+  // The role table: recurrences, then the remaining header phis, then
+  // critical sections.
+  std::vector<InstPlan> &Plan = St->Plan;
+  Plan.resize(F.numInsts());
   for (const RecurrenceInfo &R : P->recurrences()) {
     if (R.IsInduction) {
-      St->InductionByPhi[R.PhiId] = R;
-    } else {
-      ReductionState RS;
-      RS.Info = R;
-      St->RedByUpdate.emplace(R.UpdateId, std::move(RS));
-      St->RedUpdateByPhi[R.PhiId] = R.UpdateId;
+      Plan[R.PhiId].R = Role::Induction;
+      Plan[R.PhiId].Operand = R.StepValue;
+      continue;
     }
+    unsigned Red = static_cast<unsigned>(St->Reductions.size());
+    St->Reductions.emplace_back().Kind = R.Kind;
+    Plan[R.PhiId].R = Role::ReductionPhi;
+    Plan[R.PhiId].Red = Red;
+    const Instruction *Upd = F.instById(R.UpdateId);
+    ValueId PhiV = F.instById(R.PhiId)->Def;
+    Plan[R.UpdateId].R = Role::ReductionUpdate;
+    Plan[R.UpdateId].Red = Red;
+    Plan[R.UpdateId].Operand = Upd->Uses[0] == PhiV ? Upd->Uses[1]
+                                                    : Upd->Uses[0];
   }
-
-  St->Privatized.assign(F.numInsts(), 0);
+  for (const auto &IP : F.TheLoop.Header->Insts)
+    if (IP->isPhi() && Plan[IP->Id].R == Role::Plain) {
+      Plan[IP->Id].R = Role::CarriedPhi;
+      Plan[IP->Id].Operand = IP->Uses[1];
+      St->CarriedPhis.push_back(IP->Id);
+    }
+  // A commutative access is a critical section, except the load and
+  // store of a privatized array reduction: they update the worker's own
+  // copy, so they are plain compute. The host runs one functor at a time
+  // and the loaded value feeds only the update, so updating shared memory
+  // in place leaves what merging the copies at exit would.
+  for (const auto &B : F.blocks())
+    for (const auto &IP : B->Insts)
+      Plan[IP->Id].Critical =
+          IP->Commutative &&
+          (IP->isMemory() || (IP->Op == Opcode::Call && IP->MemObject >= 0));
   for (const ArrayReductionInfo &A : P->arrayReductions())
-    St->Privatized[A.LoadId] = St->Privatized[A.StoreId] = 1;
+    Plan[A.LoadId].Critical = Plan[A.StoreId].Critical = false;
 
   // Intra-loop immediate post-dominators for path skipping.
   {
@@ -655,9 +650,9 @@ CompiledLoop::CompiledLoop(const Function &F, AliasOracle AA,
       if (B->Succs.empty())
         Sink = B.get();
     PostDominators PD(F, Sink);
+    St->IPDomInLoop.assign(F.blocks().size(), nullptr);
     for (const BasicBlock *B : F.TheLoop.Blocks)
-      if (const BasicBlock *IP = PD.ipdom(B))
-        St->IPDomInLoop[B] = IP;
+      St->IPDomInLoop[B->Id] = PD.ipdom(B);
   }
 
   seedState(*St);
@@ -681,41 +676,35 @@ CompiledLoop::CompiledLoop(const Function &F, AliasOracle AA,
     // Every exiting worker of the task owning an array reduction merges
     // its private copy: one load and one store per entry.
     for (const ArrayReductionInfo &A : P->arrayReductions())
-      if (TL->FullOwnership || TL->Owned[A.StoreId])
+      if (TL->Owned[A.StoreId])
         T.FiniCost += static_cast<sim::SimTime>(A.Extent) *
                       (F.instById(A.LoadId)->Latency +
                        F.instById(A.StoreId)->Latency);
     return T;
   };
 
+  // SEQ and DOANY run the whole body as one head task.
+  auto Whole = std::make_shared<TaskLower>();
+  Whole->St = St;
+  Whole->IsHead = true;
+  Whole->Owned.assign(F.numInsts(), 1);
+
   // --- SEQ variant (always) -------------------------------------------
   {
-    auto TL = std::make_shared<TaskLower>();
-    TL->St = St;
-    TL->FullOwnership = true;
-    TL->IsHead = true;
-    TL->OwnsTailBranch = true;
-    I->Lowerings.push_back(TL);
     rt::RegionDesc D;
     D.Name = F.name() + "-seq";
     D.S = rt::Scheme::Seq;
-    D.Tasks.push_back(MakeVariantTask(TL, "loop", rt::TaskType::Seq));
+    D.Tasks.push_back(MakeVariantTask(Whole, "loop", rt::TaskType::Seq));
     Region.addVariant(std::move(D));
     Rep += "  SEQ: 1 task\n";
   }
 
   // --- DOANY variant (Section 4.3.1) ----------------------------------
   if (P->inhibitors().empty()) {
-    auto TL = std::make_shared<TaskLower>();
-    TL->St = St;
-    TL->FullOwnership = true;
-    TL->IsHead = true;
-    TL->OwnsTailBranch = true;
-    I->Lowerings.push_back(TL);
     rt::RegionDesc D;
     D.Name = F.name() + "-doany";
     D.S = rt::Scheme::DoAny;
-    D.Tasks.push_back(MakeVariantTask(TL, "doany", rt::TaskType::Par));
+    D.Tasks.push_back(MakeVariantTask(Whole, "doany", rt::TaskType::Par));
     Region.addVariant(std::move(D));
     Rep += "  DOANY: applicable\n";
   } else {
@@ -756,7 +745,7 @@ CompiledLoop::CompiledLoop(const Function &F, AliasOracle AA,
         ValueId V = NoValue;
         if (E.Kind == DepKind::Reg) {
           // Induction-phi values are recomputed locally, never sent.
-          if (!St->InductionByPhi.count(From->Id))
+          if (St->Plan[From->Id].R != Role::Induction)
             V = From->Def;
         } else if (E.Kind == DepKind::Control) {
           V = From->Uses.empty() ? NoValue : From->Uses[0];
@@ -775,12 +764,8 @@ CompiledLoop::CompiledLoop(const Function &F, AliasOracle AA,
         TL->St = St;
         TL->IsHead = T == 0;
         TL->Owned.assign(F.numInsts(), 0);
-        for (unsigned Id : Plan.Tasks[T].InstIds) {
+        for (unsigned Id : Plan.Tasks[T].InstIds)
           TL->Owned[Id] = 1;
-          if (Id == St->TailBranch->Id)
-            TL->OwnsTailBranch = true;
-        }
-        I->Lowerings.push_back(TL);
         TLs.push_back(TL);
         D.Tasks.push_back(MakeVariantTask(
             TL, "stage" + std::to_string(T),
@@ -811,17 +796,16 @@ std::unique_ptr<rt::CountedWorkSource> CompiledLoop::makeSource() const {
 
 void CompiledLoop::resetState() {
   I->St->Mem.clear();
-  for (auto &[Id, Red] : I->St->RedByUpdate)
-    Red.reset();
   seedState(*I->St);
 }
 
 Memory &CompiledLoop::memory() { return I->St->Mem; }
 
 std::int64_t CompiledLoop::reductionValue(unsigned PhiId) const {
-  auto It = I->St->RedUpdateByPhi.find(PhiId);
-  assert(It != I->St->RedUpdateByPhi.end() && "not a reduction phi");
-  return I->St->RedByUpdate.at(It->second).merged();
+  const ExecState &St = *I->St;
+  assert(PhiId < St.Plan.size() && St.Plan[PhiId].R == Role::ReductionPhi &&
+         "not a reduction phi");
+  return St.Reductions[St.Plan[PhiId].Red].merged();
 }
 
 void CompiledLoop::setWorkScale(double S) {

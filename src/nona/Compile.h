@@ -12,7 +12,10 @@
 /// interpret their instruction slices against shared abstract memory and
 /// communicate cross-task values over the region's channels) so that
 /// semantics preservation under arbitrary reconfiguration schedules is
-/// machine-checkable.
+/// machine-checkable. Each instruction is lowered once to a role (plain,
+/// induction, reduction phi, reduction update or carried phi), and a task
+/// runs an iteration by walking the loop's blocks over one dense value
+/// frame, reset from the preheader's live-ins.
 ///
 /// The PS-DSWP partitioner implements the coalescence rules of Invariant
 /// 4.3.1: it repeatedly extracts the heaviest mergeable set of parallel

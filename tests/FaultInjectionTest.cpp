@@ -868,6 +868,45 @@ TEST(FaultInjection, WedgeRecoveryReplaysIdentically) {
   EXPECT_EQ(A.second, B.second);
 }
 
+TEST(FaultInjection, RefusedRecoveryReportsStallOnce) {
+  // A region whose tail is parallel cannot abort, so recovering from a
+  // wedge there falls back to draining into the running configuration,
+  // which the runner refuses. The wedged iteration never retires (the
+  // region hangs), but the watchdog must report that stall once and leave
+  // no recovery window open, not fire again on every stall threshold.
+  for (std::uint64_t WedgeAt : {3000ull, 12000ull}) {
+    SCOPED_TRACE("wedge at seq " + std::to_string(WedgeAt));
+    sim::Simulator Sim;
+    sim::Machine M(Sim, 8);
+    sim::FaultPlan Plan;
+    Plan.addWedge("w", WedgeAt);
+    M.installFaultPlan(std::move(Plan));
+    RuntimeCosts Costs;
+    CountedWorkSource Src(20000);
+    FlexibleRegion Region("doany");
+    for (Scheme S : {Scheme::DoAny, Scheme::Seq}) {
+      RegionDesc D;
+      D.Name = S == Scheme::Seq ? "doany-seq" : "doany-par";
+      D.S = S;
+      D.Tasks.emplace_back(S == Scheme::Seq ? "s" : "w",
+                           S == Scheme::Seq ? TaskType::Seq : TaskType::Par,
+                           [](IterationContext &C) { C.Cost = 9000; });
+      Region.addVariant(std::move(D));
+    }
+    RegionRunner Runner(M, Costs, Region, Src);
+    RegionController Ctrl(Runner);
+    Watchdog Dog(Ctrl);
+    Ctrl.start(8);
+    Dog.start();
+    Sim.runUntil(500 * sim::MSec);
+    EXPECT_FALSE(Runner.completed());
+    EXPECT_EQ(Runner.totalRetired(), 19999u);
+    EXPECT_EQ(Dog.stallsDetected(), 1u);
+    EXPECT_EQ(Dog.recoveriesPending(), 0u);
+    EXPECT_EQ(Runner.recoveries(), 0u);
+  }
+}
+
 TEST(FaultInjection, WorkScaleChangeMidChaos) {
   // Workload variation during reconfiguration chaos: costs change but
   // semantics cannot.

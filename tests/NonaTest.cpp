@@ -442,6 +442,26 @@ TEST(SemanticsTest, HistogramMinMaxBins) {
       return P;
     });
 }
+TEST(SemanticsTest, PreheaderUsesAnyOpcode) {
+  checkSemantics([] {
+    // saxpy's scale becomes a live-in the preheader computes with Sub,
+    // Mul and Min: min((bound - one) * a, 1000).
+    LoopProgram P = makeSaxpy(300);
+    Function &F = *P.F;
+    Instruction *Br = F.TheLoop.Preheader->terminator();
+    Instruction *D =
+        emitBefore(F, Br, Opcode::Sub,
+                   {instNamed(F, "bound")->Def, instNamed(F, "one")->Def}, "d");
+    Instruction *M = emitBefore(F, Br, Opcode::Mul,
+                                {D->Def, instNamed(F, "a")->Def}, "m");
+    Instruction *Cap = emitBefore(F, Br, Opcode::Const, {}, "cap");
+    Cap->Imm = 1000;
+    Instruction *S =
+        emitBefore(F, Br, Opcode::Min, {M->Def, Cap->Def}, "scale");
+    instNamed(F, "y")->Uses[1] = S->Def;
+    return P;
+  });
+}
 
 //===----------------------------------------------------------------------===//
 // Performance shape
