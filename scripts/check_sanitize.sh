@@ -21,6 +21,12 @@
 #     array-reduction recognizers over edited IR, the compiled tasks'
 #     per-iteration engine (runIteration) on every variant, and the
 #     reference interpreter that evaluates the IR over dense value slots;
+#   * the Controller, Power and Stats suites — the controller's search
+#     bound reads a live execution's TaskStats at the end of a scheme's
+#     search; the machine reaches its energy meter through a raw pointer
+#     that the meter's destructor must clear; and the SLO probe's
+#     order-statistics tree (RankedSamples) is erased by key as its
+#     window expires;
 #   * bench_checkpoint end to end in all three modes (hot restart,
 #     warning drain, live serve migration);
 #   * bench_resilience end to end (the legacy mixed-fault scenario) plus
@@ -71,7 +77,7 @@ if ! build; then
 fi
 
 "$BUILDDIR/tests/parcae_tests" \
-  --gtest_filter='Checkpoint*:FaultInjection*:ServeLoop*:ChunkPolicy*:QueueWorkSource*:Machine*:ChunkedPipeline*:PdgTest*:CompileTest*:SemanticsTest*:CompiledPerf*:Space/NonaSemanticsProperty*' \
+  --gtest_filter='Checkpoint*:FaultInjection*:ServeLoop*:ChunkPolicy*:QueueWorkSource*:Machine*:ChunkedPipeline*:PdgTest*:CompileTest*:SemanticsTest*:CompiledPerf*:Space/NonaSemanticsProperty*:Controller*:Power*:Stats*' \
   --gtest_brief=1 ||
   fail "unit suites reported a failure (or a sanitizer fired)"
 

@@ -89,6 +89,17 @@ public:
            static_cast<double>(S.Iterations);
   }
 
+  /// Average cycles one iteration of a task occupies its thread: compute
+  /// plus communication plus Morta/Decima overhead. The controller's
+  /// search bound divides the thread budget by this.
+  static double getIterationCost(const RegionExec &R, unsigned TaskIdx) {
+    const TaskStats &S = R.stats(TaskIdx);
+    if (S.Iterations == 0)
+      return 0.0;
+    return static_cast<double>(S.ComputeTime + S.CommTime + S.OverheadTime) /
+           static_cast<double>(S.Iterations);
+  }
+
   /// Current workload on a task — the paper's Parcae::getLoad.
   static double getLoad(const RegionExec &R, unsigned TaskIdx) {
     return R.loadOf(TaskIdx);

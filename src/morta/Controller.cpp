@@ -402,9 +402,10 @@ void RegionController::finishSchemeSearch(double Thr) {
     if (BetterThr || SameThrFewerThreads)
       Best = SchemeBest;
   }
-  if (nextScheme())
+  if (!remainingSchemesCannotWin() && nextScheme())
     return;
-  // All schemes explored: enforce the best configuration and monitor.
+  // All schemes explored, or none left can win: enforce the best
+  // configuration and monitor.
   Cache.push_back({Budget, Best.C, Best.Thr, BudgetLimited});
   PARCAE_TRACE(
       Tel, instant(TelPid, telemetry::TidController, "ctrl", "enforce",
@@ -417,6 +418,46 @@ void RegionController::finishSchemeSearch(double Thr) {
   enterMonitor();
   if (OnOptimized)
     OnOptimized(Best.C.totalThreads());
+}
+
+bool RegionController::remainingSchemesCannotWin() {
+  // Work conservation: B busy threads retire at most B / W iterations per
+  // second, where W is the time one iteration occupies a thread. A
+  // one-task scheme's W is a floor on every other scheme's: PS-DSWP
+  // charges the same instructions once, in their owning stage, and adds
+  // per-stage hooks and link traffic on top.
+  if (SchemeIdx + 1 >= SchemesToTry.size())
+    return false;
+  const RegionExec *E = Runner.exec();
+  if (!E || E->config().S != SchemeBest.C.S || E->desc().numTasks() != 1)
+    return false;
+  double Cycles = Decima::getIterationCost(*E, 0);
+  if (Cycles <= 0)
+    return false; // nothing retired yet
+  double W = Cycles * sim::toSeconds(sim::NSec);
+  // No later search leaves the budget, except a scheme whose sequential
+  // tasks alone overfill it, which stays at its starting point.
+  unsigned Threads = Budget;
+  for (std::size_t I = SchemeIdx + 1; I < SchemesToTry.size(); ++I)
+    Threads =
+        std::max(Threads, defaultConfigFor(SchemesToTry[I]).totalThreads());
+  double Ceiling = Threads / W;
+  // Neither acceptance test of finishSchemeSearch can pass below the
+  // ceiling: no configuration is faster by the slack, and none with fewer
+  // threads comes within it.
+  double FewerCeiling = (Best.C.totalThreads() - 1) / W;
+  if (Ceiling > (1 + ThreadSavingSlack) * Best.Thr ||
+      FewerCeiling > (1 - ThreadSavingSlack) * Best.Thr)
+    return false;
+  PARCAE_TRACE(
+      Tel, instant(TelPid, telemetry::TidController, "ctrl", "search_bound",
+                   {telemetry::TraceArg::str("best", Best.C.str()),
+                    telemetry::TraceArg::num("thr", Best.Thr),
+                    telemetry::TraceArg::num("ceiling", Ceiling),
+                    telemetry::TraceArg::num("iter_cost_ns", Cycles),
+                    telemetry::TraceArg::num(
+                        "skipped", SchemesToTry.size() - SchemeIdx - 1)}));
+  return true;
 }
 
 bool RegionController::nextScheme() {

@@ -17,7 +17,9 @@
 ///   State 4 (MONITOR)   passively watches throughput and triggers
 ///                       re-calibration on workload or resource change.
 ///
-/// All parallel schemes the region exposes are explored; the best
+/// The parallel schemes the region exposes are explored in turn, until a
+/// one-task scheme's measured per-iteration cost shows that no scheme
+/// left could beat the best so far (a work-conservation bound); the best
 /// configuration (possibly SEQ, if no parallel scheme is profitable) is
 /// enforced. Optimized configurations are cached per thread budget and
 /// reused on re-entry, as Section 6.4.2 describes.
@@ -172,6 +174,11 @@ private:
   void stepOptimize(double Thr);
   void stepOptimizeNextTask(double BaseThr);
   bool nextScheme();
+  /// True when the scheme just searched has one task and its measured
+  /// per-iteration cost bounds every remaining scheme below what
+  /// finishSchemeSearch would accept over Best; the search then ends
+  /// without calibrating them.
+  bool remainingSchemesCannotWin();
   RegionConfig defaultConfigFor(Scheme S) const;
   /// Picks the configuration to resume a restored/migrated region under:
   /// the cache entry for the effective budget if one exists (updating

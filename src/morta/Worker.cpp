@@ -11,7 +11,7 @@ Worker::Worker(RegionExec &R, unsigned TaskIdx, unsigned Slot,
                std::uint64_t CursorFrom)
     : R(R), TaskIdx(TaskIdx), Slot(Slot), T(R.Desc.Tasks[TaskIdx]),
       IsHead(TaskIdx == 0), IsTail(TaskIdx + 1 == R.Desc.numTasks()),
-      CursorFrom(CursorFrom) {
+      CursorFrom(CursorFrom), Transients(R.machine().transientsOf(T.name())) {
   SendBufs.resize(R.outLinks(TaskIdx).size());
 }
 
@@ -371,7 +371,13 @@ Action Worker::runFunctor(sim::Machine &M) {
   // of this (task, seq) fault before the functor runs. Burn the attempt
   // cost, back off exponentially, retry. The functor only ever executes
   // on the first non-faulting attempt — exactly once per iteration.
-  if (Attempt < M.transientFailCount(T.name(), Cursor)) {
+  unsigned FailCount = 0;
+  if (Transients) {
+    auto It = Transients->find(Cursor);
+    if (It != Transients->end())
+      FailCount = It->second;
+  }
+  if (Attempt < FailCount) {
     ++Attempt;
     R.noteFault(TaskIdx, Cursor, Attempt);
     unsigned Shift = std::min(Attempt - 1, 16u);

@@ -147,6 +147,9 @@ private:
   bool Wedged = false;
   sim::Waitable WedgeHang;
 
+  /// This task's planned transient faults, looked up once at
+  /// construction (null: none planned).
+  const sim::TransientFaults *Transients;
   // Transient-fault retry state. Attempt counts tries of the current
   // iteration; it resets when a new iteration is claimed, so the functor
   // runs exactly once per iteration — on the first non-faulting attempt.

@@ -281,12 +281,13 @@ void ServeLoop::completeMember(unsigned Idx, ServeRequest &R) {
   if (C.Desc.Slo.enabled() && R.totalLatency() > C.Desc.Slo.Target)
     ++C.Stats.SloViolations;
 
-  C.RecentSec.emplace_back(R.CompletedAt, sim::toSeconds(R.totalLatency()));
+  C.RecentSec.emplace_back(
+      R.CompletedAt, C.RecentRanked.insert(sim::toSeconds(R.totalLatency())));
   while (C.RecentSec.size() > ClassState::RecentCap ||
          (!C.RecentSec.empty() &&
           C.RecentSec.front().first + ClassState::RecentWindow <
               R.CompletedAt))
-    C.RecentSec.pop_front();
+    C.dropOldestRecent();
   C.RecentDirty = true;
 
   finalize(Idx, R);
@@ -442,22 +443,15 @@ double ServeLoop::recentLatencySec(unsigned Idx, double P) const {
   assert(Idx < Classes.size());
   const ClassState &C = *Classes[Idx];
   while (!C.RecentSec.empty() &&
-         C.RecentSec.front().first + ClassState::RecentWindow < Sim.now()) {
-    C.RecentSec.pop_front();
-    C.RecentDirty = true;
-  }
+         C.RecentSec.front().first + ClassState::RecentWindow < Sim.now())
+    C.dropOldestRecent();
   double Lat = -1.0;
   if (!C.RecentSec.empty()) {
-    // The arbiter probes every tick. Select only when the window changed
-    // (or a different percentile is asked for): a linear nth_element
-    // over a scratch copy, not a sort — the percentile is nearest-rank,
-    // so selection returns the same value (pinned by
-    // recentProbeSelections()).
+    // The arbiter probes every tick. Query the ranked window only when it
+    // changed (or a different percentile is asked for); the count is
+    // pinned by recentProbeSelections().
     if (C.RecentDirty || P != C.RecentP) {
-      C.RecentScratch.clear();
-      for (const auto &E : C.RecentSec)
-        C.RecentScratch.push_back(E.second);
-      C.RecentValue = selectPercentile(C.RecentScratch, P);
+      C.RecentValue = C.RecentRanked.percentile(P);
       C.RecentP = P;
       C.RecentDirty = false;
       ++C.RecentSelections;

@@ -46,6 +46,7 @@
 #include "serve/Batch.h"
 #include "sim/Faults.h"
 #include "sim/Machine.h"
+#include "support/RankedSamples.h"
 #include "support/Stats.h"
 
 #include <cstdint>
@@ -142,9 +143,9 @@ public:
   /// class has no signal yet.
   double recentLatencySec(unsigned Idx, double P) const;
 
-  /// Percentile selections the recent-latency probe performed for this
-  /// class: stays flat across repeated same-percentile probes between
-  /// completions (regression tests pin this).
+  /// Percentile queries the recent-latency probe made against its window
+  /// for this class: stays flat across repeated same-percentile probes
+  /// between completions (regression tests pin this).
   std::uint64_t recentProbeSelections(unsigned Idx) const;
 
   /// Fires once per finished request (completed, shed, or rejected) —
@@ -196,24 +197,33 @@ private:
     unsigned Budget = 1;
     ClassStats Stats;
     BatchStats BStats;
-    /// (completion time, total latency in seconds) of recent
-    /// completions: the SLO probe's window. Time-bounded so the signal
-    /// decays when load changes — a count-bounded window would keep
-    /// reading overload-era latencies long after recovery. mutable:
-    /// probes prune expired entries from const accessors.
+    /// (completion time, key of its total latency in RecentRanked) of
+    /// recent completions, oldest first: the SLO probe's window.
+    /// Time-bounded so the signal decays when load changes — a
+    /// count-bounded window would keep reading overload-era latencies
+    /// long after recovery. mutable: probes prune expired entries from
+    /// const accessors.
     static constexpr sim::SimTime RecentWindow = 150 * sim::MSec;
     static constexpr std::size_t RecentCap = 512;
-    mutable std::deque<std::pair<sim::SimTime, double>> RecentSec;
-    /// The last probe's answer: percentile RecentP of the window,
-    /// selected (not sorted) from a scratch copy. Reused until the window
-    /// changes or another percentile is asked for, so the arbiter's
-    /// per-tick probes between completions cost nothing. mutable for the
-    /// same reason as RecentSec.
-    mutable std::vector<double> RecentScratch;
+    mutable std::deque<std::pair<sim::SimTime, RankedSamples::Key>> RecentSec;
+    /// The window's latencies in seconds, ranked: a probe reads its
+    /// percentile in O(log n).
+    mutable RankedSamples RecentRanked;
+    /// The last probe's answer: percentile RecentP of the window. Reused
+    /// until the window changes or another percentile is asked for, so
+    /// the arbiter's per-tick probes between completions cost nothing.
+    /// mutable for the same reason as RecentSec.
     mutable double RecentP = -1.0;
     mutable double RecentValue = 0.0;
     mutable bool RecentDirty = true;
     mutable std::uint64_t RecentSelections = 0;
+
+    /// Drops the oldest completion from the window.
+    void dropOldestRecent() const {
+      RecentRanked.erase(RecentSec.front().second);
+      RecentSec.pop_front();
+      RecentDirty = true;
+    }
   };
 
   void scheduleArrival(unsigned Idx);

@@ -48,6 +48,13 @@ void FaultPlan::scatterDomain(std::uint64_t Seed, std::string Name,
   addDomain(std::move(Name), std::move(All), At, Downtime, Warning);
 }
 
+std::size_t FaultPlan::numTransients() const {
+  std::size_t N = 0;
+  for (const auto &[Task, Faults] : Transients)
+    N += Faults.size();
+  return N;
+}
+
 std::size_t FaultPlan::numOfflineEvents() const {
   std::size_t N = Offlines.size();
   for (const FailureDomainEvent &D : Domains)
@@ -58,7 +65,7 @@ std::size_t FaultPlan::numOfflineEvents() const {
 void FaultPlan::addTransient(std::string Task, std::uint64_t Seq,
                              unsigned FailCount) {
   assert(FailCount >= 1 && "a transient fault fails at least once");
-  Transients[{std::move(Task), Seq}] = FailCount;
+  Transients[std::move(Task)][Seq] = FailCount;
 }
 
 void FaultPlan::addWedge(std::string Task, std::uint64_t Seq) {
@@ -118,8 +125,16 @@ SimTime FaultPlan::nextDilationBoundary(unsigned Core, SimTime Now) const {
 
 unsigned FaultPlan::transientFailCount(const std::string &Task,
                                        std::uint64_t Seq) const {
-  auto It = Transients.find({Task, Seq});
-  return It == Transients.end() ? 0 : It->second;
+  const TransientFaults *T = transientsOf(Task);
+  if (!T)
+    return 0;
+  auto It = T->find(Seq);
+  return It == T->end() ? 0 : It->second;
+}
+
+const TransientFaults *FaultPlan::transientsOf(const std::string &Task) const {
+  auto It = Transients.find(Task);
+  return It == Transients.end() ? nullptr : &It->second;
 }
 
 bool FaultPlan::wedgeAt(const std::string &Task, std::uint64_t Seq) const {

@@ -80,13 +80,10 @@ struct RepairEvent {
   SimTime At = 0;
 };
 
-/// A task instance (identified by task name and region-global iteration
-/// index) whose first FailCount execution attempts fault.
-struct TransientFault {
-  std::string Task;
-  std::uint64_t Seq = 0;
-  unsigned FailCount = 1;
-};
+/// One task's transient faults: for each faulting instance (by
+/// region-global iteration index), how many of its first execution
+/// attempts fault.
+using TransientFaults = std::map<std::uint64_t, unsigned>;
 
 /// A task instance that wedges: the worker about to run it hangs forever
 /// (stuck in user code, never returning to the runtime) instead of
@@ -170,6 +167,10 @@ public:
   unsigned transientFailCount(const std::string &Task,
                               std::uint64_t Seq) const;
 
+  /// \p Task's transient faults, or null when it has none. Workers look
+  /// this up once and then index it by iteration.
+  const TransientFaults *transientsOf(const std::string &Task) const;
+
   /// True when the plan wedges iteration \p Seq of \p Task.
   bool wedgeAt(const std::string &Task, std::uint64_t Seq) const;
 
@@ -178,7 +179,7 @@ public:
   const std::vector<FailureDomainEvent> &domains() const { return Domains; }
   const std::vector<RepairEvent> &repairs() const { return Repairs; }
   const std::vector<WedgeFault> &wedges() const { return Wedges; }
-  std::size_t numTransients() const { return Transients.size(); }
+  std::size_t numTransients() const;
 
   /// Cores the plan ever offlines, counting each domain member (a core may
   /// be counted twice if named by both an OfflineFault and a domain).
@@ -195,7 +196,8 @@ private:
   std::vector<FailureDomainEvent> Domains;
   std::vector<RepairEvent> Repairs;
   std::vector<WedgeFault> Wedges;
-  std::map<std::pair<std::string, std::uint64_t>, unsigned> Transients;
+  /// Transient faults by task, then by iteration.
+  std::map<std::string, TransientFaults> Transients;
 };
 
 } // namespace parcae::sim

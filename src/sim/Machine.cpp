@@ -2,6 +2,8 @@
 
 #include "sim/Machine.h"
 
+#include "sim/Power.h"
+
 #include <algorithm>
 
 using namespace parcae::sim;
@@ -134,8 +136,8 @@ SimTime Machine::busyCoreTime() const {
 void Machine::setBusyCount(unsigned N) {
   busyCoreTime(); // settle the integral at the old count
   BusyCount = N;
-  if (OnBusyCountChange)
-    OnBusyCountChange(N);
+  if (Meter)
+    Meter->onBusyChange(N);
 }
 
 void Machine::wake(SimThread *T) {

@@ -40,6 +40,7 @@
 
 namespace parcae::sim {
 
+class EnergyMeter;
 class Machine;
 class SimThread;
 
@@ -237,16 +238,12 @@ public:
   /// number of threads alive at once, not the number ever spawned.
   std::size_t threadRecords() const { return Threads.size(); }
 
-  /// Invoked whenever the number of busy cores changes; used by the power
-  /// meter. Receives the *previous* count's end time implicitly via now().
-  std::function<void(unsigned NewBusyCount)> OnBusyCountChange;
-
   // --- Fault model (sim/Faults.h) --------------------------------------
 
   /// Installs a fault plan: offline, domain, and repair events are
   /// scheduled on the simulator, straggler windows dilate slices, and
-  /// workers query transient faults via transientFailCount(). Call before
-  /// the run starts.
+  /// workers query transient faults via transientsOf(). Call before the
+  /// run starts.
   void installFaultPlan(FaultPlan Plan);
   const FaultPlan *faultPlan() const { return Plan ? &*Plan : nullptr; }
 
@@ -299,11 +296,11 @@ public:
   /// latency is measured against this).
   SimTime lastOfflineAt() const { return LastOfflineAt; }
 
-  /// Transient-fault query for workers: attempts of (\p Task, \p Seq) that
-  /// fault before one succeeds (0 when no plan is installed).
-  unsigned transientFailCount(const std::string &Task,
-                              std::uint64_t Seq) const {
-    return Plan ? Plan->transientFailCount(Task, Seq) : 0;
+  /// Transient-fault query for workers: \p Task's planned transient
+  /// faults, or null when it has none (or no plan is installed). The
+  /// table lives as long as the machine.
+  const TransientFaults *transientsOf(const std::string &Task) const {
+    return Plan ? Plan->transientsOf(Task) : nullptr;
   }
 
   /// Consuming wedge query: true the first time it is called for a
@@ -426,6 +423,11 @@ private:
   std::set<std::pair<std::string, std::uint64_t>> FiredWedges;
   bool InDispatch = false;
   bool DispatchPending = false;
+  /// The power meter (sim/Power.h) called directly whenever the number
+  /// of busy cores changes, or null. EnergyMeter attaches itself on
+  /// construction and detaches on destruction.
+  friend class EnergyMeter;
+  EnergyMeter *Meter = nullptr;
   // Busy-core-time integral bookkeeping.
   mutable SimTime BusyIntegral = 0;
   mutable SimTime BusyIntegralLast = 0;

@@ -7,8 +7,13 @@ using namespace parcae::sim;
 EnergyMeter::EnergyMeter(Machine &M, PowerModel Model)
     : M(M), Model(Model), BusyCores(M.busyCores()),
       LastChange(M.sim().now()) {
-  assert(!M.OnBusyCountChange && "machine already has an energy meter");
-  M.OnBusyCountChange = [this](unsigned NewBusy) { onBusyChange(NewBusy); };
+  assert(!M.Meter && "machine already has an energy meter");
+  M.Meter = this;
+}
+
+EnergyMeter::~EnergyMeter() {
+  assert(M.Meter == this && "energy meter detached behind its back");
+  M.Meter = nullptr;
 }
 
 double EnergyMeter::joules() const {

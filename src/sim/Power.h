@@ -43,8 +43,13 @@ struct PowerModel {
 /// Integrates machine power over time and reports instantaneous draw.
 class EnergyMeter {
 public:
-  /// Attaches to \p M's busy-count callback. At most one meter per machine.
+  /// Attaches to \p M, which then reports every busy-count change to this
+  /// meter. At most one meter per machine; the destructor detaches it, so
+  /// another meter may attach later.
   EnergyMeter(Machine &M, PowerModel Model);
+  ~EnergyMeter();
+  EnergyMeter(const EnergyMeter &) = delete;
+  EnergyMeter &operator=(const EnergyMeter &) = delete;
 
   /// Instantaneous draw right now.
   double currentWatts() const { return Model.watts(BusyCores); }
@@ -53,6 +58,7 @@ public:
   const PowerModel &model() const { return Model; }
 
 private:
+  friend class Machine; // reports busy-count changes
   void onBusyChange(unsigned NewBusy);
 
   Machine &M;

@@ -51,24 +51,10 @@ void Histogram::add(double X) {
   }
 }
 
-namespace {
-/// Zero-based index of the nearest-rank percentile \p P among \p N > 0
-/// ordered samples.
-std::size_t nearestRankIndex(std::size_t N, double P) {
+std::size_t parcae::nearestRankIndex(std::size_t N, double P) {
   double Rank = std::ceil(P / 100.0 * static_cast<double>(N));
   return Rank <= 1 ? 0
                    : std::min(static_cast<std::size_t>(Rank), N) - 1;
-}
-} // namespace
-
-double parcae::selectPercentile(std::vector<double> &V, double P) {
-  assert(P >= 0 && P <= 100 && "percentile must be in [0, 100]");
-  if (V.empty())
-    return 0.0;
-  auto Nth = V.begin() +
-             static_cast<std::ptrdiff_t>(nearestRankIndex(V.size(), P));
-  std::nth_element(V.begin(), Nth, V.end());
-  return *Nth;
 }
 
 double SampleSet::percentile(double P) const {

@@ -72,11 +72,9 @@ private:
   bool Seeded = false;
 };
 
-/// Nearest-rank percentile \p P in [0, 100] of \p V by selection
-/// (std::nth_element): the value SampleSet::percentile returns for the
-/// same samples, in linear time instead of a sort. Reorders \p V; returns
-/// 0 when it is empty.
-double selectPercentile(std::vector<double> &V, double P);
+/// Zero-based index of the nearest-rank percentile \p P in [0, 100] among
+/// \p N > 0 ordered samples.
+std::size_t nearestRankIndex(std::size_t N, double P);
 
 /// Holds all samples; answers percentile queries. Used only by benchmark
 /// harnesses, where sample counts are small.

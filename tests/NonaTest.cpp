@@ -532,6 +532,59 @@ TEST(CompiledPerf, ControllerPicksParallelScheme) {
   EXPECT_GT(R.BestThroughput, R.SeqThroughput * 2);
 }
 
+namespace {
+/// Trace entries of a controlled run that ran PS-DSWP.
+unsigned psDswpEntries(const ControlledRunResult &R) {
+  unsigned N = 0;
+  for (const auto &E : R.Trace)
+    N += E.C.S == rt::Scheme::PsDswp;
+  return N;
+}
+} // namespace
+
+TEST(CompiledPerf, LinearDoAnySkipsPsDswpSearch) {
+  // These loops reach DOANY<16> at the rate their measured per-iteration
+  // cost allows 16 threads. No PS-DSWP configuration can do better, so
+  // the controller never calibrates one.
+  const std::pair<const char *, std::function<LoopProgram()>> Loops[] = {
+      {"saxpy", [] { return makeSaxpy(20000); }},
+      {"histogram", [] { return makeHistogram(20000, 64); }},
+      {"branchy", [] { return makeBranchy(20000); }},
+  };
+  for (const auto &[Name, Make] : Loops) {
+    LoopProgram Ref = Make();
+    Memory RefMem = CompiledLoop::interpret(*Ref.F, Ref.TripCount);
+    LoopProgram P = Make();
+    CompiledLoop CL(*P.F, P.AA, P.TripCount);
+    ControlledRunResult R = runControlled(CL, 16);
+    ASSERT_TRUE(R.Completed) << Name << ": " << R.Stall;
+    EXPECT_EQ(R.Final.str(), "DOANY<16>") << Name;
+    EXPECT_EQ(psDswpEntries(R), 0u) << Name;
+    EXPECT_TRUE(CL.memory() == RefMem) << Name;
+  }
+}
+
+TEST(CompiledPerf, LockBoundDoAnyStillSearchesPsDswp) {
+  // With inc a Mul the bin update stays a critical section (see
+  // CompileTest.ArrayReductionNearMissesStayCriticalSections). DOANY is
+  // then lock-bound far below what its per-iteration cost would allow
+  // 16 threads, so the bound rules nothing out and PS-DSWP is searched.
+  auto Make = [] {
+    LoopProgram P = makeHistogram(20000, 64);
+    instNamed(*P.F, "inc")->Op = Opcode::Mul;
+    return P;
+  };
+  LoopProgram Ref = Make();
+  Memory RefMem = CompiledLoop::interpret(*Ref.F, Ref.TripCount);
+  LoopProgram P = Make();
+  CompiledLoop CL(*P.F, P.AA, P.TripCount);
+  ControlledRunResult R = runControlled(CL, 16);
+  ASSERT_TRUE(R.Completed) << R.Stall;
+  EXPECT_GT(psDswpEntries(R), 0u);
+  EXPECT_EQ(R.Final.str(), "DOANY<3>");
+  EXPECT_TRUE(CL.memory() == RefMem);
+}
+
 TEST(CompiledPerf, ControllerKeepsSeqForSeqchain) {
   LoopProgram P = makeSeqchain(20000);
   CompiledLoop CL(*P.F, P.AA, P.TripCount);

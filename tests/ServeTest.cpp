@@ -14,6 +14,7 @@
 #include "serve/Arrival.h"
 #include "serve/ServeLoop.h"
 #include "sim/Machine.h"
+#include "support/RankedSamples.h"
 #include "support/Rng.h"
 #include "support/Stats.h"
 
@@ -926,26 +927,35 @@ TEST(Stats, PercentileCacheSortsOncePerMutation) {
   EXPECT_EQ(S.sortsPerformed(), 3u);
 }
 
-TEST(Stats, SelectPercentileMatchesSortedPercentile) {
-  // Nearest rank makes selection exact: every percentile of every size
-  // agrees with the sorted set, duplicates included.
+TEST(Stats, RankedSamplesMatchSortedPercentile) {
+  // Nearest rank makes the order statistic exact: every percentile of
+  // every size agrees with the sorted set, duplicates included, and
+  // still does once the older half is erased by key (the SLO window
+  // expires its oldest completions).
   Rng R(7);
+  const double Ps[] = {0.0, 1.0, 33.3, 50.0, 95.0, 99.0, 99.9, 100.0};
   for (std::size_t N : {1u, 2u, 3u, 10u, 511u, 512u}) {
-    SampleSet S;
-    std::vector<double> V;
+    SampleSet S, Newer;
+    RankedSamples T;
+    std::vector<RankedSamples::Key> Keys;
     for (std::size_t I = 0; I < N; ++I) {
       double X = static_cast<double>(R.nextBelow(50));
       S.add(X);
-      V.push_back(X);
+      if (I >= N / 2)
+        Newer.add(X);
+      Keys.push_back(T.insert(X));
     }
-    for (double P : {0.0, 1.0, 33.3, 50.0, 95.0, 99.0, 99.9, 100.0}) {
-      std::vector<double> Copy = V;
-      EXPECT_EQ(selectPercentile(Copy, P), S.percentile(P))
-          << "n=" << N << " p=" << P;
-    }
+    for (double P : Ps)
+      EXPECT_EQ(T.percentile(P), S.percentile(P)) << "n=" << N << " p=" << P;
+    for (std::size_t I = 0; I < N / 2; ++I)
+      T.erase(Keys[I]);
+    ASSERT_EQ(T.size(), Newer.count());
+    for (double P : Ps)
+      EXPECT_EQ(T.percentile(P), Newer.percentile(P))
+          << "after erasing, n=" << N << " p=" << P;
   }
-  std::vector<double> Empty;
-  EXPECT_EQ(selectPercentile(Empty, 95), 0.0);
+  RankedSamples Empty;
+  EXPECT_EQ(Empty.percentile(95), 0.0);
 }
 
 TEST(Stats, HistogramExposesPercentileSorts) {

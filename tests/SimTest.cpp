@@ -847,6 +847,37 @@ TEST(Power, EnergyIntegration) {
   EXPECT_NEAR(Meter.currentWatts(), 100.0, 1e-9); // idle again
 }
 
+TEST(Power, MeterDetachesOnDestruction) {
+  // A meter destroyed before its machine detaches: busy work after it
+  // reaches no dead meter, and a later meter attaches and integrates its
+  // own lifetime only.
+  Simulator Sim;
+  Machine M(Sim, 2);
+  PowerModel PM;
+  PM.StaticWatts = 100;
+  PM.PerCoreActiveWatts = 10;
+  {
+    EnergyMeter First(M, PM);
+    M.spawn("a", std::make_unique<BurstBody>(1, Sec));
+    Sim.run();
+    EXPECT_NEAR(First.joules(), 110.0, 1e-6);
+  }
+  // Both cores busy for a second with no meter attached.
+  M.spawn("b", std::make_unique<BurstBody>(1, Sec));
+  M.spawn("c", std::make_unique<BurstBody>(1, Sec));
+  Sim.run();
+  SimTime AttachedAt = Sim.now();
+  SimTime BusyAtAttach = M.busyCoreTime();
+  EnergyMeter Second(M, PM);
+  M.spawn("d", std::make_unique<BurstBody>(1, Sec));
+  Sim.run();
+  double Own = 100 * toSeconds(Sim.now() - AttachedAt) +
+               10 * toSeconds(M.busyCoreTime() - BusyAtAttach);
+  EXPECT_NEAR(Second.joules(), Own, 1e-6);
+  EXPECT_LT(Second.joules(), 111.0); // not the two seconds before it
+  EXPECT_NEAR(Second.currentWatts(), 100.0, 1e-9);
+}
+
 TEST(Power, PduSamplerRate) {
   Simulator Sim;
   Machine M(Sim, 1);
