@@ -27,6 +27,10 @@
 #     that the meter's destructor must clear; and the SLO probe's
 #     order-statistics tree (RankedSamples) is erased by key as its
 #     window expires;
+#   * the PlatformTenants and PlatformDaemon suites — a queued arrival
+#     enters the platform daemon, whose onBudget calls back into the
+#     serve loop's pump inside the same arrival event, and the daemon
+#     reuses its rebalance working sets across those calls;
 #   * bench_checkpoint end to end in all three modes (hot restart,
 #     warning drain, live serve migration);
 #   * bench_resilience end to end (the legacy mixed-fault scenario) plus
@@ -45,6 +49,9 @@
 # fails the script. halt_on_error keeps the first report fatal rather
 # than a warning stream.
 #
+# The build runs at most min(4, nproc) compiles at once: one ASan test TU
+# peaks near 0.9 GB, and an unbounded -j starts every ready one together.
+#
 # Usage: check_sanitize.sh <source-dir> [build-dir]
 
 set -euo pipefail
@@ -60,9 +67,12 @@ fail() {
 export ASAN_OPTIONS=halt_on_error=1:detect_leaks=0
 export UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1
 
+JOBS=$(nproc 2>/dev/null || echo 1)
+JOBS=$((JOBS > 4 ? 4 : JOBS))
+
 build() {
   cmake -B "$BUILDDIR" -S "$SRCDIR" -DPARCAE_SANITIZE=ON >/dev/null &&
-    cmake --build "$BUILDDIR" -j \
+    cmake --build "$BUILDDIR" -j "$JOBS" \
       --target parcae_tests bench_checkpoint bench_resilience \
       bench_serve bench_simcore >/dev/null
 }
@@ -77,7 +87,7 @@ if ! build; then
 fi
 
 "$BUILDDIR/tests/parcae_tests" \
-  --gtest_filter='Checkpoint*:FaultInjection*:ServeLoop*:ChunkPolicy*:QueueWorkSource*:Machine*:ChunkedPipeline*:PdgTest*:CompileTest*:SemanticsTest*:CompiledPerf*:Space/NonaSemanticsProperty*:Controller*:Power*:Stats*' \
+  --gtest_filter='Checkpoint*:FaultInjection*:ServeLoop*:ChunkPolicy*:QueueWorkSource*:Machine*:ChunkedPipeline*:PdgTest*:CompileTest*:SemanticsTest*:CompiledPerf*:Space/NonaSemanticsProperty*:Controller*:Power*:Stats*:PlatformTenants*:PlatformDaemon*' \
   --gtest_brief=1 ||
   fail "unit suites reported a failure (or a sanitizer fired)"
 

@@ -3,6 +3,7 @@
 #include "morta/Platform.h"
 
 #include <algorithm>
+#include <limits>
 
 using namespace parcae::rt;
 
@@ -179,7 +180,26 @@ void PlatformDaemon::onOptimized(PlatformTenant *T, unsigned Used) {
   rebalance();
 }
 
-void PlatformDaemon::rebalance() {
+void PlatformDaemon::pullDemand() {
+  // Controller tenants return their last OPTIMIZE report, serving tenants
+  // their live demand; mirrors onOptimized's damping reset.
+  for (Entry &E : Programs) {
+    unsigned U = E.T->threadsUsed();
+    if (U != E.Used) {
+      E.ShrunkToFit = false;
+      E.Used = U;
+    }
+  }
+}
+
+void PlatformDaemon::reportDemand() {
+  if (!ArbiterOn || InRebalance)
+    return;
+  pullDemand();
+  rebalance("demand");
+}
+
+void PlatformDaemon::rebalance(const char *Why) {
   // onBudget can synchronously re-enter through OnOptimized (a
   // config-cache hit reports immediately); coalesce nested requests.
   if (InRebalance) {
@@ -190,19 +210,20 @@ void PlatformDaemon::rebalance() {
   unsigned Rounds = 0;
   do {
     RebalancePending = false;
-    rebalanceOnce();
+    rebalanceOnce(Why);
     assert(++Rounds < 1000 && "platform rebalance did not converge");
   } while (RebalancePending);
   InRebalance = false;
 }
 
-void PlatformDaemon::rebalanceOnce() {
+void PlatformDaemon::rebalanceOnce(const char *Why) {
   // Algorithm 5: shrink each tenant that reported needing fewer threads
   // than its budget, collect the slack, and hand it to tenants that
   // consumed their entire share (they may benefit from more).
-  std::vector<Entry *> Hungry;
+  Hungry.clear();
+  Notify.clear();
+  NewBudget.resize(Programs.size());
   unsigned Committed = 0;
-  std::vector<unsigned> NewBudget(Programs.size());
   for (std::size_t I = 0; I < Programs.size(); ++I) {
     Entry &E = Programs[I];
     NewBudget[I] = E.Budget;
@@ -226,7 +247,6 @@ void PlatformDaemon::rebalanceOnce() {
         --Rem;
     }
   }
-  std::vector<Entry *> Notify;
   for (std::size_t I = 0; I < Programs.size(); ++I) {
     Entry &E = Programs[I];
     if (NewBudget[I] == E.Budget)
@@ -240,7 +260,7 @@ void PlatformDaemon::rebalanceOnce() {
     Notify.push_back(&E);
   }
   if (!Notify.empty())
-    traceBudgets("rebalance");
+    traceBudgets(Why);
   for (Entry *E : Notify)
     E->T->onBudget(E->Budget, false);
 }
@@ -257,16 +277,10 @@ void PlatformDaemon::startArbiter(sim::Simulator &Sim, sim::SimTime Period) {
 void PlatformDaemon::arbiterTick(sim::Simulator &Sim, sim::SimTime Period) {
   if (!ArbiterOn)
     return;
-  // Pull phase: refresh every tenant's reported need (controller tenants
-  // return their last OPTIMIZE report, serving tenants their live
-  // demand), mirroring onOptimized's damping reset.
-  for (Entry &E : Programs) {
-    unsigned U = E.T->threadsUsed();
-    if (U != E.Used) {
-      E.ShrunkToFit = false;
-      E.Used = U;
-    }
-  }
+  // The tick keeps its pull beside reportDemand: queued arrivals fire only
+  // while some class is backlogged, so without the tick a class that
+  // went idle would keep its budget until another class queues.
+  pullDemand();
   rebalance();
   sloRebalanceOnce();
   Sim.schedule(Period, [this, &Sim, Period] { arbiterTick(Sim, Period); });
@@ -338,12 +352,21 @@ void PlatformDaemon::sloRebalanceOnce() {
       moveThread(I, Lender, "return");
   }
 
-  // Violation pass: each SLO-violating tenant takes one thread per tick
-  // from the best donor — tenants without an SLO first (they promised no
-  // latency), then SLO tenants with the most headroom.
+  // Violation pass: each SLO-violating tenant that can use another
+  // thread takes one per tick from the best donor — tenants without an
+  // SLO first (they promised no latency), then SLO tenants with the most
+  // headroom, and last any tenant with a looser target, whatever its own
+  // latency (deadline-monotonic: under overload the tighter SLO wins
+  // instead of the split freezing). A violator that does not want more
+  // (a serving class with nothing queued and a free slot) cannot get
+  // faster with more budget, and Algorithm 5 would shrink the grant back
+  // on the next tick.
   for (std::size_t I = 0; I < Programs.size(); ++I) {
     if (Ratio[I] <= 1.0) // meeting, no data, or no SLO
       continue;
+    if (!Programs[I].T->wantsMore())
+      continue;
+    double Target = Programs[I].T->sloTargetSec();
     std::size_t Donor = Programs.size();
     double DonorKey = 0;
     for (std::size_t J = 0; J < Programs.size(); ++J) {
@@ -355,6 +378,8 @@ void PlatformDaemon::sloRebalanceOnce() {
         Key = -1.0; // best donors: no latency promise
       else if (Ratio[J] >= 0 && Ratio[J] <= DonorHeadroom)
         Key = Ratio[J];
+      else if (T->sloTargetSec() > Target)
+        Key = std::numeric_limits<double>::infinity(); // last resort
       else
         continue; // violating, near target, or no data: not a donor
       if (Donor == Programs.size() || Key < DonorKey ||

@@ -19,8 +19,12 @@
 /// latency SLO (p-th percentile of response time <= target); a periodic
 /// arbiter tick then reallocates budget from SLO-meeting tenants to
 /// SLO-violating ones under overload — latency, not just reported thread
-/// need, becomes a first-class arbitration goal. Every SLO-driven
-/// transfer is recorded in a budget timeline and traced.
+/// need, becomes a first-class arbitration goal. When every SLO tenant
+/// violates, a looser target gives way to a tighter one (deadline-
+/// monotonic). Every SLO-driven transfer is recorded in a budget timeline
+/// and traced. A serving tenant that has to queue work reports it at
+/// once (reportDemand), the way a controller reports its optimum, so
+/// unassigned threads reach it without waiting for the tick.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -53,8 +57,9 @@ public:
 
   /// Threads the tenant currently needs/uses; 0 means "unknown yet"
   /// (the daemon then neither shrinks nor grows it). Polled on every
-  /// arbiter tick; controller tenants report the value of their last
-  /// OPTIMIZE pass instead, preserving Algorithm 5's event-driven flow.
+  /// arbiter tick and reportDemand(); controller tenants report the value
+  /// of their last OPTIMIZE pass instead, preserving Algorithm 5's
+  /// event-driven flow.
   virtual unsigned threadsUsed() const = 0;
 
   /// True when more threads than the current budget would help (the
@@ -103,6 +108,12 @@ public:
   void startArbiter(sim::Simulator &Sim, sim::SimTime Period = sim::MSec);
   void stopArbiter() { ArbiterOn = false; }
 
+  /// A tenant has to queue work now: pull every tenant's need and run the
+  /// Algorithm 5 rebalance at once, as a controller's OPTIMIZE report
+  /// does, instead of waiting for the next tick. Does nothing unless the
+  /// arbiter is running and no rebalance is in progress.
+  void reportDemand();
+
   unsigned totalThreads() const { return TotalThreads; }
   unsigned numPrograms() const {
     return static_cast<unsigned>(Programs.size());
@@ -148,8 +159,12 @@ private:
   void unregisterEntry(std::size_t Idx);
   void partition();
   void onOptimized(PlatformTenant *T, unsigned Used);
-  void rebalance();
-  void rebalanceOnce();
+  /// Refreshes every tenant's reported need from threadsUsed(), resetting
+  /// the shrink-to-fit damping where it changed.
+  void pullDemand();
+  /// \p Why names the trigger in the repartition trace.
+  void rebalance(const char *Why = "rebalance");
+  void rebalanceOnce(const char *Why);
   void arbiterTick(sim::Simulator &Sim, sim::SimTime Period);
   /// One SLO pass: hand-backs first, then meeting->violating transfers.
   void sloRebalanceOnce();
@@ -160,6 +175,10 @@ private:
   std::vector<Entry> Programs;
   std::vector<std::unique_ptr<ControllerTenant>> Adapters;
   std::vector<SloTransfer> Transfers;
+  /// rebalanceOnce's working sets, kept across calls: the demand path
+  /// runs it on every queued arrival. rebalance() never nests it.
+  std::vector<Entry *> Hungry, Notify;
+  std::vector<unsigned> NewBudget;
   bool InRebalance = false;
   bool RebalancePending = false;
   bool ArbiterOn = false;

@@ -417,6 +417,19 @@ struct TaskLower {
   std::vector<std::vector<ValueId>> OutVals; ///< per out-link payload
 };
 
+/// Adds \p Lat to the critical section on \p Obj among Crit[Base, end),
+/// which stay in ascending object order: the order the worker runs them.
+void addCritical(std::vector<rt::CriticalSection> &Crit, std::size_t Base,
+                 int Obj, sim::SimTime Lat) {
+  auto It = std::lower_bound(
+      Crit.begin() + static_cast<std::ptrdiff_t>(Base), Crit.end(), Obj,
+      [](const rt::CriticalSection &C, int O) { return C.LockId < O; });
+  if (It != Crit.end() && It->LockId == Obj)
+    It->Cycles += Lat;
+  else
+    Crit.insert(It, {Obj, Lat});
+}
+
 /// Executes iteration Ctx.Seq of this task's slice; fills cost, critical
 /// sections, output payloads, and the end-of-stream flag.
 void runIteration(const TaskLower &T, rt::IterationContext &Ctx) {
@@ -439,7 +452,7 @@ void runIteration(const TaskLower &T, rt::IterationContext &Ctx) {
 
   std::int64_t Seq = static_cast<std::int64_t>(Ctx.Seq);
   sim::SimTime Cost = 0;
-  std::map<int, sim::SimTime> CritCost;
+  const std::size_t CritBase = Ctx.Criticals.size();
 
   const BasicBlock *B = L.Header;
   unsigned Guard = 0;
@@ -458,7 +471,7 @@ void runIteration(const TaskLower &T, rt::IterationContext &Ctx) {
         if (Mine) {
           sim::SimTime Lat = St.eval(I);
           if (P.Critical)
-            CritCost[I.MemObject] += Lat;
+            addCritical(Ctx.Criticals, CritBase, I.MemObject, Lat);
           else
             Cost += Lat;
         }
@@ -540,8 +553,6 @@ void runIteration(const TaskLower &T, rt::IterationContext &Ctx) {
   }
 
   Ctx.Cost = Cost;
-  for (auto [Obj, Cycles] : CritCost)
-    Ctx.Criticals.push_back({Obj, Cycles});
 }
 
 /// Evaluates the preheader (the body of Tinit) with the loop body's

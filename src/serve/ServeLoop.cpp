@@ -180,6 +180,11 @@ void ServeLoop::arrive(unsigned Idx) {
     CntAdmitted->add();
   C.Queue.push_back(std::move(Req));
   pump(Idx);
+  // The request had to queue: report the backlog now, so threads no
+  // class is using reach this one within the arrival, not at the next
+  // arbiter tick.
+  if (!C.Queue.empty())
+    Daemon.reportDemand();
 }
 
 unsigned ServeLoop::slotsFor(const ClassState &C) const {

@@ -26,7 +26,9 @@
 ///
 /// The class's tenant reports its live thread demand (queue + in-service)
 /// to the daemon and exposes its windowed SLO latency; the daemon's SLO
-/// pass then moves budget toward violating classes under overload.
+/// pass then moves budget toward violating classes under overload. An
+/// arrival that has to queue asks the daemon to re-partition at once
+/// (PlatformDaemon::reportDemand) instead of waiting for its next tick.
 ///
 /// Everything runs on the simulator's virtual clock from caller-provided
 /// seeds, so a same-seed replay is byte-identical.

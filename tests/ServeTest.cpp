@@ -3,9 +3,11 @@
 // Tests of the open-loop serving layer: seeded arrival processes (Poisson,
 // bursty, trace replay + CSV parsing), admission control, the ServeLoop
 // broker end-to-end on a small machine, and the platform daemon's tenant
-// interface — slack handoff, the ShrunkToFit oscillation guard, and the
+// interface — slack handoff, the ShrunkToFit oscillation guard, the
+// demand path that hands unassigned threads to a queued arrival, and the
 // SLO arbitration pass (violator gains from meeter, hand-back on load
-// drop) — plus the percentile-cache regression for the stats layer.
+// drop, the looser target giving way to the tighter one) — plus the
+// percentile-cache regression for the stats layer.
 //
 //===----------------------------------------------------------------------===//
 
@@ -714,6 +716,58 @@ TEST(ServeLoop, RecentLatencyProbeSelectsOncePerCompletion) {
   EXPECT_EQ(Serve.recentProbeSelections(Idx), 3u);
 }
 
+TEST(ServeLoop, QueuedArrivalTakesUnassignedThreadsAtOnce) {
+  sim::Simulator Sim;
+  sim::Machine M(Sim, 8);
+  rt::RuntimeCosts Costs;
+  rt::PlatformDaemon Daemon(8);
+  ServeLoop Serve(M, Costs, Daemon);
+
+  auto Class = [](const char *Name) {
+    RequestClassDesc D;
+    D.Name = Name;
+    D.MakeRegion = [Name](const ServeRequest &) {
+      return makeServiceRegion(Name, 60000);
+    };
+    D.ItersPerRequest = 32; // about 1 ms on one 2-wide runner
+    D.Config = {rt::Scheme::DoAny, {2}};
+    return D;
+  };
+  unsigned Api = Serve.addClass(Class("api"));
+  unsigned Batch = Serve.addClass(Class("batch"));
+  ASSERT_EQ(Serve.budgetOf(Api), 4u);
+
+  // Idle, both classes report one runner's worth: the first tick shrinks
+  // each to fit and leaves half the machine unassigned.
+  Daemon.startArbiter(Sim, sim::MSec);
+  Sim.runUntil(2 * sim::MSec + 500 * sim::USec);
+  ASSERT_EQ(Serve.budgetOf(Api), 2u);
+  ASSERT_EQ(Serve.budgetOf(Batch), 2u);
+
+  // Two api requests in one event, halfway between ticks: the first
+  // takes the class's only slot, the second queues and must be handed
+  // the unassigned threads within the same arrival.
+  std::vector<ServeRequest> Done;
+  Serve.OnRequestDone = [&](const ServeRequest &R) { Done.push_back(R); };
+  unsigned BudgetAfter = 0;
+  Sim.schedule(0, [&] {
+    EXPECT_TRUE(Serve.inject(Api));
+    EXPECT_TRUE(Serve.inject(Api));
+    BudgetAfter = Serve.budgetOf(Api);
+  });
+  Sim.runUntil(10 * sim::MSec);
+  Daemon.stopArbiter();
+  Sim.run();
+
+  EXPECT_GT(BudgetAfter, 2u);
+  ASSERT_EQ(Done.size(), 2u);
+  for (const ServeRequest &R : Done) {
+    EXPECT_EQ(R.StartedAt, R.ArrivedAt) << "request " << R.Id << " queued";
+    EXPECT_EQ(R.ArrivedAt, 2 * sim::MSec + 500 * sim::USec);
+  }
+  EXPECT_EQ(Serve.stats(Api).QueueWaitUs.max(), 0.0);
+}
+
 //===----------------------------------------------------------------------===//
 // PlatformDaemon tenants and SLO arbitration
 //===----------------------------------------------------------------------===//
@@ -813,6 +867,7 @@ TEST(PlatformTenants, SloViolatorGainsFromMeeterThenHandsBack) {
   Meet.HasSlo = true;
   Meet.TargetSec = 1.0;
   Meet.LatencySec = 0.2; // ratio 0.2: donor headroom
+  Viol.WantsMore = true;
   Daemon.addTenant(Viol);
   Daemon.addTenant(Meet);
   ASSERT_EQ(Viol.Budget, 4u);
@@ -882,6 +937,7 @@ TEST(PlatformTenants, NoSloTenantIsThePreferredDonor) {
   Meet.HasSlo = true;
   Meet.TargetSec = 1.0;
   Meet.LatencySec = 0.1;
+  Viol.WantsMore = true;
   Daemon.addTenant(Viol);
   Daemon.addTenant(Meet);
   Daemon.addTenant(Plain);
@@ -894,6 +950,87 @@ TEST(PlatformTenants, NoSloTenantIsThePreferredDonor) {
   // that is merely meeting its own target.
   EXPECT_EQ(Daemon.sloTransfers().front().From, "plain");
   EXPECT_EQ(Daemon.sloTransfers().front().To, "viol");
+}
+
+TEST(PlatformTenants, TighterTargetTakesFromLooserViolator) {
+  // Both violate, so neither has headroom to give: the looser target is
+  // the last-resort donor of the tighter one, and never the reverse.
+  auto Violate = [](FakeTenant &T, double Target) {
+    T.HasSlo = true;
+    T.WantsMore = true;
+    T.TargetSec = Target;
+    T.LatencySec = 2 * Target; // ratio 2.0
+  };
+  {
+    sim::Simulator Sim;
+    rt::PlatformDaemon Daemon(8);
+    FakeTenant Tight("tight"), Loose("loose");
+    Violate(Tight, 0.010);
+    Violate(Loose, 0.060);
+    Daemon.addTenant(Loose);
+    Daemon.addTenant(Tight);
+    ASSERT_EQ(Tight.Budget, 4u);
+
+    Daemon.startArbiter(Sim, sim::MSec);
+    for (unsigned Tick = 1; Tick <= 3; ++Tick) {
+      Sim.runUntil(Tick * sim::MSec + sim::USec);
+      EXPECT_EQ(Tight.Budget, 4u + Tick);
+      EXPECT_EQ(Loose.Budget, 4u - Tick);
+    }
+    // The looser tenant is at the minimum budget; more ticks move
+    // nothing, in either direction, while both still violate.
+    Sim.runUntil(10 * sim::MSec);
+    Daemon.stopArbiter();
+    EXPECT_EQ(Tight.Budget, 7u);
+    EXPECT_EQ(Loose.Budget, 1u);
+    ASSERT_EQ(Daemon.sloTransfers().size(), 3u);
+    for (const auto &T : Daemon.sloTransfers()) {
+      EXPECT_EQ(T.From, "loose");
+      EXPECT_EQ(T.To, "tight");
+      EXPECT_STREQ(T.Why, "violation");
+    }
+  }
+  {
+    // Equal targets: neither is looser, so neither donates.
+    sim::Simulator Sim;
+    rt::PlatformDaemon Daemon(8);
+    FakeTenant A("a"), B("b");
+    Violate(A, 0.010);
+    Violate(B, 0.010);
+    Daemon.addTenant(A);
+    Daemon.addTenant(B);
+    Daemon.startArbiter(Sim, sim::MSec);
+    Sim.runUntil(5 * sim::MSec);
+    Daemon.stopArbiter();
+    EXPECT_TRUE(Daemon.sloTransfers().empty());
+    EXPECT_EQ(A.Budget, 4u);
+    EXPECT_EQ(B.Budget, 4u);
+  }
+}
+
+TEST(PlatformTenants, ViolatorThatCannotUseThreadsTakesNone) {
+  sim::Simulator Sim;
+  rt::PlatformDaemon Daemon(8);
+  // The violator has nothing it could run on another thread (a serving
+  // class with an empty queue and a free slot): a donor with headroom
+  // stands by, but no thread moves.
+  FakeTenant Viol("viol"), Meet("meet");
+  Viol.HasSlo = true;
+  Viol.TargetSec = 1.0;
+  Viol.LatencySec = 2.0;
+  Viol.WantsMore = false;
+  Meet.HasSlo = true;
+  Meet.TargetSec = 1.0;
+  Meet.LatencySec = 0.2;
+  Daemon.addTenant(Viol);
+  Daemon.addTenant(Meet);
+
+  Daemon.startArbiter(Sim, sim::MSec);
+  Sim.runUntil(5 * sim::MSec);
+  Daemon.stopArbiter();
+  EXPECT_TRUE(Daemon.sloTransfers().empty());
+  EXPECT_EQ(Viol.Budget, 4u);
+  EXPECT_EQ(Meet.Budget, 4u);
 }
 
 //===----------------------------------------------------------------------===//
