@@ -15,13 +15,15 @@
 // the daemon's SLO pass moves budget from the (SLO-meeting) batch class
 // to the violating api class, the early-drop policy sheds requests whose
 // queue wait already blew the deadline, and goodput holds instead of
-// collapsing. When the load drops the lent budget flows back.
+// collapsing. When the load drops, Algorithm 5's shrink-to-fit returns
+// the won budget: api shrinks to its need and batch takes the slack.
 //
 // The run prints a per-phase latency/goodput table, the SLO budget-
-// transfer timeline, and a SERVE: OK/FAIL verdict; --json emits the
-// machine-readable summary scripts/bench_json.sh collects. Everything is
-// seeded and virtual-time-driven: the same --seed gives byte-identical
-// output (scripts/check_serve.sh asserts this over a seed sweep).
+// transfer timeline (counted per phase), and a SERVE: OK/FAIL verdict;
+// --json emits the machine-readable summary scripts/bench_json.sh
+// collects. Everything is seeded and virtual-time-driven: the same --seed
+// gives byte-identical output (scripts/check_serve.sh asserts this over a
+// seed sweep).
 //
 // --batch runs the same seeded scenario twice — unbatched baseline, then
 // with per-class BatchPolicy coalescing — and reports the goodput speedup,
@@ -291,24 +293,25 @@ ScenarioOut runScenario(std::uint64_t Seed, bool Batched, int Straggler = 0) {
   }
 
   // --- SLO budget-transfer timeline ------------------------------------
+  // Counted by the phase each transfer lands in (drain time counts as
+  // recovery), so stdout shows whether loans come in overload or after.
   const auto &Transfers = Daemon.sloTransfers();
-  std::uint64_t ToApi = 0, Returns = 0;
+  std::uint64_t ToApi = 0, ByPhase[NumPhases] = {};
   for (const auto &T : Transfers) {
-    if (std::string(T.Why) == "return")
-      ++Returns;
-    else if (T.To == "api")
+    if (T.To == "api")
       ++ToApi;
+    ++ByPhase[phaseOf(T.At)];
   }
-  std::printf("\n   slo timeline: %zu transfer(s), %llu toward api, %llu"
-              " hand-back(s)\n",
+  std::printf("\n   slo timeline: %zu transfer(s), %llu toward api; by"
+              " phase: %s %llu, %s %llu, %s %llu",
               Transfers.size(), static_cast<unsigned long long>(ToApi),
-              static_cast<unsigned long long>(Returns));
-  std::size_t Show = Transfers.size() < 8 ? Transfers.size() : 8;
-  for (std::size_t I = 0; I < Show; ++I)
-    std::printf("     [%8.2f ms] %s -> %s %u thread(s) (%s)\n",
-                ms(Transfers[I].At), Transfers[I].From.c_str(),
-                Transfers[I].To.c_str(), Transfers[I].Threads,
-                Transfers[I].Why);
+              PhaseNames[0], static_cast<unsigned long long>(ByPhase[0]),
+              PhaseNames[1], static_cast<unsigned long long>(ByPhase[1]),
+              PhaseNames[2], static_cast<unsigned long long>(ByPhase[2]));
+  if (!Transfers.empty())
+    std::printf("; first %.2f ms, last %.2f ms", ms(Transfers.front().At),
+                ms(Transfers.back().At));
+  std::printf("\n");
   std::printf("   budgets at phase ends: api %u/%u/%u, batch %u/%u/%u\n",
               Snaps[0][0].Budget, Snaps[0][1].Budget, Snaps[0][2].Budget,
               Snaps[1][0].Budget, Snaps[1][1].Budget, Snaps[1][2].Budget);

@@ -12,6 +12,8 @@
 #     byte-identical (seeded arrivals on virtual time => same world);
 #   * the table shows the load story directly: no under-load violations
 #     for either class, and non-zero shedding in the api overload row;
+#   * the SLO timeline's per-phase transfer counts add up to its total,
+#     on every run the output prints;
 #   * the trace shows the arbitration story: repartition instants and
 #     slo_transfer instants, with admission + transfer counters in the
 #     metrics dump.
@@ -80,6 +82,11 @@ for S in 7 21 42; do
   # Budget moved toward the violating class under overload.
   grep -Eq 'slo timeline: [1-9][0-9]* transfer\(s\), [1-9][0-9]* toward api' \
     "$OUT" || fail "seed $S: no SLO transfer toward the api class"
+  # Every transfer lands in exactly one phase (batch mode prints two
+  # timelines; each must add up).
+  sed -nE 's/.*slo timeline: ([0-9]+) transfer\(s\),.* by phase: under ([0-9]+), overload ([0-9]+), recovery ([0-9]+).*/\1 \2 \3 \4/p' \
+    "$OUT" | awk 'NF == 4 && $1 == $2 + $3 + $4 { ok++ } END { exit (NR > 0 && ok == NR) ? 0 : 1 }' ||
+    fail "seed $S: SLO timeline phase counts do not sum to its total"
 done
 
 TRACE="$WORKDIR/serve.42.1.trace.json"

@@ -91,9 +91,7 @@ public:
   void reconfigure(LaneConfig C);
 
   const LaneConfig &config() const { return Config; }
-  const LaneAppParams &params() const { return Params; }
   RegionRunner &runner() { return *Runner; }
-  std::uint64_t completedRequests() const { return Runner->totalRetired(); }
 
   /// Per-request execution time under inner DoP \p L (Figure 2.4(a)).
   sim::SimTime execTime(unsigned L) const;

@@ -172,17 +172,6 @@ public:
                                unsigned ThreadBudget = 0,
                                const rt::WatchdogParams *Watchdog = nullptr);
 
-  /// The watchdog of the current launch, if one was armed.
-  rt::Watchdog *watchdog() { return Dog.get(); }
-
-  // --- Fault counters (Decima-facing) ----------------------------------
-  /// Transient fault attempts observed across the launched region.
-  std::uint64_t faultsObserved() const {
-    return Runner ? Runner->totalFaults() : 0;
-  }
-  /// Abortive recoveries the region went through.
-  unsigned recoveries() const { return Runner ? Runner->recoveries() : 0; }
-
   // --- Figure 5.8: application features --------------------------------
   /// Average compute cycles per instance of \p T in the running region.
   double getExecTime(const Task *T) const;

@@ -175,9 +175,6 @@ public:
 
   std::uint64_t remaining() const { return N - Next; }
 
-  /// Extends the iteration count (used by open-ended controller runs).
-  void extend(std::uint64_t More) { N += More; }
-
   /// Counted pulls carry no payload, so rewinding is just moving the
   /// cursor back. A rewind deeper than the pull history is refused
   /// instead of asserted: in release builds the assert would vanish and

@@ -86,8 +86,6 @@ public:
     return Op == Opcode::Load || Op == Opcode::Store;
   }
   bool isBranch() const { return isTerminator(Op); }
-  bool writesMemory() const { return Op == Opcode::Store; }
-  bool readsMemory() const { return Op == Opcode::Load; }
 };
 
 /// A basic block: instructions plus CFG edges.

@@ -13,9 +13,6 @@ namespace {
 /// to give a thread away (headroom so the transfer does not immediately
 /// create a second violator).
 constexpr double DonorHeadroom = 0.75;
-/// A tenant that gained SLO budget returns it once its latency falls to
-/// or below this fraction of its target (load dropped).
-constexpr double ReturnHeadroom = 0.5;
 /// Minimum budget any tenant is left with after donating.
 constexpr unsigned MinBudget = 1;
 } // namespace
@@ -165,7 +162,6 @@ void PlatformDaemon::partition() {
       --Rem;
     E.Used = 0;
     E.ShrunkToFit = false;
-    E.SloNet = 0;
   }
 }
 
@@ -304,26 +300,21 @@ void PlatformDaemon::sloRebalanceOnce() {
   }
 
   std::vector<Entry *> Changed;
-  auto moveThread = [&](std::size_t From, std::size_t To, const char *Why) {
+  auto moveThread = [&](std::size_t From, std::size_t To) {
     Entry &D = Programs[From], &V = Programs[To];
     --D.Budget;
     ++V.Budget;
-    --D.SloNet;
-    ++V.SloNet;
     // The donor was shrunk by fiat, not by its own report: damp its
     // hunger so the classic pass does not immediately claw the thread
     // back; the recipient re-plans for the bigger share.
     D.ShrunkToFit = true;
     V.Used = 0;
     V.ShrunkToFit = false;
-    Transfers.push_back(
-        {Now, D.T->tenantName(), V.T->tenantName(), 1, Why});
+    Transfers.push_back({Now, D.T->tenantName(), V.T->tenantName()});
     if (Tel) {
       Tel->instant(TelPid, 0, "platform", "slo_transfer",
                    {telemetry::TraceArg::str("from", D.T->tenantName()),
-                    telemetry::TraceArg::str("to", V.T->tenantName()),
-                    telemetry::TraceArg::str("why", Why),
-                    telemetry::TraceArg::num("threads", 1)});
+                    telemetry::TraceArg::str("to", V.T->tenantName())});
       Tel->metrics().counter("platform.slo_transfers").add();
     }
     if (std::find(Changed.begin(), Changed.end(), &D) == Changed.end())
@@ -331,26 +322,6 @@ void PlatformDaemon::sloRebalanceOnce() {
     if (std::find(Changed.begin(), Changed.end(), &V) == Changed.end())
       Changed.push_back(&V);
   };
-
-  // Hand-back pass: a tenant that gained SLO budget and now sits
-  // comfortably inside its target (load dropped) returns one thread per
-  // tick to the most SLO-indebted lender.
-  for (std::size_t I = 0; I < Programs.size(); ++I) {
-    Entry &E = Programs[I];
-    if (E.SloNet <= 0 || E.Budget <= MinBudget)
-      continue;
-    if (Ratio[I] < 0 || Ratio[I] > ReturnHeadroom)
-      continue;
-    std::size_t Lender = Programs.size();
-    int MostLent = 0;
-    for (std::size_t J = 0; J < Programs.size(); ++J)
-      if (J != I && Programs[J].SloNet < MostLent) {
-        MostLent = Programs[J].SloNet;
-        Lender = J;
-      }
-    if (Lender < Programs.size())
-      moveThread(I, Lender, "return");
-  }
 
   // Violation pass: each SLO-violating tenant that can use another
   // thread takes one per tick from the best donor — tenants without an
@@ -387,7 +358,7 @@ void PlatformDaemon::sloRebalanceOnce() {
         Donor = J, DonorKey = Key;
     }
     if (Donor < Programs.size())
-      moveThread(Donor, I, "violation");
+      moveThread(Donor, I);
   }
 
   if (Changed.empty())

@@ -21,9 +21,11 @@
 /// SLO-violating ones under overload — latency, not just reported thread
 /// need, becomes a first-class arbitration goal. When every SLO tenant
 /// violates, a looser target gives way to a tighter one (deadline-
-/// monotonic). Every SLO-driven transfer is recorded in a budget timeline
-/// and traced. A serving tenant that has to queue work reports it at
-/// once (reportDemand), the way a controller reports its optimum, so
+/// monotonic). A tenant whose need drops gives the won threads back the
+/// way every tenant does, through Algorithm 5's shrink-to-fit. Every
+/// SLO-driven transfer is recorded in a budget timeline and traced. A
+/// serving tenant that has to queue work reports it at once
+/// (reportDemand), the way a controller reports its optimum, so
 /// unassigned threads reach it without waiting for the tick.
 ///
 //===----------------------------------------------------------------------===//
@@ -70,11 +72,9 @@ public:
 
   /// True when this tenant carries a latency SLO.
   virtual bool hasSlo() const { return false; }
-  /// SLO target in seconds at sloPercentile().
+  /// SLO target in seconds at the SLO's percentile.
   virtual double sloTargetSec() const { return 0.0; }
-  /// Percentile the SLO is stated over (e.g. 95).
-  virtual double sloPercentile() const { return 95.0; }
-  /// Measured latency at sloPercentile() over a recent window, in
+  /// Measured latency at the SLO's percentile over a recent window, in
   /// seconds; negative when no data has been observed yet.
   virtual double sloLatencySec() const { return -1.0; }
 };
@@ -101,10 +101,11 @@ public:
   void removeTenant(PlatformTenant &T);
 
   /// Starts the periodic arbiter: every \p Period the daemon polls each
-  /// tenant's thread need, runs the Algorithm 5 rebalance, and then the
-  /// SLO pass (transfers from SLO-meeting to SLO-violating tenants and
-  /// the reverse hand-back when load drops). The daemon must outlive the
-  /// simulator run; stopArbiter() halts rescheduling.
+  /// tenant's thread need, runs the Algorithm 5 rebalance (which also
+  /// shrinks a former violator back to its need when load drops), and
+  /// then the SLO pass (transfers from SLO-meeting to SLO-violating
+  /// tenants). The daemon must outlive the simulator run; stopArbiter()
+  /// halts rescheduling.
   void startArbiter(sim::Simulator &Sim, sim::SimTime Period = sim::MSec);
   void stopArbiter() { ArbiterOn = false; }
 
@@ -115,22 +116,17 @@ public:
   void reportDemand();
 
   unsigned totalThreads() const { return TotalThreads; }
-  unsigned numPrograms() const {
-    return static_cast<unsigned>(Programs.size());
-  }
 
   /// The current budget assigned to a registered program.
   unsigned budgetOf(const RegionController &C) const;
   /// The current budget assigned to a registered tenant.
   unsigned budgetOf(const PlatformTenant &T) const;
 
-  /// One SLO-driven budget move (the budget-timeline telemetry record).
+  /// One SLO-driven move of one thread from a donor to a violator (the
+  /// budget-timeline telemetry record).
   struct SloTransfer {
     sim::SimTime At;
     std::string From, To;
-    unsigned Threads;
-    /// "violation" (meeting -> violating) or "return" (hand-back).
-    const char *Why;
   };
   /// Every SLO-driven transfer so far, in time order.
   const std::vector<SloTransfer> &sloTransfers() const { return Transfers; }
@@ -150,9 +146,6 @@ private:
     /// it is not "hungry" again until it reports a different need (this
     /// breaks grow/shrink oscillation through the config cache).
     bool ShrunkToFit = false;
-    /// Net threads gained (+) or lent (-) through SLO transfers; drives
-    /// the hand-back when load drops.
-    int SloNet = 0;
   };
 
   void registerEntry(Entry E, PlatformTenant &Newcomer);
@@ -166,7 +159,8 @@ private:
   void rebalance(const char *Why = "rebalance");
   void rebalanceOnce(const char *Why);
   void arbiterTick(sim::Simulator &Sim, sim::SimTime Period);
-  /// One SLO pass: hand-backs first, then meeting->violating transfers.
+  /// One SLO pass: each violator that wants more takes one thread from
+  /// its best donor.
   void sloRebalanceOnce();
   /// Telemetry: one repartition instant carrying every tenant's budget.
   void traceBudgets(const char *Why);

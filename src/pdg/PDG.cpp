@@ -42,13 +42,6 @@ PDG::PDG(const Function &F, const AliasOracle &AA) {
   condense();
 }
 
-const RecurrenceInfo *PDG::recurrenceFor(unsigned PhiId) const {
-  for (const RecurrenceInfo &R : Recurrences)
-    if (R.PhiId == PhiId)
-      return &R;
-  return nullptr;
-}
-
 void PDG::recognizeRecurrences(const Function &F) {
   const Loop &L = F.TheLoop;
   for (const auto &I : L.Header->Insts) {

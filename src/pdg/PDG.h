@@ -116,9 +116,6 @@ public:
     return Recurrences;
   }
 
-  /// Recognized recurrence for a phi, if any.
-  const RecurrenceInfo *recurrenceFor(unsigned PhiId) const;
-
   const std::vector<ArrayReductionInfo> &arrayReductions() const {
     return ArrayReductions;
   }

@@ -36,9 +36,6 @@ struct ServeRequest {
   bool Rejected = false;        ///< refused at arrival (queue full)
 
   bool completed() const { return CompletedAt != 0; }
-  sim::SimTime queueWait() const {
-    return (StartedAt ? StartedAt : ArrivedAt) - ArrivedAt;
-  }
   sim::SimTime totalLatency() const { return CompletedAt - ArrivedAt; }
 };
 

@@ -75,8 +75,6 @@ public:
 
   std::optional<sim::SimTime> nextDelay(sim::SimTime Now) override;
 
-  bool inBurst() const { return Burst; }
-
 private:
   double QuietRate, BurstRate;
   double MeanQuietSec, MeanBurstSec;

@@ -56,11 +56,8 @@ public:
   double sloTargetSec() const override {
     return sim::toSeconds(S.Classes[Idx]->Desc.Slo.Target);
   }
-  double sloPercentile() const override {
-    return S.Classes[Idx]->Desc.Slo.Percentile;
-  }
   double sloLatencySec() const override {
-    return S.recentLatencySec(Idx, sloPercentile());
+    return S.recentLatencySec(Idx, S.Classes[Idx]->Desc.Slo.Percentile);
   }
 
 private:
@@ -293,7 +290,6 @@ void ServeLoop::completeMember(unsigned Idx, ServeRequest &R) {
           C.RecentSec.front().first + ClassState::RecentWindow <
               R.CompletedAt))
     C.dropOldestRecent();
-  C.RecentDirty = true;
 
   finalize(Idx, R);
 }
@@ -419,11 +415,6 @@ void ServeLoop::finalize(unsigned Idx, const ServeRequest &R) {
     OnRequestDone(R);
 }
 
-const std::string &ServeLoop::className(unsigned Idx) const {
-  assert(Idx < Classes.size());
-  return Classes[Idx]->Desc.Name;
-}
-
 const ServeLoop::ClassStats &ServeLoop::stats(unsigned Idx) const {
   assert(Idx < Classes.size());
   return Classes[Idx]->Stats;
@@ -450,19 +441,7 @@ double ServeLoop::recentLatencySec(unsigned Idx, double P) const {
   while (!C.RecentSec.empty() &&
          C.RecentSec.front().first + ClassState::RecentWindow < Sim.now())
     C.dropOldestRecent();
-  double Lat = -1.0;
-  if (!C.RecentSec.empty()) {
-    // The arbiter probes every tick. Query the ranked window only when it
-    // changed (or a different percentile is asked for); the count is
-    // pinned by recentProbeSelections().
-    if (C.RecentDirty || P != C.RecentP) {
-      C.RecentValue = C.RecentRanked.percentile(P);
-      C.RecentP = P;
-      C.RecentDirty = false;
-      ++C.RecentSelections;
-    }
-    Lat = C.RecentValue;
-  }
+  double Lat = C.RecentSec.empty() ? -1.0 : C.RecentRanked.percentile(P);
   // Floor by the head-of-line wait: when requests wait faster than they
   // finish, the queue itself is the latency signal.
   if (!C.Queue.empty())
@@ -482,9 +461,4 @@ std::uint64_t ServeLoop::inFlightRequests(unsigned Idx) const {
   for (const auto &F : Classes[Idx]->Active)
     N += F->Members.size() - F->Attributed;
   return N;
-}
-
-std::uint64_t ServeLoop::recentProbeSelections(unsigned Idx) const {
-  assert(Idx < Classes.size());
-  return Classes[Idx]->RecentSelections;
 }

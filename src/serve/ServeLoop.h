@@ -124,8 +124,6 @@ public:
     Histogram TotalUs;
   };
 
-  unsigned numClasses() const { return static_cast<unsigned>(Classes.size()); }
-  const std::string &className(unsigned Idx) const;
   const ClassStats &stats(unsigned Idx) const;
   /// Batch dispatch statistics (singleton dispatches count as batches
   /// of one, so Batches always equals regions spun up for the class).
@@ -144,11 +142,6 @@ public:
   /// is visible even while completions are being shed; negative when the
   /// class has no signal yet.
   double recentLatencySec(unsigned Idx, double P) const;
-
-  /// Percentile queries the recent-latency probe made against its window
-  /// for this class: stays flat across repeated same-percentile probes
-  /// between completions (regression tests pin this).
-  std::uint64_t recentProbeSelections(unsigned Idx) const;
 
   /// Fires once per finished request (completed, shed, or rejected) —
   /// benches use it to bucket requests into load phases by arrival
@@ -211,20 +204,11 @@ private:
     /// The window's latencies in seconds, ranked: a probe reads its
     /// percentile in O(log n).
     mutable RankedSamples RecentRanked;
-    /// The last probe's answer: percentile RecentP of the window. Reused
-    /// until the window changes or another percentile is asked for, so
-    /// the arbiter's per-tick probes between completions cost nothing.
-    /// mutable for the same reason as RecentSec.
-    mutable double RecentP = -1.0;
-    mutable double RecentValue = 0.0;
-    mutable bool RecentDirty = true;
-    mutable std::uint64_t RecentSelections = 0;
 
     /// Drops the oldest completion from the window.
     void dropOldestRecent() const {
       RecentRanked.erase(RecentSec.front().second);
       RecentSec.pop_front();
-      RecentDirty = true;
     }
   };
 

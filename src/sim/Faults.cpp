@@ -26,10 +26,6 @@ void FaultPlan::addDomain(std::string Name, std::vector<unsigned> Cores,
   Domains.push_back({std::move(Name), std::move(Cores), At, Downtime, Warning});
 }
 
-void FaultPlan::addRepair(unsigned Core, SimTime At) {
-  Repairs.push_back({Core, At});
-}
-
 void FaultPlan::scatterDomain(std::uint64_t Seed, std::string Name,
                               unsigned NumCores, unsigned Size, SimTime At,
                               SimTime Downtime, SimTime Warning) {

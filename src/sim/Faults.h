@@ -23,8 +23,9 @@
 ///  * Failure domains: a named set of cores (a socket, a rack slot) fails
 ///    together at one virtual time — the correlated burst real platforms
 ///    exhibit — optionally coming back after a downtime window.
-///  * Repairs: a previously failed core re-onlines at a point in time,
-///    returning capacity the watchdog grows the thread budget back into.
+///  * Repairs: a failure domain with a downtime re-onlines its cores when
+///    the downtime ends, returning capacity the watchdog grows the thread
+///    budget back into.
 ///
 /// Everything is declared up front (or scattered from a seed), so an
 /// identical plan reproduces a byte-identical event sequence.
@@ -74,12 +75,6 @@ struct FailureDomainEvent {
   SimTime Warning = 0;
 };
 
-/// A single core re-onlining at time At (repairing an earlier offline).
-struct RepairEvent {
-  unsigned Core = 0;
-  SimTime At = 0;
-};
-
 /// One task's transient faults: for each faulting instance (by
 /// region-global iteration index), how many of its first execution
 /// attempts fault.
@@ -117,9 +112,6 @@ public:
   /// domain-warning listeners.
   void addDomain(std::string Name, std::vector<unsigned> Cores, SimTime At,
                  SimTime Downtime = 0, SimTime Warning = 0);
-
-  /// Re-onlines \p Core at time \p At (repairs an earlier offline).
-  void addRepair(unsigned Core, SimTime At);
 
   /// Adds a failure domain of \p Size distinct cores drawn deterministically
   /// from [0, NumCores) using \p Seed — the seeded counterpart of
@@ -177,7 +169,6 @@ public:
   const std::vector<StragglerFault> &stragglers() const { return Stragglers; }
   const std::vector<OfflineFault> &offlines() const { return Offlines; }
   const std::vector<FailureDomainEvent> &domains() const { return Domains; }
-  const std::vector<RepairEvent> &repairs() const { return Repairs; }
   const std::vector<WedgeFault> &wedges() const { return Wedges; }
   std::size_t numTransients() const;
 
@@ -187,14 +178,13 @@ public:
 
   bool empty() const {
     return Stragglers.empty() && Offlines.empty() && Transients.empty() &&
-           Domains.empty() && Repairs.empty() && Wedges.empty();
+           Domains.empty() && Wedges.empty();
   }
 
 private:
   std::vector<StragglerFault> Stragglers;
   std::vector<OfflineFault> Offlines;
   std::vector<FailureDomainEvent> Domains;
-  std::vector<RepairEvent> Repairs;
   std::vector<WedgeFault> Wedges;
   /// Transient faults by task, then by iteration.
   std::map<std::string, TransientFaults> Transients;

@@ -82,7 +82,6 @@ void SimThread::reincarnate(std::uint64_t NewId, std::string NewName,
   Body = std::move(NewBody);
   State = ThreadState::Ready;
   RemainingBurst = 0;
-  BusyTime = 0;
   CoreIdx = -1;
   GangHold = 0;
   PendingGang = 0;
@@ -395,7 +394,6 @@ void Machine::endSlice(unsigned CoreIdx, SimThread *T, SimTime SliceLen,
 
   assert(T->RemainingBurst >= SliceLen);
   T->RemainingBurst -= SliceLen;
-  T->BusyTime += SliceLen * (1 + T->GangHold);
   if (T->RemainingBurst == 0 && T->GangHold > 0)
     releaseGangHold(T);
   T->State = ThreadState::Ready;
@@ -513,10 +511,6 @@ void Machine::installFaultPlan(FaultPlan NewPlan) {
           onlineCore(Core);
       });
   }
-  for (const RepairEvent &R : Plan->repairs()) {
-    assert(R.Core < Cores.size() && "repair names a missing core");
-    Sim.scheduleAt(R.At, [this, Core = R.Core] { onlineCore(Core); });
-  }
   if (Tel)
     for (const StragglerFault &S : Plan->stragglers()) {
       assert(S.Core < Cores.size() && "straggler names a missing core");
@@ -550,7 +544,6 @@ void Machine::offlineCore(unsigned CoreIdx) {
           C.SliceWork);
     assert(T->RemainingBurst >= Done);
     T->RemainingBurst -= Done;
-    T->BusyTime += Done * (1 + T->GangHold);
     ++C.Epoch; // cancel the in-flight endSlice
     C.Running = nullptr;
     C.LastThreadId = T->Id;

@@ -149,13 +149,9 @@ public:
   /// Spawn-order number, unique over the machine's lifetime.
   std::uint64_t id() const { return Id; }
   ThreadState state() const { return State; }
-  /// Core the thread currently runs on, or -1 when it holds no core.
-  int coreIdx() const { return CoreIdx; }
   Machine &machine() const { return *M; }
   /// Signalled (notifyAll) when the thread finishes.
   Waitable &exitEvent() { return ExitEvent; }
-  /// Total compute time the thread has accumulated (excludes switch costs).
-  SimTime busyTime() const { return BusyTime; }
 
 private:
   friend class Machine;
@@ -178,7 +174,6 @@ private:
   /// record's incarnations.
   std::uint64_t BlockSeq = 0;
   SimTime RemainingBurst = 0;
-  SimTime BusyTime = 0;
   int CoreIdx = -1;
   unsigned GangHold = 0; ///< helper cores reserved for the current burst
   // A gang compute that could not reserve its helpers yet; retried when
@@ -240,10 +235,10 @@ public:
 
   // --- Fault model (sim/Faults.h) --------------------------------------
 
-  /// Installs a fault plan: offline, domain, and repair events are
-  /// scheduled on the simulator, straggler windows dilate slices, and
-  /// workers query transient faults via transientsOf(). Call before the
-  /// run starts.
+  /// Installs a fault plan: offline and domain events (and each domain's
+  /// repair after its downtime) are scheduled on the simulator, straggler
+  /// windows dilate slices, and workers query transient faults via
+  /// transientsOf(). Call before the run starts.
   void installFaultPlan(FaultPlan Plan);
   const FaultPlan *faultPlan() const { return Plan ? &*Plan : nullptr; }
 
@@ -327,11 +322,6 @@ public:
   /// Minimum effective rate across online cores (1.0 on an idle or
   /// healthy machine); traced as the `machine.core_rate` gauge.
   double minCoreRate() const;
-
-  /// Telemetry sink (null = tracing off). Picked up from the process-wide
-  /// recorder at construction; the machine binds the recorder's virtual
-  /// clock to its simulator, rebasing time across successive runs.
-  telemetry::TraceRecorder *traceRecorder() { return Tel; }
 
 private:
   friend class Waitable;

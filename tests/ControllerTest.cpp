@@ -137,11 +137,12 @@ TEST(Controller, NoDecreasingProbeAfterClimb) {
   for (const auto &E : Ctrl.trace()) {
     if (E.St != CtrlState::Optimize || E.C.S != Scheme::DoAny)
       continue;
-    if (E.C.DoP[0] == 12)
+    if (E.C.DoP[0] == 12) {
       Peaked = true;
-    else if (Peaked)
+    } else if (Peaked) {
       EXPECT_GT(E.C.DoP[0], 12u)
           << "decreasing probe " << E.C.str() << " after the climb";
+    }
   }
   EXPECT_TRUE(Peaked) << "the ascent never reached DOANY<12>";
   EXPECT_EQ(Ctrl.bestConfig().str(), "DOANY<12>");

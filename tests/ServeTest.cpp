@@ -663,7 +663,7 @@ TEST(ServeLoop, RejectedRequestsReachOnRequestDone) {
   EXPECT_EQ(Serve.stats(Idx).Completed, 2u);
 }
 
-TEST(ServeLoop, RecentLatencyProbeSelectsOncePerCompletion) {
+TEST(ServeLoop, RecentLatencyProbeMatchesHistogramAndAgesOut) {
   sim::Simulator Sim;
   sim::Machine M(Sim, 4);
   rt::RuntimeCosts Costs;
@@ -684,36 +684,22 @@ TEST(ServeLoop, RecentLatencyProbeSelectsOncePerCompletion) {
   Sim.run();
   EXPECT_EQ(Serve.stats(Idx).Completed, 6u);
 
-  // The arbiter probes the SLO window every tick; repeated probes with
-  // no new completions must reuse one selection (it used to copy and
-  // re-sort the whole window on every probe).
-  EXPECT_EQ(Serve.recentProbeSelections(Idx), 0u);
   double P95 = Serve.recentLatencySec(Idx, 95);
   EXPECT_GT(P95, 0.0);
-  // Every completion is still in the window: selection and the sorted
-  // whole-run histogram agree on the nearest-rank value.
+  // Every completion is still in the window: the ranked window and the
+  // sorted whole-run histogram agree on the nearest-rank value.
   EXPECT_NEAR(P95, Serve.stats(Idx).TotalUs.percentile(95) / 1e6, 1e-9);
-  EXPECT_EQ(Serve.recentProbeSelections(Idx), 1u);
-  for (int I = 0; I < 50; ++I)
-    Serve.recentLatencySec(Idx, 95);
-  EXPECT_EQ(Serve.recentProbeSelections(Idx), 1u)
-      << "probes between completions re-selected the window";
-  // Another percentile is one more selection.
   EXPECT_LE(Serve.recentLatencySec(Idx, 50), P95);
-  EXPECT_EQ(Serve.recentProbeSelections(Idx), 2u);
 
-  // A new completion dirties the window: exactly one more selection.
+  // A new completion joins the window; the probe still matches.
   EXPECT_TRUE(Serve.inject(Idx));
   Sim.run();
-  Serve.recentLatencySec(Idx, 95);
-  Serve.recentLatencySec(Idx, 95);
-  EXPECT_EQ(Serve.recentProbeSelections(Idx), 3u);
+  EXPECT_NEAR(Serve.recentLatencySec(Idx, 95),
+              Serve.stats(Idx).TotalUs.percentile(95) / 1e6, 1e-9);
 
-  // Once the window ages out, the probe reports no signal (and has
-  // nothing to select from).
+  // Once the window ages out, the probe reports no signal.
   Sim.runUntil(Sim.now() + 200 * sim::MSec);
   EXPECT_LT(Serve.recentLatencySec(Idx, 95), 0.0);
-  EXPECT_EQ(Serve.recentProbeSelections(Idx), 3u);
 }
 
 TEST(ServeLoop, QueuedArrivalTakesUnassignedThreadsAtOnce) {
@@ -857,7 +843,7 @@ TEST(PlatformTenants, ShrunkToFitGuardsOscillation) {
     EXPECT_EQ(B, 1u) << "budget oscillated after shrink-to-fit";
 }
 
-TEST(PlatformTenants, SloViolatorGainsFromMeeterThenHandsBack) {
+TEST(PlatformTenants, SloViolatorGainsFromMeeterThenShrinksToFit) {
   sim::Simulator Sim;
   rt::PlatformDaemon Daemon(8);
   FakeTenant Viol("viol"), Meet("meet");
@@ -883,25 +869,24 @@ TEST(PlatformTenants, SloViolatorGainsFromMeeterThenHandsBack) {
   for (const auto &T : T1) {
     EXPECT_EQ(T.From, "meet");
     EXPECT_EQ(T.To, "viol");
-    EXPECT_EQ(T.Threads, 1u);
-    EXPECT_STREQ(T.Why, "violation");
   }
   EXPECT_GT(T1.back().At, T1.front().At); // stamped with arbiter time
 
-  // Load drops: the gainer now has ample headroom and returns its loans
-  // one per tick to the lender.
-  Viol.LatencySec = 0.3; // ratio 0.3 <= return headroom
-  Sim.runUntil(20 * sim::MSec);
-  Daemon.stopArbiter();
-  EXPECT_EQ(Viol.Budget, 4u);
-  EXPECT_EQ(Meet.Budget, 4u);
-  const auto &T2 = Daemon.sloTransfers();
-  ASSERT_EQ(T2.size(), 6u);
-  for (std::size_t I = 3; I < 6; ++I) {
-    EXPECT_EQ(T2[I].From, "viol");
-    EXPECT_EQ(T2[I].To, "meet");
-    EXPECT_STREQ(T2[I].Why, "return");
+  // Load drops: the former violator needs 4 threads and meets its SLO,
+  // and the donor can use more. Algorithm 5 shrinks the violator to its
+  // need and gives the slack to the donor on the next tick; the split
+  // then holds. Nothing returns the loans a second time.
+  Viol.Used = 4;
+  Viol.WantsMore = false;
+  Viol.LatencySec = 0.3;
+  Meet.WantsMore = true;
+  for (unsigned Tick = 11; Tick <= 20; ++Tick) {
+    Sim.runUntil(Tick * sim::MSec + sim::USec);
+    EXPECT_EQ(Viol.Budget, 4u) << "tick " << Tick;
+    EXPECT_EQ(Meet.Budget, 4u) << "tick " << Tick;
   }
+  Daemon.stopArbiter();
+  EXPECT_EQ(Daemon.sloTransfers().size(), 3u);
 }
 
 TEST(PlatformTenants, NoSloDataMeansNoTransfers) {
@@ -987,7 +972,6 @@ TEST(PlatformTenants, TighterTargetTakesFromLooserViolator) {
     for (const auto &T : Daemon.sloTransfers()) {
       EXPECT_EQ(T.From, "loose");
       EXPECT_EQ(T.To, "tight");
-      EXPECT_STREQ(T.Why, "violation");
     }
   }
   {

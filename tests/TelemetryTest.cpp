@@ -203,8 +203,9 @@ TEST(ChromeTrace, ExportParsesBackWithRequiredKeys) {
     ASSERT_NE(E.find("pid"), nullptr);
     ASSERT_NE(E.find("tid"), nullptr);
     const std::string &Ph = E.find("ph")->Str;
-    if (Ph != "M")
+    if (Ph != "M") {
       ASSERT_NE(E.find("ts"), nullptr);
+    }
     if (Ph == "M" && E.find("name")->Str == "process_name")
       SawProcessName = true;
     if (Ph == "B" && E.find("name")->Str == "span") {

@@ -51,8 +51,9 @@ TEST(StatsRelease, HistogramPercentilesThroughDecimation) {
   Histogram H(/*MaxSamples=*/64);
   for (int I = 1; I <= 4096; ++I) {
     H.add(I);
-    if (I == 63)
+    if (I == 63) {
       EXPECT_DOUBLE_EQ(H.p50(), 32.0); // query mid-stream: caches get built
+    }
   }
   EXPECT_EQ(H.count(), 4096u);
   EXPECT_GT(H.sampleStride(), 1u);
