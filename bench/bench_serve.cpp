@@ -102,6 +102,7 @@ struct Snapshot {
   std::uint64_t Admitted = 0;
   std::uint64_t Rejected = 0;
   unsigned Budget = 0;
+  unsigned Held = 0; ///< threads the class's runners hold
 };
 
 double ms(sim::SimTime T) { return static_cast<double>(T) / sim::MSec; }
@@ -146,7 +147,8 @@ ScenarioOut runScenario(std::uint64_t Seed, bool Batched, int Straggler = 0) {
               " batch steady 300/s\n");
   if (Batched)
     std::printf("   batching: api max 8, batch max 4, work-conserving (a"
-                " free slot takes the queued backlog at once)\n");
+                " runner the grant has room for takes the queued backlog"
+                " at once)\n");
   if (Straggler)
     std::printf("   straggler: core 0 dilated 32x across the overload"
                 " phase, 15-thread grant (1 core of headroom), slow-core"
@@ -221,15 +223,16 @@ ScenarioOut runScenario(std::uint64_t Seed, bool Batched, int Straggler = 0) {
       ++B.Violations;
   };
 
-  // Boundary snapshots of the arrival-side counters and budgets:
-  // Snaps[c][p] holds class c's cumulative counts at the END of phase p.
+  // Boundary snapshots of the arrival-side counters, budgets and held
+  // threads: Snaps[c][p] holds class c's values at the END of phase p.
   auto &Snaps = Out.Snaps;
   for (int P = 0; P < NumPhases; ++P) {
     Sim.schedule(static_cast<sim::SimTime>(P + 1) * PhaseLen, [&, P] {
       for (int Cls = 0; Cls < 2; ++Cls) {
         const ServeLoop::ClassStats &St = Serve.stats(ClassIdx[Cls]);
         Snaps[Cls][P] = {St.Arrived, St.Admitted, St.Rejected,
-                         Serve.budgetOf(ClassIdx[Cls])};
+                         Serve.budgetOf(ClassIdx[Cls]),
+                         Serve.threadsHeld(ClassIdx[Cls])};
       }
     });
   }
@@ -315,6 +318,9 @@ ScenarioOut runScenario(std::uint64_t Seed, bool Batched, int Straggler = 0) {
   std::printf("   budgets at phase ends: api %u/%u/%u, batch %u/%u/%u\n",
               Snaps[0][0].Budget, Snaps[0][1].Budget, Snaps[0][2].Budget,
               Snaps[1][0].Budget, Snaps[1][1].Budget, Snaps[1][2].Budget);
+  std::printf("   threads held at phase ends: api %u/%u/%u, batch %u/%u/%u\n",
+              Snaps[0][0].Held, Snaps[0][1].Held, Snaps[0][2].Held,
+              Snaps[1][0].Held, Snaps[1][1].Held, Snaps[1][2].Held);
   std::printf("   drained at %.2f ms (api q=%zu active=%u, batch q=%zu"
               " active=%u)\n\n",
               ms(Sim.now()), Serve.queueDepth(ApiIdx),

@@ -14,6 +14,8 @@
 #     for either class, and non-zero shedding in the api overload row;
 #   * the SLO timeline's per-phase transfer counts add up to its total,
 #     on every run the output prints;
+#   * every run the output prints reports the threads each class's
+#     runners hold at phase ends, beside its budgets;
 #   * the trace shows the arbitration story: repartition instants and
 #     slo_transfer instants, with admission + transfer counters in the
 #     metrics dump.
@@ -87,6 +89,12 @@ for S in 7 21 42; do
   sed -nE 's/.*slo timeline: ([0-9]+) transfer\(s\),.* by phase: under ([0-9]+), overload ([0-9]+), recovery ([0-9]+).*/\1 \2 \3 \4/p' \
     "$OUT" | awk 'NF == 4 && $1 == $2 + $3 + $4 { ok++ } END { exit (NR > 0 && ok == NR) ? 0 : 1 }' ||
     fail "seed $S: SLO timeline phase counts do not sum to its total"
+  # Each budgets line has its threads-held line (batch mode prints two).
+  NB=$(grep -c 'budgets at phase ends:' "$OUT" || true)
+  NH=$(grep -Ec '^   threads held at phase ends: api [0-9]+/[0-9]+/[0-9]+, batch [0-9]+/[0-9]+/[0-9]+$' \
+    "$OUT" || true)
+  [ "$NB" -gt 0 ] && [ "$NH" -eq "$NB" ] ||
+    fail "seed $S: $NH threads-held line(s) for $NB budget line(s)"
 done
 
 TRACE="$WORKDIR/serve.42.1.trace.json"

@@ -329,9 +329,9 @@ void PlatformDaemon::sloRebalanceOnce() {
   // headroom, and last any tenant with a looser target, whatever its own
   // latency (deadline-monotonic: under overload the tighter SLO wins
   // instead of the split freezing). A violator that does not want more
-  // (a serving class with nothing queued and a free slot) cannot get
-  // faster with more budget, and Algorithm 5 would shrink the grant back
-  // on the next tick.
+  // (a serving class with nothing queued and its runners within its
+  // grant) cannot get faster with more budget, and Algorithm 5 would
+  // shrink the grant back on the next tick.
   for (std::size_t I = 0; I < Programs.size(); ++I) {
     if (Ratio[I] <= 1.0) // meeting, no data, or no SLO
       continue;

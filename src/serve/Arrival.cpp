@@ -90,7 +90,11 @@ std::optional<sim::SimTime> TraceArrivals::nextDelay(sim::SimTime Now) {
     }
     Cursor = SegEndAt;
     if (++Seg == Segments.size()) {
-      if (!Loop)
+      // A looped curve with no positive rate would cycle forever.
+      if (!Loop || std::none_of(Segments.begin(), Segments.end(),
+                                [](const TraceSegment &S) {
+                                  return S.RatePerSec > 0;
+                                }))
         return std::nullopt;
       Seg = 0;
     }

@@ -93,7 +93,8 @@ struct TraceSegment {
 /// Replays a rate curve (e.g. a diurnal profile): Poisson arrivals whose
 /// rate steps through \p Segments. Zero-rate segments generate nothing;
 /// with \p Loop the curve repeats forever, otherwise the process ends at
-/// the last segment boundary.
+/// the last segment boundary. A curve with no positive-rate segment ends
+/// there too, looped or not: it would never produce an arrival.
 class TraceArrivals : public ArrivalProcess {
 public:
   TraceArrivals(std::vector<TraceSegment> Segments, std::uint64_t Seed,

@@ -10,10 +10,11 @@
 /// per-request spin-up cost (FlexibleRegion + RegionRunner construction
 /// and the per-worker context load) amortizes across the batch.
 ///
-/// Dispatch is work-conserving: a batch never waits to fill. Whenever a
-/// runner slot is free, the requests queued at that moment (up to
-/// MaxBatch) start at once as one batch, so batch size follows the
-/// backlog — singletons on an idle class, full batches under saturation.
+/// Dispatch is work-conserving: a batch never waits to fill. Whenever
+/// the class's grant has room for another runner, the requests queued
+/// at that moment (up to MaxBatch) start at once as one batch, so batch
+/// size follows the backlog — singletons on an idle class, full batches
+/// under saturation — while runner width follows the grant.
 ///
 /// Completion stays per-request: the batch runner's commit-frontier
 /// progress hook attributes each member at its iteration watermark, so

@@ -27,27 +27,25 @@ public:
     S.pump(Idx);
   }
 
-  /// Live demand in threads: in-service batches plus the runners the
-  /// queued requests would need once coalesced, each worth one runner
-  /// configuration, floored at one runner (an idle class keeps enough
-  /// to serve the next arrival without a round trip through the daemon).
+  /// Live demand in threads: the threads the in-service runners hold
+  /// plus one Config-wide runner per batch the queued requests would
+  /// form, floored at one runner (an idle class keeps enough to serve
+  /// the next arrival without a round trip through the daemon).
   /// Deliberately NOT capped at the budget: demand above the budget is
   /// exactly the daemon's hunger signal.
   unsigned threadsUsed() const override {
     const ClassState &C = *S.Classes[Idx];
-    std::uint64_t Per = std::max(1u, C.Desc.Config.totalThreads());
+    std::uint64_t Per = C.Desc.Config.totalThreads();
     std::uint64_t MaxB = std::max(1u, C.Desc.Batch.MaxBatch);
     std::uint64_t Waiting = C.Queue.size();
-    std::uint64_t Runners = C.Active.size() + (Waiting + MaxB - 1) / MaxB;
-    std::uint64_t Demand = std::max(Runners * Per, Per);
+    std::uint64_t Demand =
+        std::max(C.Held + (Waiting + MaxB - 1) / MaxB * Per, Per);
     return static_cast<unsigned>(std::min<std::uint64_t>(Demand, 1u << 20));
   }
 
   bool wantsMore() const override {
     const ClassState &C = *S.Classes[Idx];
-    unsigned Per = std::max(1u, C.Desc.Config.totalThreads());
-    return !C.Queue.empty() ||
-           C.Active.size() * static_cast<std::uint64_t>(Per) > C.Budget;
+    return !C.Queue.empty() || C.Held > C.Budget;
   }
 
   bool hasSlo() const override {
@@ -101,6 +99,8 @@ unsigned ServeLoop::addClass(RequestClassDesc Desc) {
   assert(Desc.MakeRegion && "request class needs a region factory");
   assert(Desc.ItersPerRequest > 0 && "requests need at least one iteration");
   assert(Desc.QueueCapacity > 0 && "admit queue needs capacity");
+  assert(Desc.Config.DoP.size() == 1 && Desc.Config.DoP[0] > 0 &&
+         "a request class runs one task; pump() fits its DoP to the grant");
   if (!Desc.Policy)
     Desc.Policy = std::make_unique<DropTailAdmission>();
 
@@ -184,21 +184,25 @@ void ServeLoop::arrive(unsigned Idx) {
     Daemon.reportDemand();
 }
 
-unsigned ServeLoop::slotsFor(const ClassState &C) const {
-  unsigned Per = std::max(1u, C.Desc.Config.totalThreads());
-  return std::max(1u, C.Budget / Per);
-}
-
 void ServeLoop::pump(unsigned Idx) {
   if (DrainActive)
     return; // dispatch held: finishDrain() pumps every class
   ClassState &C = *Classes[Idx];
   unsigned MaxB = std::max(1u, C.Desc.Batch.MaxBatch);
-  // Work-conserving: while a runner slot is free and requests wait, the
-  // backlog present now starts at once as one region. Batch size follows
-  // the backlog — a singleton on an idle class, MaxB under saturation —
-  // and no slot ever sits empty waiting for a batch to fill.
-  while (!C.Queue.empty() && C.Active.size() < slotsFor(C)) {
+  unsigned Per = C.Desc.Config.totalThreads();
+  // Work-conserving: while the grant has room for a Config-wide runner
+  // (or the class runs nothing) and requests wait, the backlog present
+  // now starts at once as one region. Batch size follows the backlog — a
+  // singleton on an idle class, MaxB under saturation — and no thread of
+  // the grant sits idle waiting for a batch to fill. Widths fit the
+  // grant: the last runner it allows absorbs the remainder that cannot
+  // form another (15 -> 2+2+2+2+2+2+3), and a grant narrower than Config
+  // runs one runner that narrow.
+  while (!C.Queue.empty()) {
+    unsigned Free = C.Budget > C.Held ? C.Budget - C.Held : 0;
+    if (Free < Per && !C.Active.empty())
+      break;
+    unsigned Width = Free < 2 * Per ? Free : Per;
     std::vector<std::shared_ptr<ServeRequest>> B;
     while (B.size() < MaxB && !C.Queue.empty()) {
       std::shared_ptr<ServeRequest> Req = std::move(C.Queue.front());
@@ -214,12 +218,13 @@ void ServeLoop::pump(unsigned Idx) {
       B.push_back(std::move(Req));
     }
     if (!B.empty())
-      dispatch(Idx, std::move(B));
+      dispatch(Idx, std::move(B), Width);
   }
 }
 
 void ServeLoop::dispatch(unsigned Idx,
-                         std::vector<std::shared_ptr<ServeRequest>> B) {
+                         std::vector<std::shared_ptr<ServeRequest>> B,
+                         unsigned Width) {
   ClassState &C = *Classes[Idx];
   assert(!B.empty() && "dispatching an empty batch");
   ++C.BStats.Batches;
@@ -250,8 +255,12 @@ void ServeLoop::dispatch(unsigned Idx,
     F->Runner->OnProgress = [this, Idx, Fp](std::uint64_t Retired) {
       onBatchProgress(Idx, Fp, Retired);
     };
+  F->Threads = Width;
+  C.Held += Width;
   C.Active.push_back(std::move(F));
-  Fp->Runner->start(C.Desc.Config);
+  rt::RegionConfig Cfg = C.Desc.Config;
+  Cfg.DoP[0] = Width;
+  Fp->Runner->start(std::move(Cfg));
 }
 
 void ServeLoop::onBatchProgress(unsigned Idx, InFlight *F,
@@ -304,10 +313,11 @@ void ServeLoop::finish(unsigned Idx, InFlight *F) {
 
   // OnComplete fires from inside the runner's own execution: move the
   // whole in-flight record to the reap list and destroy it (and refill
-  // the freed slot) one event later.
+  // the freed threads) one event later.
   auto It = std::find_if(C.Active.begin(), C.Active.end(),
                          [F](const auto &P) { return P.get() == F; });
   assert(It != C.Active.end() && "completion for an unknown batch");
+  C.Held -= F->Threads;
   Reap.push_back(std::move(*It));
   C.Active.erase(It);
   if (!ReapScheduled) {
@@ -433,6 +443,11 @@ unsigned ServeLoop::inService(unsigned Idx) const {
 unsigned ServeLoop::budgetOf(unsigned Idx) const {
   assert(Idx < Classes.size());
   return Classes[Idx]->Budget;
+}
+
+unsigned ServeLoop::threadsHeld(unsigned Idx) const {
+  assert(Idx < Classes.size());
+  return Classes[Idx]->Held;
 }
 
 double ServeLoop::recentLatencySec(unsigned Idx, double P) const {

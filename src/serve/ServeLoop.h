@@ -14,20 +14,24 @@
 /// Flow per class:
 ///
 ///   ArrivalProcess -> admission (bounded queue, pluggable policy)
-///                  -> work-conserving dispatch: whenever one of the
-///                     budget/threads-per-request runner slots is free,
-///                     the queued backlog (up to BatchPolicy::MaxBatch
-///                     requests) starts at once as one shared region
+///                  -> work-conserving dispatch: whenever the class's
+///                     daemon grant has room for another runner, the
+///                     queued backlog (up to BatchPolicy::MaxBatch
+///                     requests) starts at once as one shared region;
+///                     runner widths fit the grant exactly (Config-wide,
+///                     the last one absorbing the remainder, one narrower
+///                     runner on a grant below Config)
 ///                  -> completion stamps + histograms + SLO window,
 ///                     attributed per request at iteration watermarks.
 ///
 /// Every admitted request is therefore queued, in flight, completed or
 /// shed: Admitted - Completed - Shed == queueDepth + inFlightRequests.
 ///
-/// The class's tenant reports its live thread demand (queue + in-service)
-/// to the daemon and exposes its windowed SLO latency; the daemon's SLO
-/// pass then moves budget toward violating classes under overload. An
-/// arrival that has to queue asks the daemon to re-partition at once
+/// The class's tenant reports its live thread demand (threads its
+/// runners hold + Config-wide runners for the queue) to the daemon and
+/// exposes its windowed SLO latency; the daemon's SLO pass then moves
+/// budget toward violating classes under overload. An arrival that has
+/// to queue asks the daemon to re-partition at once
 /// (PlatformDaemon::reportDemand) instead of waiting for its next tick.
 ///
 /// Everything runs on the simulator's virtual clock from caller-provided
@@ -76,8 +80,10 @@ struct RequestClassDesc {
   std::function<rt::FlexibleRegion(const ServeRequest &)> MakeRegion;
   /// Iterations each request's region executes.
   std::uint64_t ItersPerRequest = 1;
-  /// Configuration each per-request runner starts under; its
-  /// totalThreads() is the class's threads-per-request.
+  /// Configuration each per-request runner starts under. It must have
+  /// exactly one task (every class in the repo is DoAny<2>): its DoP is
+  /// the class's full runner width, which dispatch narrows or widens so
+  /// the class's runners fill its daemon grant exactly.
   rt::RegionConfig Config;
   std::size_t QueueCapacity = 256;
   SloSpec Slo;
@@ -136,6 +142,9 @@ public:
   std::uint64_t inFlightRequests(unsigned Idx) const;
   /// The class's current daemon budget (threads).
   unsigned budgetOf(unsigned Idx) const;
+  /// Threads the class's in-flight runners were started with: at most
+  /// the budget, unless the daemon shrank it under running work.
+  unsigned threadsHeld(unsigned Idx) const;
 
   /// Latency at percentile \p P in seconds over the recent-completions
   /// window, floored by the current head-of-line queue wait so overload
@@ -178,6 +187,7 @@ private:
     rt::FlexibleRegion Region;
     std::unique_ptr<rt::CountedWorkSource> Source;
     std::unique_ptr<rt::RegionRunner> Runner;
+    unsigned Threads = 0; ///< the runner's width (its one task's DoP)
 
     explicit InFlight(rt::FlexibleRegion R) : Region(std::move(R)) {}
   };
@@ -190,6 +200,7 @@ private:
     std::deque<std::shared_ptr<ServeRequest>> Queue;
     std::vector<std::unique_ptr<InFlight>> Active;
     unsigned Budget = 1;
+    unsigned Held = 0; ///< sum of Active runners' Threads
     ClassStats Stats;
     BatchStats BStats;
     /// (completion time, key of its total latency in RecentRanked) of
@@ -214,10 +225,13 @@ private:
 
   void scheduleArrival(unsigned Idx);
   void arrive(unsigned Idx);
-  /// Fills every free runner slot from the queue (work-conserving).
+  /// Starts queued requests on the grant's free threads
+  /// (work-conserving), fitting runner widths to the grant.
   void pump(unsigned Idx);
-  /// Starts \p B as one region on a free slot and records its batch.
-  void dispatch(unsigned Idx, std::vector<std::shared_ptr<ServeRequest>> B);
+  /// Starts \p B as one region \p Width threads wide and records its
+  /// batch.
+  void dispatch(unsigned Idx, std::vector<std::shared_ptr<ServeRequest>> B,
+                unsigned Width);
   /// Watermark attribution: completes every member whose iteration
   /// watermark the batch's retire count crossed (all but the last
   /// member, which completes with the runner).
@@ -227,7 +241,6 @@ private:
   void completeMember(unsigned Idx, ServeRequest &R);
   void finish(unsigned Idx, InFlight *F);
   void finalize(unsigned Idx, const ServeRequest &R);
-  unsigned slotsFor(const ClassState &C) const;
   void onDomainWarning(const sim::FailureDomainEvent &D);
   /// Every in-flight request quiesced: offline the doomed cores, resume
   /// each suspended runner on the survivors, release the dispatch hold.

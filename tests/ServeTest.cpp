@@ -2,7 +2,8 @@
 //
 // Tests of the open-loop serving layer: seeded arrival processes (Poisson,
 // bursty, trace replay + CSV parsing), admission control, the ServeLoop
-// broker end-to-end on a small machine, and the platform daemon's tenant
+// broker end-to-end on a small machine (runner widths fitted to the
+// class's thread grant included), and the platform daemon's tenant
 // interface — slack handoff, the ShrunkToFit oscillation guard, the
 // demand path that hands unassigned threads to a queued arrival, and the
 // SLO arbitration pass (violator gains from meeter, hand-back on load
@@ -112,6 +113,13 @@ TEST(Arrival, TraceEndsSkipsZeroRateAndLoops) {
   TraceArrivals L(Curve, 42, /*Loop=*/true);
   std::vector<sim::SimTime> Dl = firstDelays(L, 2000);
   EXPECT_EQ(Dl.size(), 2000u);
+}
+
+TEST(Arrival, LoopingZeroRateTraceEnds) {
+  // A looped curve that never produces an arrival ends instead of
+  // cycling its segment boundaries forever.
+  TraceArrivals A({{0.5, 0.0}, {0.25, 0.0}}, 42, /*Loop=*/true);
+  EXPECT_FALSE(A.nextDelay(0).has_value());
 }
 
 TEST(Arrival, TraceCsvRoundTripsAndRejectsMalformed) {
@@ -752,6 +760,91 @@ TEST(ServeLoop, QueuedArrivalTakesUnassignedThreadsAtOnce) {
     EXPECT_EQ(R.ArrivedAt, 2 * sim::MSec + 500 * sim::USec);
   }
   EXPECT_EQ(Serve.stats(Api).QueueWaitUs.max(), 0.0);
+}
+
+//===----------------------------------------------------------------------===//
+// ServeLoop runner widths fitted to the grant
+//===----------------------------------------------------------------------===//
+
+/// A DoAny@2 service class of 32 iterations of 60 us each.
+RequestClassDesc fitClass() {
+  RequestClassDesc D;
+  D.Name = "fit";
+  D.MakeRegion = [](const ServeRequest &) {
+    return makeServiceRegion("fit", 60000);
+  };
+  D.ItersPerRequest = 32;
+  D.Config = {rt::Scheme::DoAny, {2}};
+  return D;
+}
+
+TEST(ServeLoop, LoneRequestFillsAnOddGrant) {
+  sim::Simulator Sim;
+  sim::Machine M(Sim, 4);
+  rt::RuntimeCosts Costs;
+  rt::PlatformDaemon Daemon(3);
+  ServeLoop Serve(M, Costs, Daemon);
+  unsigned Idx = Serve.addClass(fitClass());
+  ASSERT_EQ(Serve.budgetOf(Idx), 3u);
+
+  std::vector<ServeRequest> Done;
+  Serve.OnRequestDone = [&](const ServeRequest &R) { Done.push_back(R); };
+  EXPECT_TRUE(Serve.inject(Idx));
+  EXPECT_EQ(Serve.threadsHeld(Idx), 3u) << "the third thread was stranded";
+  Sim.run();
+  EXPECT_EQ(Serve.threadsHeld(Idx), 0u);
+  ASSERT_EQ(Done.size(), 1u);
+  // Three workers split 32 iterations 11/11/10; two would need 16 each.
+  sim::SimTime Service = Done[0].CompletedAt - Done[0].StartedAt;
+  EXPECT_GE(Service, 11 * 60 * sim::USec);
+  EXPECT_LT(Service, 16 * 60 * sim::USec) << "the request ran 2 wide";
+}
+
+TEST(ServeLoop, OneThreadGrantRunsOneThreadWide) {
+  sim::Simulator Sim;
+  sim::Machine M(Sim, 4);
+  rt::RuntimeCosts Costs;
+  rt::PlatformDaemon Daemon(1);
+  ServeLoop Serve(M, Costs, Daemon);
+  unsigned Idx = Serve.addClass(fitClass());
+  ASSERT_EQ(Serve.budgetOf(Idx), 1u);
+
+  for (int I = 0; I < 3; ++I)
+    EXPECT_TRUE(Serve.inject(Idx));
+  unsigned MaxHeld = 0, MaxBusy = 0;
+  while ((Serve.queueDepth(Idx) || Serve.inService(Idx)) &&
+         Sim.now() < 100 * sim::MSec) {
+    MaxHeld = std::max(MaxHeld, Serve.threadsHeld(Idx));
+    MaxBusy = std::max(MaxBusy, M.busyCores());
+    Sim.runUntil(Sim.now() + 10 * sim::USec);
+  }
+  EXPECT_EQ(MaxHeld, 1u);
+  EXPECT_EQ(MaxBusy, 1u) << "a 2-wide runner ran on a 1-thread grant";
+  EXPECT_EQ(Serve.stats(Idx).Completed, 3u);
+}
+
+TEST(ServeLoop, DemandCountsThreadsHeld) {
+  // A lone request on a 3-thread grant holds all three. Reported as one
+  // 2-wide runner, the arbiter's shrink-to-fit would cut the grant to 2
+  // under the running request; reported as threads held, it stays 3.
+  sim::Simulator Sim;
+  sim::Machine M(Sim, 4);
+  rt::RuntimeCosts Costs;
+  rt::PlatformDaemon Daemon(3);
+  ServeLoop Serve(M, Costs, Daemon);
+  unsigned Idx = Serve.addClass(fitClass());
+  Daemon.startArbiter(Sim, 100 * sim::USec);
+  EXPECT_TRUE(Serve.inject(Idx));
+  unsigned MinBudget = Serve.budgetOf(Idx);
+  while (Serve.inService(Idx) && Sim.now() < 100 * sim::MSec) {
+    Sim.runUntil(Sim.now() + 10 * sim::USec);
+    if (Serve.inService(Idx))
+      MinBudget = std::min(MinBudget, Serve.budgetOf(Idx));
+  }
+  Daemon.stopArbiter();
+  Sim.run();
+  EXPECT_EQ(MinBudget, 3u);
+  EXPECT_EQ(Serve.stats(Idx).Completed, 1u);
 }
 
 //===----------------------------------------------------------------------===//
