@@ -26,11 +26,12 @@
 // seed sweep).
 //
 // --batch runs the same seeded scenario twice — unbatched baseline, then
-// with per-class BatchPolicy coalescing — and reports the goodput speedup,
-// the under-load latency cost and region spin-up amortization side by
-// side, with per-request latency percentiles attributed from inside the
-// batches (never per-batch numbers). scripts/check_serve.sh batch gates
-// the speedup, the under-load p50 and the batched run's determinism.
+// with per-class BatchPolicy coalescing and warm refill — and reports the
+// goodput speedup, the under-load latency cost and region spin-up
+// amortization side by side, with per-request latency percentiles
+// attributed from inside the batches (never per-batch numbers).
+// scripts/check_serve.sh batch gates the speedup, the under-load p50, the
+// in-place batch count and the batched run's determinism.
 //
 //===----------------------------------------------------------------------===//
 
@@ -148,7 +149,8 @@ ScenarioOut runScenario(std::uint64_t Seed, bool Batched, int Straggler = 0) {
   if (Batched)
     std::printf("   batching: api max 8, batch max 4, work-conserving (a"
                 " runner the grant has room for takes the queued backlog"
-                " at once)\n");
+                " at once), warm refill (a runner whose work runs dry"
+                " takes the next queued batch in place)\n");
   if (Straggler)
     std::printf("   straggler: core 0 dilated 32x across the overload"
                 " phase, 15-thread grant (1 core of headroom), slow-core"
@@ -448,13 +450,15 @@ int main(int Argc, char **Argv) {
     const char *Names[2] = {"api", "batch"};
     for (int Cls = 0; Cls < 2; ++Cls) {
       const BatchStats &U = A.BStats[Cls], &Bt = B.BStats[Cls];
-      std::printf("   %-5s regions: %llu -> %llu (%.2f req/region; full"
-                  " %llu underfull %llu; occupancy mean %.2f max %.0f)\n",
+      std::printf("   %-5s regions: %llu -> %llu (%.2f req/region, %llu"
+                  " batches in place; full %llu underfull %llu; occupancy"
+                  " mean %.2f max %.0f)\n",
                   Names[Cls], static_cast<unsigned long long>(U.Batches),
                   static_cast<unsigned long long>(Bt.Batches),
                   Bt.requestsPerRegion(),
+                  static_cast<unsigned long long>(Bt.InPlaceBatches),
                   static_cast<unsigned long long>(Bt.SizeCloses),
-                  static_cast<unsigned long long>(Bt.Batches - Bt.SizeCloses),
+                  static_cast<unsigned long long>(Bt.formed() - Bt.SizeCloses),
                   Bt.OccupancyH.mean(), Bt.OccupancyH.max());
     }
     // Work-conserving dispatch sizes batches by the backlog, so the
@@ -539,14 +543,16 @@ int main(int Argc, char **Argv) {
         std::fprintf(
             J,
             "    {\"name\": \"%s\", \"batches\": %llu,"
+            " \"in_place_batches\": %llu,"
             " \"requests_per_region\": %.3f, \"full_batches\": %llu,"
             " \"underfull_batches\": %llu,"
             " \"overload_goodput_per_sec\": %.1f,"
             " \"overload_p95_ms\": %.3f}%s\n",
             Names[Cls], static_cast<unsigned long long>(Bt.Batches),
+            static_cast<unsigned long long>(Bt.InPlaceBatches),
             Bt.requestsPerRegion(),
             static_cast<unsigned long long>(Bt.SizeCloses),
-            static_cast<unsigned long long>(Bt.Batches - Bt.SizeCloses),
+            static_cast<unsigned long long>(Bt.formed() - Bt.SizeCloses),
             B.Buckets[Cls][1].goodputPerSec(),
             B.Buckets[Cls][1].TotalMs.percentile(95),
             Cls == 0 ? "," : "");

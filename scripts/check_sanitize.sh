@@ -38,7 +38,11 @@
 #     dispatch and the wall-clock cap on dilated slices;
 #   * bench_serve --batch end to end — the batched-dispatch A/B, whose
 #     watermark attribution and batch reap/drain paths juggle member
-#     request pointers inside runner callbacks;
+#     request pointers inside runner callbacks, and whose warm runners
+#     re-enter the serve loop from inside a worker's pull: a refill
+#     sheds and finalizes queued requests, appends members and
+#     attributes watermarks there, then releases attributed members
+#     (the ServeLoop* unit suites above cover the same path);
 #   * bench_simcore end to end — the event core's in-place handler
 #     invocation, slab recycling and heap pops under ASan/UBSan;
 #   * bench_serve --trace end to end, with detect_stack_use_after_return

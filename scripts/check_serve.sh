@@ -25,6 +25,8 @@
 # additionally asserts:
 #   * the bench's batch verdict passes (BATCH: OK — per-request latency
 #     attributed from inside batches, spin-up amortized, drained);
+#   * warm refill happened: the api regions line reports a positive count
+#     of batches taken in place by runners whose work ran dry;
 #   * determinism of the full A/B output (both runs byte-identical);
 #   * the goodput landmark: batched overload goodput >= 1.3x the
 #     unbatched baseline at the same seed;
@@ -68,6 +70,9 @@ for S in 7 21 42; do
     # Spin-up amortization: more than one request per region on average.
     grep -Eq 'api   regions: [0-9]+ -> [0-9]+ \([2-9]' "$OUT" ||
       fail "seed $S: api batches did not amortize regions"
+    # Warm refill: api runners took queued batches in place.
+    grep -Eq 'api   regions: .* req/region, [1-9][0-9]* batches in place;' \
+      "$OUT" || fail "seed $S: no api batch was taken in place"
   fi
 
   # Zero SLO violations in the under-load phase, for both classes (the

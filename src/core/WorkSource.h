@@ -22,6 +22,7 @@
 #include <cassert>
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <vector>
 
 namespace parcae::rt {
@@ -146,7 +147,8 @@ private:
 };
 
 /// A fixed number of iterations: the batch-loop source used by
-/// Nona-compiled programs. Pulls are free; ends after N items.
+/// Nona-compiled programs. Pulls are free; ends after N items, unless a
+/// refill hook extends it first (the serve broker's warm runners).
 class CountedWorkSource : public WorkSource {
 public:
   explicit CountedWorkSource(std::uint64_t N) : N(N) {}
@@ -175,6 +177,16 @@ public:
 
   std::uint64_t remaining() const { return N - Next; }
 
+  /// Extends the iteration count by \p More.
+  void extend(std::uint64_t More) { N += More; }
+
+  /// Refill hook: a pull that finds the source exhausted calls it once,
+  /// just before it would return End, inside the puller's own step (same
+  /// virtual instant, no event). If the hook extend()ed the source the
+  /// pull returns Got instead. Null (the default) keeps the plain count;
+  /// a pull that finds items left never calls it.
+  std::function<void()> Refill;
+
   /// Counted pulls carry no payload, so rewinding is just moving the
   /// cursor back. A rewind deeper than the pull history is refused
   /// instead of asserted: in release builds the assert would vanish and
@@ -190,6 +202,15 @@ public:
   }
 
 private:
+  /// True when the source is exhausted even after the refill hook ran.
+  bool exhausted() {
+    if (Next < N)
+      return false;
+    if (Refill)
+      Refill();
+    return Next >= N;
+  }
+
   std::uint64_t N;
   std::uint64_t Next = 0;
   sim::Waitable Ready;

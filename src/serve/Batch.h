@@ -7,8 +7,8 @@
 /// \file
 /// Dynamic batching for ServeLoop: a per-class BatchPolicy lets the
 /// broker coalesce queued requests into one shared region/runner so the
-/// per-request spin-up cost (FlexibleRegion + RegionRunner construction
-/// and the per-worker context load) amortizes across the batch.
+/// spin-up cost (FlexibleRegion + RegionRunner construction, thread
+/// spawns and the per-worker context load) amortizes across requests.
 ///
 /// Dispatch is work-conserving: a batch never waits to fill. Whenever
 /// the class's grant has room for another runner, the requests queued
@@ -16,9 +16,17 @@
 /// size follows the backlog — singletons on an idle class, full batches
 /// under saturation — while runner width follows the grant.
 ///
-/// Completion stays per-request: the batch runner's commit-frontier
-/// progress hook attributes each member at its iteration watermark, so
-/// latency histograms and SLO accounting never see per-batch numbers.
+/// Runners stay warm: when a runner's work runs dry while requests are
+/// queued, it takes the next batch (up to MaxBatch) into the same region
+/// and its workers carry on, so spin-up is paid once per runner, not
+/// once per batch. A runner drains instead while a domain drain holds
+/// dispatch, while its class holds more threads than its grant, and
+/// while the grant has a remainder below one runner's width that only a
+/// re-fitted runner could use.
+///
+/// Completion stays per-request: the runner's commit-frontier progress
+/// hook attributes each member at its iteration watermark, so latency
+/// histograms and SLO accounting never see per-batch numbers.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -32,9 +40,9 @@
 
 namespace parcae::serve {
 
-/// Per-class batching knobs. MaxBatch <= 1 disables coalescing: every
-/// request dispatches as a singleton, byte-identical to the unbatched
-/// broker.
+/// Per-class batching knobs. MaxBatch <= 1 disables coalescing and warm
+/// refill: every request dispatches as a singleton region, byte-identical
+/// to the unbatched broker.
 struct BatchPolicy {
   /// Most members per batch. <= 1 turns batching off.
   unsigned MaxBatch = 1;
@@ -51,18 +59,27 @@ struct BatchPolicy {
 
 /// Per-class batching statistics. Singleton dispatches count as full
 /// batches of one while batching is disabled — the spin-up amortization
-/// report reads Batches as "regions started".
+/// report reads Batches as "regions started". A batch a warm runner takes
+/// in place counts in InPlaceBatches, not Batches, and like a dispatched
+/// one in BatchedRequests, SizeCloses and OccupancyH.
 struct BatchStats {
   std::uint64_t Batches = 0;          ///< batches dispatched (== runners)
-  std::uint64_t BatchedRequests = 0;  ///< member requests across them
-  /// Batches dispatched full (MaxBatch members); the other
-  /// Batches - SizeCloses started underfull from a shorter backlog.
+  std::uint64_t InPlaceBatches = 0;   ///< batches taken by warm runners
+  std::uint64_t BatchedRequests = 0;  ///< member requests across both
+  /// Batches formed full (MaxBatch members); the other
+  /// formed() - SizeCloses started underfull from a shorter backlog.
   std::uint64_t SizeCloses = 0;
   /// Always 0: the wait-window and SLO-pressure closes are gone. Kept for
   /// readers of the old counters until the next benchmark revision.
   std::uint64_t TimerCloses = 0;
   std::uint64_t SloCloses = 0; ///< always 0; see TimerCloses
-  Histogram OccupancyH;        ///< members per dispatched batch
+  /// Members per batch formed: count, mean, min and max. No reader needs
+  /// its percentiles, and a kept sample per batch would grow with every
+  /// batch a warm runner takes.
+  OnlineStats OccupancyH;
+
+  /// Every batch formed: dispatched on a new region or taken in place.
+  std::uint64_t formed() const { return Batches + InPlaceBatches; }
 
   /// Requests served per region spin-up — the amortization factor.
   double requestsPerRegion() const {

@@ -188,49 +188,59 @@ void ServeLoop::pump(unsigned Idx) {
   if (DrainActive)
     return; // dispatch held: finishDrain() pumps every class
   ClassState &C = *Classes[Idx];
-  unsigned MaxB = std::max(1u, C.Desc.Batch.MaxBatch);
   unsigned Per = C.Desc.Config.totalThreads();
   // Work-conserving: while the grant has room for a Config-wide runner
   // (or the class runs nothing) and requests wait, the backlog present
   // now starts at once as one region. Batch size follows the backlog — a
-  // singleton on an idle class, MaxB under saturation — and no thread of
-  // the grant sits idle waiting for a batch to fill. Widths fit the
-  // grant: the last runner it allows absorbs the remainder that cannot
-  // form another (15 -> 2+2+2+2+2+2+3), and a grant narrower than Config
-  // runs one runner that narrow.
+  // singleton on an idle class, MaxBatch under saturation — and no
+  // thread of the grant sits idle waiting for a batch to fill. Widths
+  // fit the grant: the last runner it allows absorbs the remainder that
+  // cannot form another (15 -> 2+2+2+2+2+2+3), and a grant narrower than
+  // Config runs one runner that narrow.
   while (!C.Queue.empty()) {
     unsigned Free = C.Budget > C.Held ? C.Budget - C.Held : 0;
     if (Free < Per && !C.Active.empty())
       break;
     unsigned Width = Free < 2 * Per ? Free : Per;
-    std::vector<std::shared_ptr<ServeRequest>> B;
-    while (B.size() < MaxB && !C.Queue.empty()) {
-      std::shared_ptr<ServeRequest> Req = std::move(C.Queue.front());
-      C.Queue.pop_front();
-      if (C.Desc.Policy->shedAtDispatch(*Req, Sim.now())) {
-        Req->Shed = true;
-        ++C.Stats.Shed;
-        if (CntShed)
-          CntShed->add();
-        finalize(Idx, *Req);
-        continue;
-      }
-      B.push_back(std::move(Req));
-    }
-    if (!B.empty())
+    std::deque<std::shared_ptr<ServeRequest>> B;
+    if (takeBatch(Idx, B) > 0)
       dispatch(Idx, std::move(B), Width);
   }
 }
 
-void ServeLoop::dispatch(unsigned Idx,
-                         std::vector<std::shared_ptr<ServeRequest>> B,
-                         unsigned Width) {
+std::size_t
+ServeLoop::takeBatch(unsigned Idx,
+                     std::deque<std::shared_ptr<ServeRequest>> &Out) {
   ClassState &C = *Classes[Idx];
-  assert(!B.empty() && "dispatching an empty batch");
-  ++C.BStats.Batches;
-  C.BStats.BatchedRequests += B.size();
-  C.BStats.OccupancyH.add(static_cast<double>(B.size()));
-  if (B.size() >= C.Desc.Batch.MaxBatch)
+  unsigned MaxB = std::max(1u, C.Desc.Batch.MaxBatch);
+  std::size_t Taken = 0;
+  while (Taken < MaxB && !C.Queue.empty()) {
+    std::shared_ptr<ServeRequest> Req = std::move(C.Queue.front());
+    C.Queue.pop_front();
+    if (C.Desc.Policy->shedAtDispatch(*Req, Sim.now())) {
+      Req->Shed = true;
+      ++C.Stats.Shed;
+      if (CntShed)
+        CntShed->add();
+      finalize(Idx, *Req);
+      continue;
+    }
+    Req->StartedAt = Sim.now();
+    Out.push_back(std::move(Req));
+    ++Taken;
+  }
+  return Taken;
+}
+
+void ServeLoop::recordBatch(unsigned Idx, std::size_t Size, bool InPlace) {
+  ClassState &C = *Classes[Idx];
+  if (InPlace)
+    ++C.BStats.InPlaceBatches;
+  else
+    ++C.BStats.Batches;
+  C.BStats.BatchedRequests += Size;
+  C.BStats.OccupancyH.add(static_cast<double>(Size));
+  if (Size >= C.Desc.Batch.MaxBatch)
     ++C.BStats.SizeCloses;
   // Trace only real coalescing: a singleton-per-request stream would
   // double the unbatched trace volume for no information.
@@ -238,9 +248,16 @@ void ServeLoop::dispatch(unsigned Idx,
     PARCAE_TRACE(Tel,
                  instant(TelPid, 0, "serve", "batch_close",
                          {telemetry::TraceArg::str("class", C.Desc.Name),
-                          telemetry::TraceArg::num("size", B.size())}));
-  for (auto &Req : B)
-    Req->StartedAt = Sim.now();
+                          telemetry::TraceArg::num("size", Size),
+                          telemetry::TraceArg::num("in_place", InPlace)}));
+}
+
+void ServeLoop::dispatch(unsigned Idx,
+                         std::deque<std::shared_ptr<ServeRequest>> B,
+                         unsigned Width) {
+  ClassState &C = *Classes[Idx];
+  assert(!B.empty() && "dispatching an empty batch");
+  recordBatch(Idx, B.size(), /*InPlace=*/false);
   auto F = std::make_unique<InFlight>(C.Desc.MakeRegion(*B.front()));
   F->Members = std::move(B);
   F->Source = std::make_unique<rt::CountedWorkSource>(
@@ -249,12 +266,16 @@ void ServeLoop::dispatch(unsigned Idx,
       std::make_unique<rt::RegionRunner>(M, Costs, F->Region, *F->Source);
   InFlight *Fp = F.get();
   F->Runner->OnComplete = [this, Idx, Fp] { finish(Idx, Fp); };
-  // Watermark attribution only matters for real batches; singletons
-  // keep the hot path free of the per-retirement callback.
-  if (Fp->Members.size() > 1)
+  // A batching class's runner may take more batches in place, so it
+  // needs the refill hook and per-member watermarks even when it starts
+  // as a singleton; an unbatched class keeps one region per request and
+  // its hot path free of the per-retirement callback.
+  if (C.Desc.Batch.enabled()) {
+    Fp->Source->Refill = [this, Idx, Fp] { refill(Idx, Fp); };
     F->Runner->OnProgress = [this, Idx, Fp](std::uint64_t Retired) {
       onBatchProgress(Idx, Fp, Retired);
     };
+  }
   F->Threads = Width;
   C.Held += Width;
   C.Active.push_back(std::move(F));
@@ -263,18 +284,46 @@ void ServeLoop::dispatch(unsigned Idx,
   Fp->Runner->start(std::move(Cfg));
 }
 
+void ServeLoop::refill(unsigned Idx, InFlight *F) {
+  // Called from inside a worker's pull, at the instant the runner's work
+  // runs dry. Taking the next batch here keeps the region and its warm
+  // workers: no new region, thread spawn or context load. Three cases
+  // refuse, so the runner drains and is reaped as before:
+  //  * a domain drain holds dispatch;
+  //  * the class holds more than its grant: a shrunk grant must get its
+  //    threads back;
+  //  * the grant has a remainder below one runner's width: only pump's
+  //    re-fitted runner can use it (warm 2-wide runners would otherwise
+  //    hold a 15-thread grant as 14 for as long as the backlog lasts).
+  ClassState &C = *Classes[Idx];
+  if (DrainActive || C.Queue.empty() || C.Held > C.Budget)
+    return;
+  unsigned Free = C.Budget - C.Held;
+  if (Free > 0 && Free < C.Desc.Config.totalThreads())
+    return;
+  std::size_t Taken = takeBatch(Idx, F->Members);
+  if (Taken == 0)
+    return; // every request popped was shed
+  recordBatch(Idx, Taken, /*InPlace=*/true);
+  F->Source->extend(C.Desc.ItersPerRequest * Taken);
+  // The runner's last member so far waited for the runner's completion;
+  // no longer last, it completes now if its watermark already passed.
+  onBatchProgress(Idx, F, F->Runner->totalRetired());
+}
+
 void ServeLoop::onBatchProgress(unsigned Idx, InFlight *F,
                                 std::uint64_t Retired) {
-  // Member i is complete once the batch retired (i + 1) x iters-per-
-  // request iterations. The last member waits for the runner's own
-  // completion (which includes the final drain), matching the singleton
-  // path. Crossings are idempotent: an abortive recovery may replay
-  // iterations and repeat watermarks, but Attributed only advances.
+  // The runner's k-th member is complete once it retired (k + 1) x
+  // iters-per-request iterations. The last member waits for the runner's
+  // own completion (which includes the final drain) or for a refill to
+  // queue members behind it, matching the singleton path. Crossings are
+  // idempotent: an abortive recovery may replay iterations and repeat
+  // watermarks, but Attributed only advances.
   const ClassState &C = *Classes[Idx];
   std::uint64_t Per = C.Desc.ItersPerRequest;
-  while (F->Attributed + 1 < F->Members.size() &&
-         Retired >= (F->Attributed + 1) * Per) {
-    completeMember(Idx, *F->Members[F->Attributed]);
+  while (F->Members.size() > 1 && Retired >= (F->Attributed + 1) * Per) {
+    completeMember(Idx, *F->Members.front());
+    F->Members.pop_front();
     ++F->Attributed;
   }
 }
@@ -307,9 +356,9 @@ void ServeLoop::finish(unsigned Idx, InFlight *F) {
   ClassState &C = *Classes[Idx];
   // Everything the watermarks did not already attribute — always at
   // least the last member — completes with the runner.
-  for (std::size_t I = F->Attributed; I < F->Members.size(); ++I)
-    completeMember(Idx, *F->Members[I]);
-  F->Attributed = F->Members.size();
+  for (const auto &Req : F->Members)
+    completeMember(Idx, *Req);
+  F->Members.clear();
 
   // OnComplete fires from inside the runner's own execution: move the
   // whole in-flight record to the reap list and destroy it (and refill
@@ -377,8 +426,9 @@ void ServeLoop::finishDrain() {
     M.offlineCore(Core);
   for (MigratingRequest &Mg : DrainMigrations) {
     Mg.F->Runner->resume(Mg.CP.Config, Mg.CP.Cursor);
-    // A migrated batch carries every still-unfinished member request.
-    Migrations += Mg.F->Members.size() - Mg.F->Attributed;
+    // A migrated runner carries every still-unfinished member request;
+    // the instant names the oldest of them.
+    Migrations += Mg.F->Members.size();
     if (CntMigrated)
       CntMigrated->add();
     PARCAE_TRACE(
@@ -388,8 +438,7 @@ void ServeLoop::finishDrain() {
                       telemetry::TraceArg::num("request",
                                                Mg.F->Members.front()->Id),
                       telemetry::TraceArg::num("members",
-                                               Mg.F->Members.size() -
-                                                   Mg.F->Attributed),
+                                               Mg.F->Members.size()),
                       telemetry::TraceArg::num("cursor", Mg.CP.Cursor)}));
   }
   ++DrainsCompleted;
@@ -474,6 +523,6 @@ std::uint64_t ServeLoop::inFlightRequests(unsigned Idx) const {
   assert(Idx < Classes.size());
   std::uint64_t N = 0;
   for (const auto &F : Classes[Idx]->Active)
-    N += F->Members.size() - F->Attributed;
+    N += F->Members.size();
   return N;
 }

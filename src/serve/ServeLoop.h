@@ -5,8 +5,8 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The serving layer's request broker: maps each admitted request of a
-/// registered RequestClass to its own flexible-region execution, tracks
+/// The serving layer's request broker: runs the admitted requests of each
+/// registered RequestClass on flexible-region executions, tracks
 /// queue/service/total latency per request, and registers each class as a
 /// PlatformTenant so the platform daemon arbitrates thread budgets — and
 /// latency SLOs — across classes.
@@ -21,6 +21,10 @@
 ///                     runner widths fit the grant exactly (Config-wide,
 ///                     the last one absorbing the remainder, one narrower
 ///                     runner on a grant below Config)
+///                  -> warm refill (batching classes only): a runner whose
+///                     work runs dry while requests queue takes the next
+///                     batch into the same region, so spin-up is paid once
+///                     per runner, not once per batch
 ///                  -> completion stamps + histograms + SLO window,
 ///                     attributed per request at iteration watermarks.
 ///
@@ -75,10 +79,11 @@ struct SloSpec {
 /// Everything needed to serve one class of requests.
 struct RequestClassDesc {
   std::string Name;
-  /// Builds the per-request region. Regions should reuse the class name
-  /// so telemetry maps every request of a class onto one process track.
+  /// Builds a runner's region (called with its first request). Regions
+  /// should reuse the class name so telemetry maps every request of a
+  /// class onto one process track.
   std::function<rt::FlexibleRegion(const ServeRequest &)> MakeRegion;
-  /// Iterations each request's region executes.
+  /// Iterations each request takes on its runner.
   std::uint64_t ItersPerRequest = 1;
   /// Configuration each per-request runner starts under. It must have
   /// exactly one task (every class in the repo is DoAny<2>): its DoP is
@@ -89,8 +94,9 @@ struct RequestClassDesc {
   SloSpec Slo;
   /// Admission policy; DropTailAdmission when null.
   std::unique_ptr<AdmissionPolicy> Policy;
-  /// Request coalescing; the default (MaxBatch = 1) dispatches every
-  /// request as its own region, the pre-batching behavior.
+  /// Request coalescing and warm refill; the default (MaxBatch = 1)
+  /// dispatches every request as its own region, the pre-batching
+  /// behavior.
   BatchPolicy Batch;
 };
 
@@ -131,14 +137,16 @@ public:
   };
 
   const ClassStats &stats(unsigned Idx) const;
-  /// Batch dispatch statistics (singleton dispatches count as batches
-  /// of one, so Batches always equals regions spun up for the class).
+  /// Batch statistics. Singleton dispatches count as batches of one, so
+  /// Batches always equals regions spun up for the class; batches a warm
+  /// runner took in place count in InPlaceBatches instead.
   const BatchStats &batchStats(unsigned Idx) const;
   std::size_t queueDepth(unsigned Idx) const;
-  /// In-flight batches (each holds one region/runner; a batch may carry
-  /// up to BatchPolicy::MaxBatch member requests).
+  /// In-flight runners (each holds one region; a batching class's runner
+  /// carries up to BatchPolicy::MaxBatch member requests per batch it
+  /// took).
   unsigned inService(unsigned Idx) const;
-  /// Member requests across all in-flight batches not yet completed.
+  /// Member requests across all in-flight runners not yet completed.
   std::uint64_t inFlightRequests(unsigned Idx) const;
   /// The class's current daemon budget (threads).
   unsigned budgetOf(unsigned Idx) const;
@@ -155,7 +163,9 @@ public:
   /// Fires once per finished request (completed, shed, or rejected) —
   /// benches use it to bucket requests into load phases by arrival
   /// time. Rejected requests carry Rejected = true and no timestamps
-  /// beyond ArrivedAt.
+  /// beyond ArrivedAt. It may fire from inside a runner's own step, at
+  /// that step's virtual instant: a watermark completion, or a shed or
+  /// completion during a warm refill (a worker's pull).
   std::function<void(const ServeRequest &)> OnRequestDone;
 
   // --- Drain / migration (failure-domain warnings) ---------------------
@@ -172,18 +182,23 @@ public:
 private:
   class ClassTenant;
 
-  /// One in-flight batch execution (a singleton batch when batching is
-  /// off): the member requests share one region/runner fed by a counted
-  /// source of ItersPerRequest x Members.size() iterations. Address-
-  /// stable (held by unique pointer): the runner references Region and
-  /// Source by address.
+  /// One in-flight runner (a singleton batch when batching is off): the
+  /// member requests share one region/runner fed by a counted source of
+  /// ItersPerRequest iterations per member ever taken. A batching
+  /// class's runner appends each batch it takes in place (refill()).
+  /// Address-stable (held by unique pointer): the runner references
+  /// Region and Source by address.
   struct InFlight {
-    std::vector<std::shared_ptr<ServeRequest>> Members;
-    /// Members already completed at an iteration watermark; members
-    /// [Attributed, size) are still in flight. The last member is
-    /// always attributed at the runner's completion, so a singleton
-    /// batch behaves exactly like the pre-batching broker.
-    std::size_t Attributed = 0;
+    /// The unfinished members, oldest first. A member is released as
+    /// soon as it is attributed, so a long-lived warm runner holds only
+    /// the requests it still serves.
+    std::deque<std::shared_ptr<ServeRequest>> Members;
+    /// Members completed and released so far: the runner's k-th member
+    /// overall (k from 0) completes once it retired (k + 1) x
+    /// ItersPerRequest iterations. The last member is always attributed
+    /// at the runner's completion, so a singleton batch behaves exactly
+    /// like the pre-batching broker.
+    std::uint64_t Attributed = 0;
     rt::FlexibleRegion Region;
     std::unique_ptr<rt::CountedWorkSource> Source;
     std::unique_ptr<rt::RegionRunner> Runner;
@@ -228,12 +243,24 @@ private:
   /// Starts queued requests on the grant's free threads
   /// (work-conserving), fitting runner widths to the grant.
   void pump(unsigned Idx);
+  /// Moves the next batch off the class queue onto \p Out: up to
+  /// MaxBatch requests, shedding stale ones on the way (shedAtDispatch),
+  /// each stamped started now. Returns how many it appended.
+  std::size_t takeBatch(unsigned Idx,
+                        std::deque<std::shared_ptr<ServeRequest>> &Out);
+  /// Counts a batch of \p Size members, dispatched on a new region or
+  /// taken \p InPlace by a warm runner, in the class's BatchStats.
+  void recordBatch(unsigned Idx, std::size_t Size, bool InPlace);
   /// Starts \p B as one region \p Width threads wide and records its
   /// batch.
-  void dispatch(unsigned Idx, std::vector<std::shared_ptr<ServeRequest>> B,
+  void dispatch(unsigned Idx, std::deque<std::shared_ptr<ServeRequest>> B,
                 unsigned Width);
+  /// The refill hook of a batching class's runner, called when its work
+  /// runs dry: takes the next queued batch into the same region, unless
+  /// the runner must drain instead so its threads can be re-fitted.
+  void refill(unsigned Idx, InFlight *F);
   /// Watermark attribution: completes every member whose iteration
-  /// watermark the batch's retire count crossed (all but the last
+  /// watermark the runner's retire count crossed (all but the last
   /// member, which completes with the runner).
   void onBatchProgress(unsigned Idx, InFlight *F, std::uint64_t Retired);
   /// Stamps one member completed now and feeds histograms, SLO

@@ -69,6 +69,29 @@ TEST(TryPullChunk, CountedSourceFullAndPartialChunks) {
   EXPECT_EQ(Out.size(), 10u);
 }
 
+TEST(TryPullChunk, CountedSourceRefillRunsOnlyWhenExhausted) {
+  CountedWorkSource Src(4);
+  unsigned Calls = 0;
+  Src.Refill = [&] {
+    if (++Calls == 1)
+      Src.extend(3);
+  };
+  std::vector<Token> Out;
+  // Items left: the pull never consults the hook.
+  EXPECT_EQ(Src.tryPullChunk(8, Out), WorkSource::Pull::Got);
+  EXPECT_EQ(Calls, 0u);
+  // Exhausted: the hook extends, and the pull returns the new items,
+  // numbered on from the old end.
+  EXPECT_EQ(Src.tryPullChunk(8, Out), WorkSource::Pull::Got);
+  EXPECT_EQ(Calls, 1u);
+  ASSERT_EQ(Out.size(), 7u);
+  EXPECT_EQ(Out.back().Value, 6);
+  // Exhausted again and the hook declines: End.
+  Token T;
+  EXPECT_EQ(Src.tryPull(T), WorkSource::Pull::End);
+  EXPECT_EQ(Calls, 2u);
+}
+
 TEST(TryPullChunk, CountedSourceRewindRestoresChunk) {
   CountedWorkSource Src(20);
   std::vector<Token> Out;

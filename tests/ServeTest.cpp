@@ -3,7 +3,8 @@
 // Tests of the open-loop serving layer: seeded arrival processes (Poisson,
 // bursty, trace replay + CSV parsing), admission control, the ServeLoop
 // broker end-to-end on a small machine (runner widths fitted to the
-// class's thread grant included), and the platform daemon's tenant
+// class's thread grant, and warm runners taking queued batches in place,
+// included), and the platform daemon's tenant
 // interface — slack handoff, the ShrunkToFit oscillation guard, the
 // demand path that hands unassigned threads to a queued arrival, and the
 // SLO arbitration pass (violator gains from meeter, hand-back on load
@@ -20,11 +21,14 @@
 #include "support/RankedSamples.h"
 #include "support/Rng.h"
 #include "support/Stats.h"
+#include "telemetry/Telemetry.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <fstream>
+#include <functional>
+#include <map>
 #include <memory>
 #include <string>
 #include <tuple>
@@ -175,15 +179,18 @@ TEST(Admission, DeadlineEarlyDropShedsStaleRequests) {
 // ServeLoop end-to-end
 //===----------------------------------------------------------------------===//
 
-/// A single-task DOANY service region: each request costs \p Cost cycles.
+/// A single-task DOANY service region: each iteration costs \p Cost
+/// cycles, and each worker pays \p ContextLoad once at launch.
 rt::FlexibleRegion makeServiceRegion(const std::string &Name,
-                                     sim::SimTime Cost) {
+                                     sim::SimTime Cost,
+                                     sim::SimTime ContextLoad = 0) {
   rt::FlexibleRegion R(Name);
   rt::RegionDesc D;
   D.Name = Name + "-par";
   D.S = rt::Scheme::DoAny;
   D.Tasks.emplace_back("work", rt::TaskType::Par,
                        [Cost](rt::IterationContext &Ctx) { Ctx.Cost = Cost; });
+  D.Tasks.back().InitCost = ContextLoad;
   R.addVariant(std::move(D));
   return R;
 }
@@ -359,6 +366,18 @@ TEST(ServeLoop, DomainWarningMigratesInFlightRequestsDeterministically) {
 // ServeLoop batching
 //===----------------------------------------------------------------------===//
 
+/// A DoAny@2 service class of 32 iterations of 60 us each.
+RequestClassDesc fitClass() {
+  RequestClassDesc D;
+  D.Name = "fit";
+  D.MakeRegion = [](const ServeRequest &) {
+    return makeServiceRegion("fit", 60000);
+  };
+  D.ItersPerRequest = 32;
+  D.Config = {rt::Scheme::DoAny, {2}};
+  return D;
+}
+
 /// Injects one request per runner slot of a 4-core, DoAny@2 class (two
 /// slots), so every request injected next waits in the queue.
 void occupyEverySlot(ServeLoop &Serve, unsigned Idx) {
@@ -385,7 +404,8 @@ TEST(ServeLoopBatch, SizeTriggerClosesFullBatches) {
   unsigned Idx = Serve.addClass(std::move(D));
 
   // The idle class dispatches its first two arrivals alone; the eight
-  // behind them form the backlog the freed slots take four at a time.
+  // behind them form the backlog the two warm runners take in place,
+  // four at a time.
   occupyEverySlot(Serve, Idx);
   for (int I = 0; I < 8; ++I)
     EXPECT_TRUE(Serve.inject(Idx));
@@ -393,14 +413,15 @@ TEST(ServeLoopBatch, SizeTriggerClosesFullBatches) {
   Sim.run();
 
   const BatchStats &B = Serve.batchStats(Idx);
-  EXPECT_EQ(B.Batches, 4u);
+  EXPECT_EQ(B.Batches, 2u);
+  EXPECT_EQ(B.InPlaceBatches, 2u);
   EXPECT_EQ(B.BatchedRequests, 10u);
   EXPECT_EQ(B.SizeCloses, 2u);
-  EXPECT_EQ(B.Batches - B.SizeCloses, 2u) << "the two underfull singletons";
+  EXPECT_EQ(B.formed() - B.SizeCloses, 2u) << "the two underfull singletons";
   EXPECT_EQ(B.TimerCloses, 0u);
   EXPECT_EQ(B.SloCloses, 0u);
   EXPECT_DOUBLE_EQ(B.OccupancyH.max(), 4.0);
-  EXPECT_DOUBLE_EQ(B.requestsPerRegion(), 2.5);
+  EXPECT_DOUBLE_EQ(B.requestsPerRegion(), 5.0);
   EXPECT_EQ(Serve.stats(Idx).Completed, 10u);
   EXPECT_EQ(Serve.inFlightRequests(Idx), 0u);
 }
@@ -483,6 +504,8 @@ TEST(ServeLoopBatch, AccessorsCountEveryAdmittedRequest) {
   EXPECT_GT(Busy, Probes / 4) << "the probes saw too little in flight";
   EXPECT_GT(Serve.batchStats(Idx).requestsPerRegion(), 1.0)
       << "nothing coalesced";
+  EXPECT_GT(Serve.batchStats(Idx).InPlaceBatches, 0u)
+      << "no batch was taken in place: the probes never crossed a refill";
   const ServeLoop::ClassStats &S = Serve.stats(Idx);
   EXPECT_EQ(S.Admitted, S.Completed + S.Shed);
 }
@@ -504,8 +527,9 @@ TEST(ServeLoopBatch, MembersCompleteAtIterationWatermarks) {
   D.Batch.MaxBatch = 4;
   unsigned Idx = Serve.addClass(std::move(D));
 
-  // Requests 1 and 2 take the idle slots alone; 3..6 queue behind them
-  // and start as one batch of four.
+  // Requests 1 and 2 take the idle slots alone; 3..6 queue behind them,
+  // and the first runner to run dry takes them in place as one batch of
+  // four.
   occupyEverySlot(Serve, Idx);
   std::vector<sim::SimTime> Completions;
   std::vector<double> ServiceUs;
@@ -533,55 +557,259 @@ TEST(ServeLoopBatch, MembersCompleteAtIterationWatermarks) {
   // The first member's service time is roughly a quarter of the last's:
   // it did not pay for the whole batch.
   EXPECT_LT(ServiceUs.front() * 2, ServiceUs.back());
-  EXPECT_EQ(Serve.batchStats(Idx).Batches, 3u);
+  EXPECT_EQ(Serve.batchStats(Idx).Batches, 2u);
+  EXPECT_EQ(Serve.batchStats(Idx).InPlaceBatches, 1u);
   EXPECT_EQ(Serve.batchStats(Idx).SizeCloses, 1u);
+}
+
+/// The batched live-migration scenario: 2000/s of 4-member batches on a
+/// 4-core machine whose socket1 domain (cores 2, 3) warns at 45 ms and
+/// fails at 50 ms. \p Done, when set, sees every finished request.
+/// Returns the run's outcome counters for same-seed comparison.
+auto runBatchedDrain(std::uint64_t Seed,
+                     std::function<void(const ServeRequest &)> Done = {}) {
+  sim::Simulator Sim;
+  sim::Machine M(Sim, 4);
+  sim::FaultPlan Plan;
+  Plan.addDomain("socket1", {2, 3}, /*At=*/50 * sim::MSec,
+                 /*Downtime=*/30 * sim::MSec, /*Warning=*/5 * sim::MSec);
+  M.installFaultPlan(std::move(Plan));
+  rt::RuntimeCosts Costs;
+  rt::PlatformDaemon Daemon(4);
+  ServeLoop Serve(M, Costs, Daemon);
+
+  RequestClassDesc D;
+  D.Name = "bmig";
+  D.MakeRegion = [](const ServeRequest &) {
+    return makeServiceRegion("bmig", 500000);
+  };
+  D.ItersPerRequest = 4;
+  D.Config = {rt::Scheme::DoAny, {2}};
+  D.Batch.MaxBatch = 4;
+  unsigned Idx = Serve.addClass(std::move(D));
+  Serve.OnRequestDone = std::move(Done);
+  Serve.startArrivals(Idx, std::make_unique<PoissonArrivals>(2000.0, Seed));
+  Sim.runUntil(100 * sim::MSec);
+  Serve.stopArrivals(Idx);
+  Sim.run();
+
+  EXPECT_GT(Serve.migrations(), 0u) << "nothing was in flight at the drain";
+  EXPECT_EQ(Serve.drainsCompleted(), 1u);
+  EXPECT_EQ(M.onlineCores(), 4u);
+  const ServeLoop::ClassStats &S = Serve.stats(Idx);
+  EXPECT_EQ(S.Admitted, S.Completed + S.Shed);
+  const BatchStats &B = Serve.batchStats(Idx);
+  EXPECT_GT(B.requestsPerRegion(), 1.0) << "nothing actually coalesced";
+  return std::make_tuple(S.Arrived, S.Admitted, S.Rejected, S.Shed,
+                         S.Completed, Serve.migrations(), B.Batches,
+                         B.SizeCloses, S.TotalUs.percentile(95));
 }
 
 TEST(ServeLoopBatch, BatchedDrainMigratesAllMembersDeterministically) {
   // The live-migration story with coalescing on: a migrated batch runner
   // carries every unfinished member request, and the whole world replays
   // byte-identically under one seed.
-  auto RunOnce = [](std::uint64_t Seed) {
-    sim::Simulator Sim;
-    sim::Machine M(Sim, 4);
-    sim::FaultPlan Plan;
-    Plan.addDomain("socket1", {2, 3}, /*At=*/50 * sim::MSec,
-                   /*Downtime=*/30 * sim::MSec, /*Warning=*/5 * sim::MSec);
-    M.installFaultPlan(std::move(Plan));
-    rt::RuntimeCosts Costs;
-    rt::PlatformDaemon Daemon(4);
-    ServeLoop Serve(M, Costs, Daemon);
-
-    RequestClassDesc D;
-    D.Name = "bmig";
-    D.MakeRegion = [](const ServeRequest &) {
-      return makeServiceRegion("bmig", 500000);
-    };
-    D.ItersPerRequest = 4;
-    D.Config = {rt::Scheme::DoAny, {2}};
-    D.Batch.MaxBatch = 4;
-    unsigned Idx = Serve.addClass(std::move(D));
-    Serve.startArrivals(Idx, std::make_unique<PoissonArrivals>(2000.0, Seed));
-    Sim.runUntil(100 * sim::MSec);
-    Serve.stopArrivals(Idx);
-    Sim.run();
-
-    EXPECT_GT(Serve.migrations(), 0u) << "nothing was in flight at the drain";
-    EXPECT_EQ(Serve.drainsCompleted(), 1u);
-    EXPECT_EQ(M.onlineCores(), 4u);
-    const ServeLoop::ClassStats &S = Serve.stats(Idx);
-    EXPECT_EQ(S.Admitted, S.Completed + S.Shed);
-    const BatchStats &B = Serve.batchStats(Idx);
-    EXPECT_GT(B.requestsPerRegion(), 1.0) << "nothing actually coalesced";
-    return std::make_tuple(S.Arrived, S.Admitted, S.Rejected, S.Shed,
-                           S.Completed, Serve.migrations(), B.Batches,
-                           B.SizeCloses, S.TotalUs.percentile(95));
-  };
-  auto A = RunOnce(42), B = RunOnce(42), C = RunOnce(7);
+  auto A = runBatchedDrain(42), B = runBatchedDrain(42),
+       C = runBatchedDrain(7);
   EXPECT_GT(std::get<0>(A), 100u);
   EXPECT_EQ(A, B) << "same seed must replay the batched drain identically";
   EXPECT_NE(A, C);
 }
+
+TEST(ServeLoopBatch, MigrateInstantsNameUnfinishedMembers) {
+  // Each migrate instant names the oldest request its runner still
+  // serves. A member completed at a watermark before the drain is
+  // finished (and released), so naming it would misreport the migration.
+  for (std::uint64_t Seed : {42u, 7u}) {
+    telemetry::TraceRecorder Rec;
+    telemetry::setRecorder(&Rec);
+    // Request id -> trace length when it completed.
+    std::map<std::uint64_t, std::size_t> DoneAt;
+    runBatchedDrain(Seed, [&](const ServeRequest &R) {
+      if (R.completed())
+        DoneAt[R.Id] = Rec.size();
+    });
+    telemetry::setRecorder(nullptr);
+
+    unsigned Migrates = 0;
+    const std::vector<telemetry::TraceEvent> &Events = Rec.events();
+    for (std::size_t I = 0; I < Events.size(); ++I) {
+      if (Events[I].Name != "migrate")
+        continue;
+      ++Migrates;
+      auto Arg = std::find_if(
+          Events[I].Args.begin(), Events[I].Args.end(),
+          [](const telemetry::TraceArg &A) { return A.Key == "request"; });
+      ASSERT_NE(Arg, Events[I].Args.end());
+      auto Id = static_cast<std::uint64_t>(Arg->Num);
+      auto It = DoneAt.find(Id);
+      ASSERT_NE(It, DoneAt.end()) << "migrated request " << Id
+                                  << " never completed (seed " << Seed << ")";
+      EXPECT_GT(It->second, I) << "migrate instant names request " << Id
+                               << ", which had already completed (seed "
+                               << Seed << ")";
+    }
+    EXPECT_GT(Migrates, 0u) << "no migrate instant traced (seed " << Seed
+                            << ")";
+  }
+}
+
+TEST(ServeLoopBatch, WarmRunnerTakesQueuedBatchInPlace) {
+  // Both runners busy with singletons and eight requests queued: each
+  // runner whose work runs dry takes the next four into its own region.
+  // Only the two singletons pay for a region, thread spawns and the
+  // 0.5 ms context load; the in-place members' warm workers carry on.
+  constexpr sim::SimTime ContextLoad = 500 * sim::USec;
+  sim::Simulator Sim;
+  sim::Machine M(Sim, 4);
+  rt::RuntimeCosts Costs;
+  rt::PlatformDaemon Daemon(4);
+  ServeLoop Serve(M, Costs, Daemon);
+
+  unsigned Regions = 0;
+  RequestClassDesc D;
+  D.Name = "warm";
+  D.MakeRegion = [&Regions, ContextLoad](const ServeRequest &) {
+    ++Regions;
+    return makeServiceRegion("warm", 20000, ContextLoad);
+  };
+  D.ItersPerRequest = 4;
+  D.Config = {rt::Scheme::DoAny, {2}};
+  D.Batch.MaxBatch = 4;
+  unsigned Idx = Serve.addClass(std::move(D));
+
+  std::map<std::uint64_t, unsigned> Finished;
+  std::map<std::uint64_t, sim::SimTime> Service;
+  Serve.OnRequestDone = [&](const ServeRequest &R) {
+    ++Finished[R.Id];
+    if (R.completed())
+      Service[R.Id] = R.CompletedAt - R.StartedAt;
+  };
+  occupyEverySlot(Serve, Idx);
+  for (int I = 0; I < 8; ++I)
+    EXPECT_TRUE(Serve.inject(Idx));
+
+  // Every admitted request is queued, in flight, completed or shed at
+  // every instant, refills included.
+  unsigned Probes = 0;
+  for (sim::SimTime T = 5 * sim::USec; T < 2 * sim::MSec; T += 5 * sim::USec)
+    Sim.scheduleAt(T, [&] {
+      const ServeLoop::ClassStats &S = Serve.stats(Idx);
+      EXPECT_EQ(S.Admitted - S.Completed - S.Shed,
+                Serve.queueDepth(Idx) + Serve.inFlightRequests(Idx))
+          << "at t=" << Sim.now();
+      ++Probes;
+    });
+  Sim.run();
+
+  EXPECT_EQ(Probes, 399u);
+  EXPECT_EQ(Regions, 2u) << "a queued batch started a new region";
+  const BatchStats &B = Serve.batchStats(Idx);
+  EXPECT_EQ(B.Batches, 2u);
+  EXPECT_EQ(B.InPlaceBatches, 2u);
+  EXPECT_EQ(Serve.stats(Idx).Completed, 10u);
+  EXPECT_EQ(Serve.stats(Idx).Shed, 0u);
+  ASSERT_EQ(Finished.size(), 10u);
+  for (const auto &[Id, Count] : Finished)
+    EXPECT_EQ(Count, 1u) << "request " << Id << " finished twice";
+  for (const auto &[Id, T] : Service) {
+    if (Id <= 2)
+      EXPECT_GE(T, ContextLoad) << "cold request " << Id;
+    else
+      EXPECT_LT(T, ContextLoad) << "in-place request " << Id
+                                << " paid a context load";
+  }
+}
+
+TEST(ServeLoopBatch, RunnerOverItsGrantDoesNotRefill) {
+  // The grant halves (4 -> 2) under backlog when a second class
+  // registers. Warm runners refilling forever would keep all four
+  // threads for as long as requests queue; a runner over its class's
+  // grant drains instead, so the shrunk grant gets its threads back.
+  sim::Simulator Sim;
+  sim::Machine M(Sim, 4);
+  rt::RuntimeCosts Costs;
+  rt::PlatformDaemon Daemon(4);
+  ServeLoop Serve(M, Costs, Daemon);
+  RequestClassDesc D = fitClass();
+  D.ItersPerRequest = 4;
+  D.Batch.MaxBatch = 4;
+  unsigned Idx = Serve.addClass(std::move(D));
+  occupyEverySlot(Serve, Idx);
+  for (int I = 0; I < 60; ++I)
+    EXPECT_TRUE(Serve.inject(Idx));
+  ASSERT_EQ(Serve.threadsHeld(Idx), 4u);
+
+  constexpr sim::SimTime ShrinkAt = 100 * sim::USec;
+  Sim.scheduleAt(ShrinkAt, [&] {
+    RequestClassDesc Other = fitClass();
+    Other.Name = "other";
+    Serve.addClass(std::move(Other));
+  });
+  sim::SimTime FitAt = 0;
+  unsigned HeldAfter = 0;
+  while (Serve.queueDepth(Idx) > 0 && Sim.now() < 50 * sim::MSec) {
+    Sim.runUntil(Sim.now() + 10 * sim::USec);
+    if (Sim.now() <= ShrinkAt)
+      continue;
+    ASSERT_EQ(Serve.budgetOf(Idx), 2u);
+    if (!FitAt && Serve.threadsHeld(Idx) <= 2)
+      FitAt = Sim.now();
+    if (FitAt)
+      HeldAfter = std::max(HeldAfter, Serve.threadsHeld(Idx));
+  }
+  ASSERT_NE(FitAt, 0u) << "the class kept the threads of its shrunk grant"
+                          " while requests queued";
+  EXPECT_LT(FitAt - ShrinkAt, sim::MSec);
+  EXPECT_LE(HeldAfter, 2u);
+  Sim.run();
+  EXPECT_EQ(Serve.stats(Idx).Completed, 62u);
+}
+
+TEST(ServeLoopBatch, GrantRemainderRefitsInsteadOfRefilling) {
+  // The grant grows 4 -> 5 under backlog, by less than one runner's
+  // width. Two warm 2-wide runners refilling forever would hold it as 4
+  // while requests queue; with a remainder below one runner's width,
+  // a dry runner drains instead and pump re-fits it 3 wide.
+  sim::Simulator Sim;
+  sim::Machine M(Sim, 8);
+  rt::RuntimeCosts Costs;
+  rt::PlatformDaemon Daemon(8);
+  ServeLoop Serve(M, Costs, Daemon);
+  RequestClassDesc D = fitClass();
+  D.ItersPerRequest = 4;
+  D.Batch.MaxBatch = 4;
+  unsigned Idx = Serve.addClass(std::move(D));
+  // An idle class whose one runner is 3 wide: it registers at half the
+  // machine, and the arbiter's shrink-to-fit hands its fourth thread to
+  // the backlogged class.
+  RequestClassDesc Idle = fitClass();
+  Idle.Name = "idle";
+  Idle.Config = {rt::Scheme::DoAny, {3}};
+  Serve.addClass(std::move(Idle));
+  ASSERT_EQ(Serve.budgetOf(Idx), 4u);
+  for (int I = 0; I < 60; ++I)
+    EXPECT_TRUE(Serve.inject(Idx));
+  ASSERT_EQ(Serve.threadsHeld(Idx), 4u);
+
+  Daemon.startArbiter(Sim, sim::MSec);
+  sim::SimTime GrewAt = 0, FitAt = 0;
+  while (Serve.queueDepth(Idx) > 0 && Sim.now() < 50 * sim::MSec) {
+    Sim.runUntil(Sim.now() + 10 * sim::USec);
+    if (!GrewAt && Serve.budgetOf(Idx) == 5)
+      GrewAt = Sim.now();
+    if (!FitAt && Serve.threadsHeld(Idx) == 5)
+      FitAt = Sim.now();
+  }
+  Daemon.stopArbiter();
+  Sim.run();
+  ASSERT_NE(GrewAt, 0u) << "the grant never grew to 5";
+  ASSERT_NE(FitAt, 0u) << "warm 2-wide runners held the 5-thread grant as 4"
+                          " while requests queued";
+  EXPECT_LT(FitAt - GrewAt, sim::MSec);
+  EXPECT_EQ(Serve.stats(Idx).Completed, 60u);
+}
+
 
 //===----------------------------------------------------------------------===//
 // Serve-path regressions
@@ -766,18 +994,6 @@ TEST(ServeLoop, QueuedArrivalTakesUnassignedThreadsAtOnce) {
 // ServeLoop runner widths fitted to the grant
 //===----------------------------------------------------------------------===//
 
-/// A DoAny@2 service class of 32 iterations of 60 us each.
-RequestClassDesc fitClass() {
-  RequestClassDesc D;
-  D.Name = "fit";
-  D.MakeRegion = [](const ServeRequest &) {
-    return makeServiceRegion("fit", 60000);
-  };
-  D.ItersPerRequest = 32;
-  D.Config = {rt::Scheme::DoAny, {2}};
-  return D;
-}
-
 TEST(ServeLoop, LoneRequestFillsAnOddGrant) {
   sim::Simulator Sim;
   sim::Machine M(Sim, 4);
@@ -821,6 +1037,34 @@ TEST(ServeLoop, OneThreadGrantRunsOneThreadWide) {
   EXPECT_EQ(MaxHeld, 1u);
   EXPECT_EQ(MaxBusy, 1u) << "a 2-wide runner ran on a 1-thread grant";
   EXPECT_EQ(Serve.stats(Idx).Completed, 3u);
+}
+
+TEST(ServeLoop, UnbatchedClassStartsOneRegionPerRequest) {
+  // MaxBatch = 1 keeps the pre-batching broker: under backlog every
+  // request still starts its own region, and no runner refills.
+  sim::Simulator Sim;
+  sim::Machine M(Sim, 4);
+  rt::RuntimeCosts Costs;
+  rt::PlatformDaemon Daemon(4);
+  ServeLoop Serve(M, Costs, Daemon);
+  unsigned Regions = 0;
+  RequestClassDesc D = fitClass();
+  D.MakeRegion = [&Regions](const ServeRequest &) {
+    ++Regions;
+    return makeServiceRegion("fit", 60000);
+  };
+  unsigned Idx = Serve.addClass(std::move(D));
+  for (int I = 0; I < 10; ++I)
+    EXPECT_TRUE(Serve.inject(Idx));
+  EXPECT_EQ(Serve.queueDepth(Idx), 8u);
+  Sim.run();
+
+  EXPECT_EQ(Regions, 10u);
+  const BatchStats &B = Serve.batchStats(Idx);
+  EXPECT_EQ(B.Batches, 10u);
+  EXPECT_EQ(B.InPlaceBatches, 0u);
+  EXPECT_EQ(B.SizeCloses, 10u) << "singletons count as full batches of one";
+  EXPECT_EQ(Serve.stats(Idx).Completed, 10u);
 }
 
 TEST(ServeLoop, DemandCountsThreadsHeld) {
