@@ -26,12 +26,13 @@
 // seed sweep).
 //
 // --batch runs the same seeded scenario twice — unbatched baseline, then
-// with per-class BatchPolicy coalescing and warm refill — and reports the
-// goodput speedup, the under-load latency cost and region spin-up
-// amortization side by side, with per-request latency percentiles
-// attributed from inside the batches (never per-batch numbers).
-// scripts/check_serve.sh batch gates the speedup, the under-load p50, the
-// in-place batch count and the batched run's determinism.
+// with per-class BatchPolicy coalescing, warm refill and parking — and
+// reports the goodput speedup, the under-load latency gain and region
+// spin-up amortization side by side, with per-request latency
+// percentiles attributed from inside the batches (never per-batch
+// numbers). scripts/check_serve.sh batch gates the speedup, the
+// under-load p50, the in-place and parked-runner batch counts and the
+// batched run's determinism.
 //
 //===----------------------------------------------------------------------===//
 
@@ -150,7 +151,9 @@ ScenarioOut runScenario(std::uint64_t Seed, bool Batched, int Straggler = 0) {
     std::printf("   batching: api max 8, batch max 4, work-conserving (a"
                 " runner the grant has room for takes the queued backlog"
                 " at once), warm refill (a runner whose work runs dry"
-                " takes the next queued batch in place)\n");
+                " takes the next queued batch in place), parking (an idle"
+                " runner parks, holding no thread, until a dispatch of its"
+                " width wakes it)\n");
   if (Straggler)
     std::printf("   straggler: core 0 dilated 32x across the overload"
                 " phase, 15-thread grant (1 core of headroom), slow-core"
@@ -323,11 +326,17 @@ ScenarioOut runScenario(std::uint64_t Seed, bool Batched, int Straggler = 0) {
   std::printf("   threads held at phase ends: api %u/%u/%u, batch %u/%u/%u\n",
               Snaps[0][0].Held, Snaps[0][1].Held, Snaps[0][2].Held,
               Snaps[1][0].Held, Snaps[1][1].Held, Snaps[1][2].Held);
-  std::printf("   drained at %.2f ms (api q=%zu active=%u, batch q=%zu"
-              " active=%u)\n\n",
+  // Only batching classes park runners.
+  auto Parked = [&](unsigned Idx) {
+    return Batched ? " parked=" + std::to_string(Serve.parkedRunners(Idx))
+                   : std::string();
+  };
+  std::printf("   drained at %.2f ms (api q=%zu active=%u%s, batch q=%zu"
+              " active=%u%s)\n\n",
               ms(Sim.now()), Serve.queueDepth(ApiIdx),
-              Serve.inService(ApiIdx), Serve.queueDepth(BatchIdx),
-              Serve.inService(BatchIdx));
+              Serve.inService(ApiIdx), Parked(ApiIdx).c_str(),
+              Serve.queueDepth(BatchIdx), Serve.inService(BatchIdx),
+              Parked(BatchIdx).c_str());
 
   Out.TransferCount = Transfers.size();
   Out.ToApi = ToApi;
@@ -451,24 +460,25 @@ int main(int Argc, char **Argv) {
     for (int Cls = 0; Cls < 2; ++Cls) {
       const BatchStats &U = A.BStats[Cls], &Bt = B.BStats[Cls];
       std::printf("   %-5s regions: %llu -> %llu (%.2f req/region, %llu"
-                  " batches in place; full %llu underfull %llu; occupancy"
-                  " mean %.2f max %.0f)\n",
+                  " batches in place, %llu by parked runners; full %llu"
+                  " underfull %llu; occupancy mean %.2f max %.0f)\n",
                   Names[Cls], static_cast<unsigned long long>(U.Batches),
                   static_cast<unsigned long long>(Bt.Batches),
                   Bt.requestsPerRegion(),
                   static_cast<unsigned long long>(Bt.InPlaceBatches),
+                  static_cast<unsigned long long>(Bt.Wakes),
                   static_cast<unsigned long long>(Bt.SizeCloses),
                   static_cast<unsigned long long>(Bt.formed() - Bt.SizeCloses),
                   Bt.OccupancyH.mean(), Bt.OccupancyH.max());
     }
     // Work-conserving dispatch sizes batches by the backlog, so the
-    // under-load phase runs mostly singletons and must keep the
-    // unbatched latency.
+    // under-load phase runs mostly singletons; parked runners serve them
+    // without spin-up, so they must beat the unbatched latency.
     double P50A = A.Buckets[0][0].TotalMs.percentile(50);
     double P50B = B.Buckets[0][0].TotalMs.percentile(50);
     P50Ratio = P50A > 0 ? P50B / P50A : 0.0;
     std::printf("   api under-load p50: %.2f ms -> %.2f ms (%.2fx of"
-                " unbatched, limit 1.25x)\n",
+                " unbatched, limit 0.80x)\n",
                 P50A, P50B, P50Ratio);
     // Per-request latency attributed from inside the batches: the p95 a
     // member experienced, not the p95 of whole-batch turnaround.
@@ -492,8 +502,8 @@ int main(int Argc, char **Argv) {
       }
     };
     BCheck(Speedup >= 1.3, "batched overload goodput below 1.3x baseline");
-    BCheck(P50Ratio > 0 && P50Ratio <= 1.25,
-           "batched under-load api p50 above 1.25x unbatched");
+    BCheck(P50Ratio > 0 && P50Ratio <= 0.8,
+           "batched under-load api p50 above 0.8x unbatched");
     BCheck(!B.UnderViol, "batched run has under-load SLO violations");
     BCheck(B.Drained, "batched run did not drain");
     BCheck(B.BStats[0].requestsPerRegion() > 1.5,
@@ -543,13 +553,14 @@ int main(int Argc, char **Argv) {
         std::fprintf(
             J,
             "    {\"name\": \"%s\", \"batches\": %llu,"
-            " \"in_place_batches\": %llu,"
+            " \"in_place_batches\": %llu, \"wakes\": %llu,"
             " \"requests_per_region\": %.3f, \"full_batches\": %llu,"
             " \"underfull_batches\": %llu,"
             " \"overload_goodput_per_sec\": %.1f,"
             " \"overload_p95_ms\": %.3f}%s\n",
             Names[Cls], static_cast<unsigned long long>(Bt.Batches),
             static_cast<unsigned long long>(Bt.InPlaceBatches),
+            static_cast<unsigned long long>(Bt.Wakes),
             Bt.requestsPerRegion(),
             static_cast<unsigned long long>(Bt.SizeCloses),
             static_cast<unsigned long long>(Bt.formed() - Bt.SizeCloses),

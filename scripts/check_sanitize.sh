@@ -10,7 +10,9 @@
 #     pointers across a serve drain, cursor arithmetic, and thread-record
 #     reuse after a body is released — including the waiter-list
 #     compaction test (Machine.UnnotifiedBlockAnyHalfStaysBounded), which
-#     dereferences stale entries' thread records;
+#     dereferences stale entries' thread records, and the TryPullChunk
+#     suite, whose counted-source tests run the refill hook and the hold
+#     from inside a pull;
 #   * the ChunkedPipeline suite and CompiledPerf.ControlledDualPipe*
 #     (run with the rest of CompiledPerf, below) — width-clamped cost
 #     groups on the dualpipe network, fixed and under in-place and full
@@ -42,7 +44,11 @@
 #     re-enter the serve loop from inside a worker's pull: a refill
 #     sheds and finalizes queued requests, appends members and
 #     attributes watermarks there, then releases attributed members
-#     (the ServeLoop* unit suites above cover the same path);
+#     (the ServeLoop* unit suites above cover the same path). An idle
+#     runner parks there too, and the ServeLoop is destroyed while
+#     runners are parked: their workers stay blocked in the Machine on a
+#     source that is destroyed with the loop, and the Machine destroys
+#     their bodies later, without ever resuming them;
 #   * bench_simcore end to end — the event core's in-place handler
 #     invocation, slab recycling and heap pops under ASan/UBSan;
 #   * bench_serve --trace end to end, with detect_stack_use_after_return
@@ -91,7 +97,7 @@ if ! build; then
 fi
 
 "$BUILDDIR/tests/parcae_tests" \
-  --gtest_filter='Checkpoint*:FaultInjection*:ServeLoop*:ChunkPolicy*:QueueWorkSource*:Machine*:ChunkedPipeline*:PdgTest*:CompileTest*:SemanticsTest*:CompiledPerf*:Space/NonaSemanticsProperty*:Controller*:Power*:Stats*:PlatformTenants*:PlatformDaemon*' \
+  --gtest_filter='Checkpoint*:FaultInjection*:ServeLoop*:ChunkPolicy*:QueueWorkSource*:TryPullChunk*:Machine*:ChunkedPipeline*:PdgTest*:CompileTest*:SemanticsTest*:CompiledPerf*:Space/NonaSemanticsProperty*:Controller*:Power*:Stats*:PlatformTenants*:PlatformDaemon*' \
   --gtest_brief=1 ||
   fail "unit suites reported a failure (or a sanitizer fired)"
 

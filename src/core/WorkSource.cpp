@@ -116,7 +116,7 @@ bool QueueWorkSource::restoreState(const WorkSourceState &S) {
 
 WorkSource::Pull CountedWorkSource::tryPull(Token &Out) {
   if (exhausted())
-    return Pull::End;
+    return Held ? Pull::Wait : Pull::End;
   Out = Token{};
   Out.Value = static_cast<std::int64_t>(Next);
   ++Next;
@@ -127,7 +127,7 @@ WorkSource::Pull CountedWorkSource::tryPullChunk(std::uint64_t Max,
                                                  std::vector<Token> &Out) {
   assert(Max > 0 && "chunk claims must request at least one item");
   if (exhausted())
-    return Pull::End;
+    return Held ? Pull::Wait : Pull::End;
   std::uint64_t Take = std::min<std::uint64_t>(Max, N - Next);
   for (std::uint64_t I = 0; I < Take; ++I) {
     Token T{};

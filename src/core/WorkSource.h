@@ -9,7 +9,10 @@
 /// work queue fed by a load generator for the server applications
 /// (Chapter 2's video transcoding work queue), or a plain iteration count
 /// for batch loops. The source survives reconfigurations and scheme
-/// switches, so no work is lost when Morta pauses a region.
+/// switches, so no work is lost when Morta pauses a region. A counted
+/// source can also be refilled from inside a pull, or held open so its
+/// pullers block until it is extended (the serve broker's warm and
+/// parked runners).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -148,7 +151,8 @@ private:
 
 /// A fixed number of iterations: the batch-loop source used by
 /// Nona-compiled programs. Pulls are free; ends after N items, unless a
-/// refill hook extends it first (the serve broker's warm runners).
+/// refill hook extends it first or a hold keeps it open (the serve
+/// broker's warm and parked runners).
 class CountedWorkSource : public WorkSource {
 public:
   explicit CountedWorkSource(std::uint64_t N) : N(N) {}
@@ -177,14 +181,28 @@ public:
 
   std::uint64_t remaining() const { return N - Next; }
 
-  /// Extends the iteration count by \p More.
+  /// Extends the iteration count by \p More. Pullers blocked on a held
+  /// source see the new items once release() wakes them.
   void extend(std::uint64_t More) { N += More; }
 
+  /// Holds the source open: while held, a pull that finds it exhausted,
+  /// even after the refill hook ran, returns Wait instead of End, so the
+  /// pullers block on readyEvent() instead of finishing. A source that is
+  /// never held ends exactly as a plain count.
+  void hold() { Held = true; }
+  /// Clears the hold and wakes the blocked pullers: they pull whatever
+  /// extend() added, or End.
+  void release() {
+    Held = false;
+    Ready.notifyAll();
+  }
+
   /// Refill hook: a pull that finds the source exhausted calls it once,
-  /// just before it would return End, inside the puller's own step (same
-  /// virtual instant, no event). If the hook extend()ed the source the
-  /// pull returns Got instead. Null (the default) keeps the plain count;
-  /// a pull that finds items left never calls it.
+  /// just before it would return End (Wait while held), inside the
+  /// puller's own step (same virtual instant, no event). If the hook
+  /// extend()ed the source the pull returns Got instead; if it hold()s
+  /// it, Wait. Null (the default) keeps the plain count; a pull that
+  /// finds items left never calls it.
   std::function<void()> Refill;
 
   /// Counted pulls carry no payload, so rewinding is just moving the
@@ -213,6 +231,7 @@ private:
 
   std::uint64_t N;
   std::uint64_t Next = 0;
+  bool Held = false;
   sim::Waitable Ready;
 };
 

@@ -19,10 +19,13 @@
 /// Runners stay warm: when a runner's work runs dry while requests are
 /// queued, it takes the next batch (up to MaxBatch) into the same region
 /// and its workers carry on, so spin-up is paid once per runner, not
-/// once per batch. A runner drains instead while a domain drain holds
+/// once per batch. With nothing queued it parks: its workers block on
+/// its held source, its threads go back to the class's grant, and the
+/// next dispatch of exactly its width wakes it with a batch instead of
+/// building a region. A runner drains instead while a domain drain holds
 /// dispatch, while its class holds more threads than its grant, and
-/// while the grant has a remainder below one runner's width that only a
-/// re-fitted runner could use.
+/// while requests queue and the grant has a remainder below one runner's
+/// width that only a re-fitted runner could use.
 ///
 /// Completion stays per-request: the runner's commit-frontier progress
 /// hook attributes each member at its iteration watermark, so latency
@@ -40,9 +43,9 @@
 
 namespace parcae::serve {
 
-/// Per-class batching knobs. MaxBatch <= 1 disables coalescing and warm
-/// refill: every request dispatches as a singleton region, byte-identical
-/// to the unbatched broker.
+/// Per-class batching knobs. MaxBatch <= 1 disables coalescing, warm
+/// refill and parking: every request dispatches as a singleton region,
+/// byte-identical to the unbatched broker.
 struct BatchPolicy {
   /// Most members per batch. <= 1 turns batching off.
   unsigned MaxBatch = 1;
@@ -59,12 +62,15 @@ struct BatchPolicy {
 
 /// Per-class batching statistics. Singleton dispatches count as full
 /// batches of one while batching is disabled — the spin-up amortization
-/// report reads Batches as "regions started". A batch a warm runner takes
-/// in place counts in InPlaceBatches, not Batches, and like a dispatched
-/// one in BatchedRequests, SizeCloses and OccupancyH.
+/// report reads Batches as "regions started". A batch a warm or woken
+/// parked runner takes in place counts in InPlaceBatches, not Batches,
+/// and like a dispatched one in BatchedRequests, SizeCloses and
+/// OccupancyH.
 struct BatchStats {
   std::uint64_t Batches = 0;          ///< batches dispatched (== runners)
   std::uint64_t InPlaceBatches = 0;   ///< batches taken by warm runners
+  /// Of InPlaceBatches, those a parked runner woke to take.
+  std::uint64_t Wakes = 0;
   std::uint64_t BatchedRequests = 0;  ///< member requests across both
   /// Batches formed full (MaxBatch members); the other
   /// formed() - SizeCloses started underfull from a shorter backlog.

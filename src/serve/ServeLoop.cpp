@@ -28,9 +28,10 @@ public:
   }
 
   /// Live demand in threads: the threads the in-service runners hold
-  /// plus one Config-wide runner per batch the queued requests would
-  /// form, floored at one runner (an idle class keeps enough to serve
-  /// the next arrival without a round trip through the daemon).
+  /// (parked ones hold none) plus one Config-wide runner per batch the
+  /// queued requests would form, floored at one runner (an idle class
+  /// keeps enough to serve the next arrival without a round trip through
+  /// the daemon).
   /// Deliberately NOT capped at the budget: demand above the budget is
   /// exactly the daemon's hunger signal.
   unsigned threadsUsed() const override {
@@ -196,12 +197,18 @@ void ServeLoop::pump(unsigned Idx) {
   // thread of the grant sits idle waiting for a batch to fill. Widths
   // fit the grant: the last runner it allows absorbs the remainder that
   // cannot form another (15 -> 2+2+2+2+2+2+3), and a grant narrower than
-  // Config runs one runner that narrow.
+  // Config runs one runner that narrow. The oldest parked runner of
+  // exactly that width takes the batch instead of a new region; only an
+  // exact match, so the grant stays fitted.
   while (!C.Queue.empty()) {
     unsigned Free = C.Budget > C.Held ? C.Budget - C.Held : 0;
     if (Free < Per && !C.Active.empty())
       break;
     unsigned Width = Free < 2 * Per ? Free : Per;
+    if (Width < C.Parked.size() && !C.Parked[Width].empty()) {
+      wake(Idx, *C.Parked[Width].front());
+      continue;
+    }
     std::deque<std::shared_ptr<ServeRequest>> B;
     if (takeBatch(Idx, B) > 0)
       dispatch(Idx, std::move(B), Width);
@@ -279,6 +286,8 @@ void ServeLoop::dispatch(unsigned Idx,
   F->Threads = Width;
   C.Held += Width;
   C.Active.push_back(std::move(F));
+  Fp->Pos = std::prev(C.Active.end());
+  Fp->Serial = NextSerial++;
   rt::RegionConfig Cfg = C.Desc.Config;
   Cfg.DoP[0] = Width;
   Fp->Runner->start(std::move(Cfg));
@@ -287,23 +296,32 @@ void ServeLoop::dispatch(unsigned Idx,
 void ServeLoop::refill(unsigned Idx, InFlight *F) {
   // Called from inside a worker's pull, at the instant the runner's work
   // runs dry. Taking the next batch here keeps the region and its warm
-  // workers: no new region, thread spawn or context load. Three cases
-  // refuse, so the runner drains and is reaped as before:
+  // workers: no new region, thread spawn or context load. With nothing
+  // to take, the runner parks instead, keeping them for a later batch.
+  // Three cases refuse both, so the runner drains and is reaped as
+  // before:
   //  * a domain drain holds dispatch;
   //  * the class holds more than its grant: a shrunk grant must get its
   //    threads back;
-  //  * the grant has a remainder below one runner's width: only pump's
-  //    re-fitted runner can use it (warm 2-wide runners would otherwise
-  //    hold a 15-thread grant as 14 for as long as the backlog lasts).
+  //  * requests queue and the grant has a remainder below one runner's
+  //    width: only pump's re-fitted runner can use it (warm 2-wide
+  //    runners would otherwise hold a 15-thread grant as 14 for as long
+  //    as the backlog lasts).
+  // A parked runner's other workers land here too: they keep its hold
+  // and block. A closed runner's workers pull End.
+  if (F->State != InFlight::Phase::Active)
+    return;
   ClassState &C = *Classes[Idx];
-  if (DrainActive || C.Queue.empty() || C.Held > C.Budget)
+  if (DrainActive || C.Held > C.Budget)
     return;
   unsigned Free = C.Budget - C.Held;
-  if (Free > 0 && Free < C.Desc.Config.totalThreads())
+  if (!C.Queue.empty() && Free > 0 && Free < C.Desc.Config.totalThreads())
     return;
   std::size_t Taken = takeBatch(Idx, F->Members);
-  if (Taken == 0)
-    return; // every request popped was shed
+  if (Taken == 0) {
+    park(Idx, F); // nothing queued, or every request popped was shed
+    return;
+  }
   recordBatch(Idx, Taken, /*InPlace=*/true);
   F->Source->extend(C.Desc.ItersPerRequest * Taken);
   // The runner's last member so far waited for the runner's completion;
@@ -311,17 +329,58 @@ void ServeLoop::refill(unsigned Idx, InFlight *F) {
   onBatchProgress(Idx, F, F->Runner->totalRetired());
 }
 
+void ServeLoop::park(unsigned Idx, InFlight *F) {
+  // Called from inside the pull that found the work done; the hold makes
+  // that pull, and every later one, return Wait. The threads leave Held
+  // at once, while another worker may still run the last member's final
+  // iterations: the grant gets them back as the runner goes idle.
+  ClassState &C = *Classes[Idx];
+  F->Source->hold();
+  C.Held -= F->Threads;
+  if (C.Parked.size() <= F->Threads)
+    C.Parked.resize(F->Threads + 1);
+  // Oldest first, so the same few runners keep taking the work and the
+  // rest stay parked.
+  RunnerList &Bucket = C.Parked[F->Threads];
+  auto At = Bucket.begin();
+  while (At != Bucket.end() && (*At)->Serial < F->Serial)
+    ++At;
+  Bucket.splice(At, C.Active, F->Pos);
+  F->State = InFlight::Phase::Parked;
+  // Parked, the runner never completes: its last member completes at its
+  // watermark, now if that has already passed.
+  onBatchProgress(Idx, F, F->Runner->totalRetired());
+}
+
+void ServeLoop::wake(unsigned Idx, InFlight &F) {
+  ClassState &C = *Classes[Idx];
+  std::size_t Taken = takeBatch(Idx, F.Members);
+  if (Taken == 0)
+    return; // every request popped was shed: the queue is empty
+  recordBatch(Idx, Taken, /*InPlace=*/true);
+  ++C.BStats.Wakes;
+  C.Active.splice(C.Active.end(), C.Parked[F.Threads], F.Pos);
+  F.State = InFlight::Phase::Active;
+  C.Held += F.Threads;
+  F.Source->extend(C.Desc.ItersPerRequest * Taken);
+  // Last: the blocked workers may run at once, inside this call.
+  F.Source->release();
+}
+
 void ServeLoop::onBatchProgress(unsigned Idx, InFlight *F,
                                 std::uint64_t Retired) {
   // The runner's k-th member is complete once it retired (k + 1) x
-  // iters-per-request iterations. The last member waits for the runner's
-  // own completion (which includes the final drain) or for a refill to
-  // queue members behind it, matching the singleton path. Crossings are
-  // idempotent: an abortive recovery may replay iterations and repeat
-  // watermarks, but Attributed only advances.
+  // iters-per-request iterations. An active runner's last member waits
+  // for the runner's own completion (which includes the final drain) or
+  // for a refill to queue members behind it, matching the singleton
+  // path; a parked runner never completes, so its last member completes
+  // at its watermark too. Crossings are idempotent: an abortive recovery
+  // may replay iterations and repeat watermarks, but Attributed only
+  // advances.
   const ClassState &C = *Classes[Idx];
   std::uint64_t Per = C.Desc.ItersPerRequest;
-  while (F->Members.size() > 1 && Retired >= (F->Attributed + 1) * Per) {
+  std::size_t Keep = F->State == InFlight::Phase::Active ? 1 : 0;
+  while (F->Members.size() > Keep && Retired >= (F->Attributed + 1) * Per) {
     completeMember(Idx, *F->Members.front());
     F->Members.pop_front();
     ++F->Attributed;
@@ -362,13 +421,17 @@ void ServeLoop::finish(unsigned Idx, InFlight *F) {
 
   // OnComplete fires from inside the runner's own execution: move the
   // whole in-flight record to the reap list and destroy it (and refill
-  // the freed threads) one event later.
-  auto It = std::find_if(C.Active.begin(), C.Active.end(),
-                         [F](const auto &P) { return P.get() == F; });
-  assert(It != C.Active.end() && "completion for an unknown batch");
-  C.Held -= F->Threads;
-  Reap.push_back(std::move(*It));
-  C.Active.erase(It);
+  // the freed threads) one event later. A held source never ends, so
+  // only an active or a closed parked runner completes.
+  assert(F->State != InFlight::Phase::Parked && "a parked runner completed");
+  if (F->State == InFlight::Phase::Active) {
+    C.Held -= F->Threads;
+    Reap.splice(Reap.end(), C.Active, F->Pos);
+  } else {
+    Reap.splice(Reap.end(), C.Closing, F->Pos);
+    // A domain drain waits for the runners it closed.
+    Sim.schedule(0, [this] { drainStepDone(); });
+  }
   if (!ReapScheduled) {
     ReapScheduled = true;
     Sim.schedule(0, [this] {
@@ -397,6 +460,23 @@ void ServeLoop::onDomainWarning(const sim::FailureDomainEvent &D) {
       Tel, instant(TelPid, 0, "serve", "serve_drain",
                    {telemetry::TraceArg::str("domain", D.Name),
                     telemetry::TraceArg::num("cores", D.Cores.size())}));
+  // Close every parked runner first: released, it pulls End, completes
+  // with no member left to migrate and is reaped, so none can wake onto
+  // the doomed domain. The drain waits for each, since a worker may still
+  // be running its last member's final iterations on a doomed core.
+  // Released last: a released runner may complete inside release().
+  std::vector<InFlight *> Closed;
+  for (auto &C : Classes)
+    for (RunnerList &Bucket : C->Parked) {
+      for (auto &FP : Bucket) {
+        FP->State = InFlight::Phase::Closing;
+        Closed.push_back(FP.get());
+      }
+      C->Closing.splice(C->Closing.end(), Bucket);
+    }
+  DrainPending += static_cast<unsigned>(Closed.size());
+  for (InFlight *F : Closed)
+    F->Source->release();
   // Checkpoint every in-flight request region. Suspended runners hold no
   // thread, so once the last one quiesces the doomed cores are idle.
   for (unsigned Idx = 0; Idx < Classes.size(); ++Idx) {
@@ -407,15 +487,19 @@ void ServeLoop::onDomainWarning(const sim::FailureDomainEvent &D) {
             if (CP)
               DrainMigrations.push_back({Idx, F, *CP});
             // else: completed before quiescing — reaped normally.
-            assert(DrainPending > 0);
-            if (--DrainPending == 0)
-              finishDrain();
+            drainStepDone();
           });
       if (Ok)
         ++DrainPending;
     }
   }
   if (DrainPending == 0)
+    finishDrain();
+}
+
+void ServeLoop::drainStepDone() {
+  assert(DrainPending > 0);
+  if (--DrainPending == 0)
     finishDrain();
 }
 
@@ -489,6 +573,14 @@ unsigned ServeLoop::inService(unsigned Idx) const {
   return static_cast<unsigned>(Classes[Idx]->Active.size());
 }
 
+unsigned ServeLoop::parkedRunners(unsigned Idx) const {
+  assert(Idx < Classes.size());
+  std::size_t N = 0;
+  for (const RunnerList &Bucket : Classes[Idx]->Parked)
+    N += Bucket.size();
+  return static_cast<unsigned>(N);
+}
+
 unsigned ServeLoop::budgetOf(unsigned Idx) const {
   assert(Idx < Classes.size());
   return Classes[Idx]->Budget;
@@ -521,8 +613,15 @@ const BatchStats &ServeLoop::batchStats(unsigned Idx) const {
 
 std::uint64_t ServeLoop::inFlightRequests(unsigned Idx) const {
   assert(Idx < Classes.size());
+  const ClassState &C = *Classes[Idx];
   std::uint64_t N = 0;
-  for (const auto &F : Classes[Idx]->Active)
-    N += F->Members.size();
+  auto Count = [&N](const RunnerList &L) {
+    for (const auto &F : L)
+      N += F->Members.size();
+  };
+  Count(C.Active);
+  for (const RunnerList &Bucket : C.Parked)
+    Count(Bucket);
+  Count(C.Closing);
   return N;
 }

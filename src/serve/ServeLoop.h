@@ -25,11 +25,23 @@
 ///                     work runs dry while requests queue takes the next
 ///                     batch into the same region, so spin-up is paid once
 ///                     per runner, not once per batch
+///                  -> park and wake (batching classes only): a runner
+///                     whose work runs dry with nothing queued parks
+///                     instead of draining. Its workers block on its held
+///                     source, its threads go back to the grant, and the
+///                     next dispatch of its exact width wakes it instead
+///                     of building a region
 ///                  -> completion stamps + histograms + SLO window,
 ///                     attributed per request at iteration watermarks.
 ///
 /// Every admitted request is therefore queued, in flight, completed or
 /// shed: Admitted - Completed - Shed == queueDepth + inFlightRequests.
+///
+/// A domain warning first closes every parked runner (it completes with
+/// no member and is reaped), so none wakes onto a doomed domain. A
+/// ServeLoop may be destroyed while runners are parked: their workers
+/// then stay blocked in the Machine, on a source destroyed with the loop,
+/// and nothing is left that can wake them.
 ///
 /// The class's tenant reports its live thread demand (threads its
 /// runners hold + Config-wide runners for the queue) to the daemon and
@@ -62,6 +74,7 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <list>
 #include <memory>
 #include <string>
 #include <vector>
@@ -94,9 +107,9 @@ struct RequestClassDesc {
   SloSpec Slo;
   /// Admission policy; DropTailAdmission when null.
   std::unique_ptr<AdmissionPolicy> Policy;
-  /// Request coalescing and warm refill; the default (MaxBatch = 1)
-  /// dispatches every request as its own region, the pre-batching
-  /// behavior.
+  /// Request coalescing, warm refill and parking; the default
+  /// (MaxBatch = 1) dispatches every request as its own region, the
+  /// pre-batching behavior.
   BatchPolicy Batch;
 };
 
@@ -139,19 +152,25 @@ public:
   const ClassStats &stats(unsigned Idx) const;
   /// Batch statistics. Singleton dispatches count as batches of one, so
   /// Batches always equals regions spun up for the class; batches a warm
-  /// runner took in place count in InPlaceBatches instead.
+  /// or parked runner took in place count in InPlaceBatches instead.
   const BatchStats &batchStats(unsigned Idx) const;
   std::size_t queueDepth(unsigned Idx) const;
-  /// In-flight runners (each holds one region; a batching class's runner
-  /// carries up to BatchPolicy::MaxBatch member requests per batch it
-  /// took).
+  /// In-flight runners, each holding its threads and one region (a
+  /// batching class's runner carries up to BatchPolicy::MaxBatch member
+  /// requests per batch it took). Parked runners are not counted: a
+  /// drain loop on this accessor ends once every request is finished.
   unsigned inService(unsigned Idx) const;
-  /// Member requests across all in-flight runners not yet completed.
+  /// Parked runners: idle, holding no thread, waiting for a dispatch of
+  /// their width.
+  unsigned parkedRunners(unsigned Idx) const;
+  /// Member requests not yet completed across all runners, parked ones
+  /// included (a runner parks while its last member may still run).
   std::uint64_t inFlightRequests(unsigned Idx) const;
   /// The class's current daemon budget (threads).
   unsigned budgetOf(unsigned Idx) const;
   /// Threads the class's in-flight runners were started with: at most
-  /// the budget, unless the daemon shrank it under running work.
+  /// the budget, unless the daemon shrank it under running work. Parked
+  /// runners hold none.
   unsigned threadsHeld(unsigned Idx) const;
 
   /// Latency at percentile \p P in seconds over the recent-completions
@@ -182,12 +201,17 @@ public:
 private:
   class ClassTenant;
 
+  struct InFlight;
+  /// Runners in one state, in the order they entered it. An InFlight
+  /// keeps its own node (Pos), so moving it between lists is a splice.
+  using RunnerList = std::list<std::unique_ptr<InFlight>>;
+
   /// One in-flight runner (a singleton batch when batching is off): the
   /// member requests share one region/runner fed by a counted source of
   /// ItersPerRequest iterations per member ever taken. A batching
-  /// class's runner appends each batch it takes in place (refill()).
-  /// Address-stable (held by unique pointer): the runner references
-  /// Region and Source by address.
+  /// class's runner appends each batch it takes in place (refill(),
+  /// wake()). Address-stable (held by unique pointer): the runner
+  /// references Region and Source by address.
   struct InFlight {
     /// The unfinished members, oldest first. A member is released as
     /// soon as it is attributed, so a long-lived warm runner holds only
@@ -195,14 +219,22 @@ private:
     std::deque<std::shared_ptr<ServeRequest>> Members;
     /// Members completed and released so far: the runner's k-th member
     /// overall (k from 0) completes once it retired (k + 1) x
-    /// ItersPerRequest iterations. The last member is always attributed
-    /// at the runner's completion, so a singleton batch behaves exactly
-    /// like the pre-batching broker.
+    /// ItersPerRequest iterations. An active runner's last member is
+    /// attributed at the runner's completion, so a singleton batch
+    /// behaves exactly like the pre-batching broker; a parked runner,
+    /// which never completes, attributes it at its watermark.
     std::uint64_t Attributed = 0;
     rt::FlexibleRegion Region;
     std::unique_ptr<rt::CountedWorkSource> Source;
     std::unique_ptr<rt::RegionRunner> Runner;
     unsigned Threads = 0; ///< the runner's width (its one task's DoP)
+    /// Active: in ClassState::Active, its Threads counted in Held.
+    /// Parked: in the Parked bucket of its width, its source held.
+    /// Closing: parked until a domain warning released it; in Closing
+    /// until it completes.
+    enum class Phase { Active, Parked, Closing } State = Phase::Active;
+    RunnerList::iterator Pos; ///< this runner's node in its state's list
+    std::uint64_t Serial = 0; ///< dispatch order over the loop's runners
 
     explicit InFlight(rt::FlexibleRegion R) : Region(std::move(R)) {}
   };
@@ -213,7 +245,12 @@ private:
     std::unique_ptr<ArrivalProcess> Arrivals;
     std::uint64_t ArrivalEpoch = 0; ///< invalidates stale arrival events
     std::deque<std::shared_ptr<ServeRequest>> Queue;
-    std::vector<std::unique_ptr<InFlight>> Active;
+    RunnerList Active;
+    /// Parked runners indexed by width, so a wake finds one of exactly
+    /// the width pump would build without a scan; each bucket oldest
+    /// (lowest Serial) first, the one pump wakes.
+    std::vector<RunnerList> Parked;
+    RunnerList Closing;
     unsigned Budget = 1;
     unsigned Held = 0; ///< sum of Active runners' Threads
     ClassStats Stats;
@@ -256,12 +293,18 @@ private:
   void dispatch(unsigned Idx, std::deque<std::shared_ptr<ServeRequest>> B,
                 unsigned Width);
   /// The refill hook of a batching class's runner, called when its work
-  /// runs dry: takes the next queued batch into the same region, unless
-  /// the runner must drain instead so its threads can be re-fitted.
+  /// runs dry: takes the next queued batch into the same region, or
+  /// parks the runner when there is none, unless the runner must drain
+  /// instead so its threads can be re-fitted.
   void refill(unsigned Idx, InFlight *F);
+  /// Holds \p F's source and moves it, and its threads, out of service.
+  void park(unsigned Idx, InFlight *F);
+  /// Gives the parked \p F the next queued batch and puts it back in
+  /// service; it stays parked if every request popped was shed.
+  void wake(unsigned Idx, InFlight &F);
   /// Watermark attribution: completes every member whose iteration
-  /// watermark the runner's retire count crossed (all but the last
-  /// member, which completes with the runner).
+  /// watermark the runner's retire count crossed (an active runner's
+  /// last member excepted: it completes with the runner).
   void onBatchProgress(unsigned Idx, InFlight *F, std::uint64_t Retired);
   /// Stamps one member completed now and feeds histograms, SLO
   /// accounting, the recent-latency window, and OnRequestDone.
@@ -269,6 +312,9 @@ private:
   void finish(unsigned Idx, InFlight *F);
   void finalize(unsigned Idx, const ServeRequest &R);
   void onDomainWarning(const sim::FailureDomainEvent &D);
+  /// One runner the drain waits for (a checkpoint or a closed parked
+  /// runner) is done; the last one finishes the drain.
+  void drainStepDone();
   /// Every in-flight request quiesced: offline the doomed cores, resume
   /// each suspended runner on the survivors, release the dispatch hold.
   void finishDrain();
@@ -280,9 +326,10 @@ private:
   std::vector<std::unique_ptr<ClassState>> Classes;
   /// Runners whose OnComplete fired this event; destroyed one event
   /// later (a runner cannot be destroyed from inside its own callback).
-  std::vector<std::unique_ptr<InFlight>> Reap;
+  RunnerList Reap;
   bool ReapScheduled = false;
   std::uint64_t NextId = 1;
+  std::uint64_t NextSerial = 0;
 
   // Drain state. While DrainActive, dispatch is held; suspended runners
   // cannot complete, so the InFlight pointers collected here stay valid
@@ -294,7 +341,8 @@ private:
     rt::RunnerCheckpoint CP;
   };
   bool DrainActive = false;
-  unsigned DrainPending = 0; ///< checkpoint callbacks outstanding
+  /// Checkpoint callbacks and closed parked runners outstanding.
+  unsigned DrainPending = 0;
   sim::SimTime DrainStartAt = 0;
   std::vector<unsigned> DrainCores;
   std::vector<MigratingRequest> DrainMigrations;

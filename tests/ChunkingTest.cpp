@@ -92,6 +92,35 @@ TEST(TryPullChunk, CountedSourceRefillRunsOnlyWhenExhausted) {
   EXPECT_EQ(Calls, 2u);
 }
 
+TEST(TryPullChunk, CountedSourceHeldReportsWaitWhenExhausted) {
+  CountedWorkSource Src(2);
+  unsigned Calls = 0;
+  Src.Refill = [&] { ++Calls; };
+  Src.hold();
+  std::vector<Token> Out;
+  // Items left: a held source still hands them out.
+  EXPECT_EQ(Src.tryPullChunk(8, Out), WorkSource::Pull::Got);
+  EXPECT_EQ(Out.size(), 2u);
+  // Exhausted, the hook declines, and the hold turns End into Wait.
+  Token T;
+  EXPECT_EQ(Src.tryPull(T), WorkSource::Pull::Wait);
+  EXPECT_EQ(Src.tryPullChunk(8, Out), WorkSource::Pull::Wait);
+  EXPECT_EQ(Calls, 2u);
+  // Extended and released: the new items, numbered on.
+  Src.extend(1);
+  Src.release();
+  EXPECT_EQ(Src.tryPull(T), WorkSource::Pull::Got);
+  EXPECT_EQ(T.Value, 2);
+  // The hook holds it again from inside the pull: Wait, not End.
+  Src.Refill = [&] { Src.hold(); };
+  EXPECT_EQ(Src.tryPull(T), WorkSource::Pull::Wait);
+  // Released with nothing added: End, as a source never held.
+  Src.Refill = nullptr;
+  Src.release();
+  EXPECT_EQ(Src.tryPullChunk(8, Out), WorkSource::Pull::End);
+  EXPECT_EQ(Out.size(), 2u);
+}
+
 TEST(TryPullChunk, CountedSourceRewindRestoresChunk) {
   CountedWorkSource Src(20);
   std::vector<Token> Out;

@@ -3,7 +3,8 @@
 // Tests of the open-loop serving layer: seeded arrival processes (Poisson,
 // bursty, trace replay + CSV parsing), admission control, the ServeLoop
 // broker end-to-end on a small machine (runner widths fitted to the
-// class's thread grant, and warm runners taking queued batches in place,
+// class's thread grant, warm runners taking queued batches in place, and
+// idle runners parking until a dispatch of their width wakes them,
 // included), and the platform daemon's tenant
 // interface — slack handoff, the ShrunkToFit oscillation guard, the
 // demand path that hands unassigned threads to a queued arrival, and the
@@ -506,6 +507,8 @@ TEST(ServeLoopBatch, AccessorsCountEveryAdmittedRequest) {
       << "nothing coalesced";
   EXPECT_GT(Serve.batchStats(Idx).InPlaceBatches, 0u)
       << "no batch was taken in place: the probes never crossed a refill";
+  EXPECT_GT(Serve.batchStats(Idx).Wakes, 0u)
+      << "no parked runner woke: the probes never crossed a park and wake";
   const ServeLoop::ClassStats &S = Serve.stats(Idx);
   EXPECT_EQ(S.Admitted, S.Completed + S.Shed);
 }
@@ -808,6 +811,207 @@ TEST(ServeLoopBatch, GrantRemainderRefitsInsteadOfRefilling) {
                           " while requests queued";
   EXPECT_LT(FitAt - GrewAt, sim::MSec);
   EXPECT_EQ(Serve.stats(Idx).Completed, 60u);
+}
+
+//===----------------------------------------------------------------------===//
+// ServeLoop parked runners
+//===----------------------------------------------------------------------===//
+
+/// fitClass() batching up to 4 per runner, each runner's workers paying
+/// \p ContextLoad once, and \p Regions counting the regions built.
+RequestClassDesc parkingClass(unsigned &Regions,
+                              sim::SimTime ContextLoad = 0) {
+  RequestClassDesc D = fitClass();
+  D.MakeRegion = [&Regions, ContextLoad](const ServeRequest &) {
+    ++Regions;
+    return makeServiceRegion("fit", 60000, ContextLoad);
+  };
+  D.Batch.MaxBatch = 4;
+  return D;
+}
+
+TEST(ServeLoopBatch, ParkedRunnerServesNextRequestWithoutSpinUp) {
+  // One request, an idle gap, then a second request. The first runner's
+  // work runs dry with nothing queued, so it parks instead of draining;
+  // the second request wakes it, and its warm workers skip the region
+  // build, the thread spawns and the 0.5 ms context load.
+  constexpr sim::SimTime ContextLoad = 500 * sim::USec;
+  sim::Simulator Sim;
+  sim::Machine M(Sim, 4);
+  rt::RuntimeCosts Costs;
+  rt::PlatformDaemon Daemon(4);
+  ServeLoop Serve(M, Costs, Daemon);
+  unsigned Regions = 0;
+  RequestClassDesc D = parkingClass(Regions, ContextLoad);
+  D.ItersPerRequest = 4;
+  unsigned Idx = Serve.addClass(std::move(D));
+
+  std::vector<ServeRequest> Done;
+  Serve.OnRequestDone = [&](const ServeRequest &R) { Done.push_back(R); };
+  EXPECT_TRUE(Serve.inject(Idx));
+  Sim.run();
+  ASSERT_EQ(Done.size(), 1u);
+  EXPECT_EQ(Serve.parkedRunners(Idx), 1u);
+
+  Sim.scheduleAt(Sim.now() + 10 * sim::MSec,
+                 [&] { EXPECT_TRUE(Serve.inject(Idx)); });
+  Sim.run();
+  ASSERT_EQ(Done.size(), 2u);
+  EXPECT_EQ(Regions, 1u) << "the second request built a region";
+  EXPECT_EQ(Serve.batchStats(Idx).Wakes, 1u);
+  sim::SimTime Cold = Done[0].CompletedAt - Done[0].StartedAt;
+  sim::SimTime Warm = Done[1].CompletedAt - Done[1].StartedAt;
+  EXPECT_GE(Cold, ContextLoad);
+  EXPECT_LT(Warm, ContextLoad) << "the woken runner paid a context load";
+  // Four iterations of 60 us over two workers, plus the wake itself.
+  EXPECT_LT(Warm, 2 * 60 * sim::USec + 10 * sim::USec);
+}
+
+TEST(ServeLoopBatch, ParkedRunnerHoldsNoThreads) {
+  // Four runners park after their requests. Parked, they hold no thread,
+  // serve no request and occupy no core, so their class reports one
+  // runner's worth of demand and a backlogged second class is granted
+  // every other thread of the machine, and keeps all of them busy.
+  sim::Simulator Sim;
+  sim::Machine M(Sim, 8);
+  rt::RuntimeCosts Costs;
+  rt::PlatformDaemon Daemon(8);
+  ServeLoop Serve(M, Costs, Daemon);
+  unsigned Regions = 0;
+  unsigned Idx = Serve.addClass(parkingClass(Regions));
+  ASSERT_EQ(Serve.budgetOf(Idx), 8u);
+  for (int I = 0; I < 4; ++I)
+    EXPECT_TRUE(Serve.inject(Idx));
+  EXPECT_EQ(Serve.threadsHeld(Idx), 8u);
+  Sim.run();
+  EXPECT_EQ(Serve.stats(Idx).Completed, 4u);
+  EXPECT_EQ(Serve.parkedRunners(Idx), 4u);
+  EXPECT_EQ(Serve.threadsHeld(Idx), 0u);
+  EXPECT_EQ(Serve.inService(Idx), 0u);
+  EXPECT_EQ(Serve.inFlightRequests(Idx), 0u);
+  EXPECT_EQ(M.busyCores(), 0u);
+
+  RequestClassDesc Other = fitClass();
+  Other.Name = "other";
+  unsigned OtherIdx = Serve.addClass(std::move(Other));
+  for (int I = 0; I < 40; ++I)
+    Serve.inject(OtherIdx);
+  Daemon.startArbiter(Sim, sim::MSec);
+  unsigned MaxBusy = 0;
+  for (sim::SimTime T = Sim.now(); Sim.now() < T + 5 * sim::MSec;) {
+    Sim.runUntil(Sim.now() + 10 * sim::USec);
+    MaxBusy = std::max(MaxBusy, M.busyCores());
+  }
+  EXPECT_EQ(Serve.budgetOf(Idx), 2u) << "the parked class kept its threads";
+  EXPECT_EQ(Serve.budgetOf(OtherIdx), 6u);
+  EXPECT_EQ(Serve.threadsHeld(OtherIdx), 6u);
+  EXPECT_EQ(MaxBusy, 6u);
+  EXPECT_EQ(Serve.parkedRunners(Idx), 4u);
+  Daemon.stopArbiter();
+  Sim.run();
+  EXPECT_EQ(Serve.stats(OtherIdx).Completed, 40u);
+}
+
+TEST(ServeLoopBatch, WakeFitsTheGrantWidth) {
+  // Three 2-wide runners park. Their class is shrunk to fit one runner,
+  // then three requests in one event grow its grant to 7: the first two
+  // wake two of the parked runners and leave a 3-thread remainder. Pump
+  // builds a 3-wide runner for the third request instead of waking the
+  // third 2-wide one, so the class holds its whole grant.
+  sim::Simulator Sim;
+  sim::Machine M(Sim, 8);
+  rt::RuntimeCosts Costs;
+  rt::PlatformDaemon Daemon(8);
+  ServeLoop Serve(M, Costs, Daemon);
+  unsigned Regions = 0;
+  unsigned Idx = Serve.addClass(parkingClass(Regions));
+  for (int I = 0; I < 3; ++I)
+    EXPECT_TRUE(Serve.inject(Idx));
+  Sim.run();
+  ASSERT_EQ(Serve.parkedRunners(Idx), 3u);
+  ASSERT_EQ(Regions, 3u);
+
+  // An idle 1-wide class: the first tick shrinks both classes to one
+  // runner's worth (2 and 1), leaving five threads unassigned.
+  RequestClassDesc Idle = fitClass();
+  Idle.Name = "idle";
+  Idle.Config = {rt::Scheme::DoAny, {1}};
+  Serve.addClass(std::move(Idle));
+  Daemon.startArbiter(Sim, sim::MSec);
+  Sim.runUntil(Sim.now() + 1500 * sim::USec);
+  ASSERT_EQ(Serve.budgetOf(Idx), 2u);
+
+  unsigned HeldAfter = 0, BudgetAfter = 0;
+  Sim.schedule(0, [&] {
+    for (int I = 0; I < 3; ++I)
+      EXPECT_TRUE(Serve.inject(Idx));
+    HeldAfter = Serve.threadsHeld(Idx);
+    BudgetAfter = Serve.budgetOf(Idx);
+  });
+  Sim.runUntil(Sim.now() + 1);
+  EXPECT_EQ(BudgetAfter, 7u);
+  EXPECT_EQ(HeldAfter, 7u) << "a parked runner narrower than the remainder"
+                              " took it";
+  EXPECT_EQ(Regions, 4u);
+  EXPECT_EQ(Serve.batchStats(Idx).Wakes, 2u);
+  EXPECT_EQ(Serve.parkedRunners(Idx), 1u);
+  Daemon.stopArbiter();
+  Sim.run();
+  EXPECT_EQ(Serve.stats(Idx).Completed, 6u);
+}
+
+TEST(ServeLoopBatch, DomainWarningClosesParkedRunners) {
+  // Two runners park early. Shortly before socket1 (cores 2 and 3) warns,
+  // a request wakes one of them. The warning closes the other: it
+  // completes with no member and is reaped, and only the woken runner's
+  // member migrates. When the drain is done no runner is parked, so none
+  // can wake onto the doomed domain; the migrated runner parks again
+  // once its member is done, on the surviving cores.
+  sim::Simulator Sim;
+  sim::Machine M(Sim, 4);
+  sim::FaultPlan Plan;
+  Plan.addDomain("socket1", {2, 3}, /*At=*/50 * sim::MSec,
+                 /*Downtime=*/30 * sim::MSec, /*Warning=*/5 * sim::MSec);
+  M.installFaultPlan(std::move(Plan));
+  rt::RuntimeCosts Costs;
+  rt::PlatformDaemon Daemon(4);
+  ServeLoop Serve(M, Costs, Daemon);
+  unsigned Regions = 0;
+  unsigned Idx = Serve.addClass(parkingClass(Regions));
+  std::map<std::uint64_t, unsigned> Finished;
+  Serve.OnRequestDone = [&](const ServeRequest &R) {
+    EXPECT_TRUE(R.completed()) << "request " << R.Id;
+    ++Finished[R.Id];
+  };
+
+  for (int I = 0; I < 2; ++I)
+    EXPECT_TRUE(Serve.inject(Idx));
+  Sim.runUntil(44500 * sim::USec);
+  ASSERT_EQ(Serve.parkedRunners(Idx), 2u);
+  EXPECT_TRUE(Serve.inject(Idx)); // ~1 ms of work: in flight at 45 ms
+  EXPECT_EQ(Serve.parkedRunners(Idx), 1u);
+  EXPECT_EQ(Serve.inService(Idx), 1u);
+
+  while (Serve.drainsCompleted() == 0 && Sim.now() < 50 * sim::MSec)
+    Sim.runUntil(Sim.now() + sim::USec);
+  ASSERT_EQ(Serve.drainsCompleted(), 1u);
+  EXPECT_EQ(Serve.parkedRunners(Idx), 0u) << "a parked runner outlived the"
+                                             " warning";
+  EXPECT_EQ(Serve.migrations(), 1u) << "only the woken runner's member";
+  EXPECT_EQ(Serve.inService(Idx), 1u);
+
+  Sim.scheduleAt(60 * sim::MSec, [&] { EXPECT_TRUE(Serve.inject(Idx)); });
+  Sim.run();
+  EXPECT_EQ(M.onlineCores(), 4u);
+  EXPECT_EQ(Regions, 2u);
+  EXPECT_EQ(Serve.batchStats(Idx).Wakes, 2u);
+  EXPECT_EQ(Serve.parkedRunners(Idx), 1u);
+  const ServeLoop::ClassStats &S = Serve.stats(Idx);
+  EXPECT_EQ(S.Completed, 4u);
+  ASSERT_EQ(Finished.size(), 4u);
+  for (const auto &[Id, Count] : Finished)
+    EXPECT_EQ(Count, 1u) << "request " << Id << " finished twice";
+  EXPECT_EQ(Serve.inFlightRequests(Idx), 0u);
 }
 
 
