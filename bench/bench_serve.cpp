@@ -302,17 +302,25 @@ ScenarioOut runScenario(std::uint64_t Seed, bool Batched, int Straggler = 0) {
 
   // --- SLO budget-transfer timeline ------------------------------------
   // Counted by the phase each transfer lands in (drain time counts as
-  // recovery), so stdout shows whether loans come in overload or after.
+  // recovery), so stdout shows whether loans come in overload or after,
+  // and by reason: how many threads a backlogged class took while it
+  // still met its SLO (the rest went to violators).
   const auto &Transfers = Daemon.sloTransfers();
-  std::uint64_t ToApi = 0, ByPhase[NumPhases] = {};
+  std::uint64_t ToApi = 0, ByBacklog = 0, ByPhase[NumPhases] = {};
   for (const auto &T : Transfers) {
     if (T.To == "api")
       ++ToApi;
+    if (T.Why == PlatformDaemon::SloReason::Backlog)
+      ++ByBacklog;
     ++ByPhase[phaseOf(T.At)];
   }
-  std::printf("\n   slo timeline: %zu transfer(s), %llu toward api; by"
-              " phase: %s %llu, %s %llu, %s %llu",
-              Transfers.size(), static_cast<unsigned long long>(ToApi),
+  std::printf("\n   slo timeline: %zu transfer(s), %llu toward api",
+              Transfers.size(), static_cast<unsigned long long>(ToApi));
+  // The straggler A/B runs no SLO pass, so it has no reasons to split.
+  if (!Straggler)
+    std::printf(", %llu by backlog",
+                static_cast<unsigned long long>(ByBacklog));
+  std::printf("; by phase: %s %llu, %s %llu, %s %llu",
               PhaseNames[0], static_cast<unsigned long long>(ByPhase[0]),
               PhaseNames[1], static_cast<unsigned long long>(ByPhase[1]),
               PhaseNames[2], static_cast<unsigned long long>(ByPhase[2]));

@@ -14,11 +14,14 @@
 #     for either class, and non-zero shedding in the api overload row;
 #   * the SLO timeline's per-phase transfer counts add up to its total,
 #     on every run the output prints;
+#   * every such timeline reports how many transfers a backlogged class
+#     took while meeting its SLO (`K by backlog`), with K at most the
+#     total;
 #   * every run the output prints reports the threads each class's
 #     runners hold at phase ends, beside its budgets;
 #   * the trace shows the arbitration story: repartition instants and
-#     slo_transfer instants, with admission + transfer counters in the
-#     metrics dump.
+#     slo_transfer instants, each naming its reason (violation or
+#     backlog), with admission + transfer counters in the metrics dump.
 #
 # In batch mode the same sweep runs `bench_serve --batch` (the A/B:
 # unbatched baseline then batched dispatch at the same seed) and
@@ -105,6 +108,12 @@ for S in 7 21 42; do
   sed -nE 's/.*slo timeline: ([0-9]+) transfer\(s\),.* by phase: under ([0-9]+), overload ([0-9]+), recovery ([0-9]+).*/\1 \2 \3 \4/p' \
     "$OUT" | awk 'NF == 4 && $1 == $2 + $3 + $4 { ok++ } END { exit (NR > 0 && ok == NR) ? 0 : 1 }' ||
     fail "seed $S: SLO timeline phase counts do not sum to its total"
+  # Every timeline splits out the transfers taken by backlog, and no more
+  # of them than its total.
+  NT=$(grep -c 'slo timeline:' "$OUT" || true)
+  sed -nE 's/.*slo timeline: ([0-9]+) transfer\(s\), [0-9]+ toward api, ([0-9]+) by backlog;.*/\1 \2/p' \
+    "$OUT" | awk -v n="$NT" '$2 <= $1 { ok++ } END { exit (n > 0 && ok == n) ? 0 : 1 }' ||
+    fail "seed $S: an SLO timeline lacks a backlog count at most its total"
   # Each budgets line has its threads-held line (batch mode prints two).
   NB=$(grep -c 'budgets at phase ends:' "$OUT" || true)
   NH=$(grep -Ec '^   threads held at phase ends: api [0-9]+/[0-9]+/[0-9]+, batch [0-9]+/[0-9]+/[0-9]+$' \
@@ -120,6 +129,10 @@ TRACE="$WORKDIR/serve.42.1.trace.json"
 # tenants register and rebalance, and the SLO pass records its moves.
 grep -q '"repartition"' "$TRACE" || fail "no repartition instant in trace"
 grep -q '"slo_transfer"' "$TRACE" || fail "no slo_transfer instant in trace"
+# Each transfer instant says why the thread moved.
+grep -o '"name":"slo_transfer"[^}]*}' "$TRACE" |
+  awk '!/"why":"(violation|backlog)"/ { bad++ } END { exit (NR > 0 && !bad) ? 0 : 1 }' ||
+  fail "an slo_transfer instant carries no violation/backlog reason"
 
 # Batch mode: coalescing leaves batch_close instants in the trace.
 if [ "$MODE" = batch ]; then

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <optional>
 
 using namespace parcae::rt;
 
@@ -15,6 +16,11 @@ namespace {
 constexpr double DonorHeadroom = 0.75;
 /// Minimum budget any tenant is left with after donating.
 constexpr unsigned MinBudget = 1;
+
+/// The `why` an slo_transfer trace instant carries.
+const char *reasonName(PlatformDaemon::SloReason R) {
+  return R == PlatformDaemon::SloReason::Violation ? "violation" : "backlog";
+}
 } // namespace
 
 PlatformTenant::~PlatformTenant() = default;
@@ -287,7 +293,7 @@ void PlatformDaemon::sloRebalanceOnce() {
     return;
   sim::SimTime Now = ArbSim ? ArbSim->now() : 0;
   // Latency-to-target ratio per tenant; negative = no SLO or no data.
-  std::vector<double> Ratio(Programs.size(), -1.0);
+  Ratio.assign(Programs.size(), -1.0);
   for (std::size_t I = 0; I < Programs.size(); ++I) {
     const PlatformTenant *T = Programs[I].T;
     if (!T->hasSlo())
@@ -299,8 +305,8 @@ void PlatformDaemon::sloRebalanceOnce() {
       Ratio[I] = Lat / Target;
   }
 
-  std::vector<Entry *> Changed;
-  auto moveThread = [&](std::size_t From, std::size_t To) {
+  Changed.clear();
+  auto moveThread = [&](std::size_t From, std::size_t To, SloReason Why) {
     Entry &D = Programs[From], &V = Programs[To];
     --D.Budget;
     ++V.Budget;
@@ -310,11 +316,12 @@ void PlatformDaemon::sloRebalanceOnce() {
     D.ShrunkToFit = true;
     V.Used = 0;
     V.ShrunkToFit = false;
-    Transfers.push_back({Now, D.T->tenantName(), V.T->tenantName()});
+    Transfers.push_back({Now, D.T->tenantName(), V.T->tenantName(), Why});
     if (Tel) {
       Tel->instant(TelPid, 0, "platform", "slo_transfer",
                    {telemetry::TraceArg::str("from", D.T->tenantName()),
-                    telemetry::TraceArg::str("to", V.T->tenantName())});
+                    telemetry::TraceArg::str("to", V.T->tenantName()),
+                    telemetry::TraceArg::str("why", reasonName(Why))});
       Tel->metrics().counter("platform.slo_transfers").add();
     }
     if (std::find(Changed.begin(), Changed.end(), &D) == Changed.end())
@@ -322,6 +329,60 @@ void PlatformDaemon::sloRebalanceOnce() {
     if (std::find(Changed.begin(), Changed.end(), &V) == Changed.end())
       Changed.push_back(&V);
   };
+  // The donor to tenant I with the lowest Key(J), ties to the larger
+  // budget; Key is empty for a tenant that may not donate. Nobody
+  // donates below MinBudget. Returns Programs.size() when none may.
+  using DonorKey = std::optional<double>;
+  auto bestDonor = [&](std::size_t I, auto Key) {
+    std::size_t Donor = Programs.size();
+    double Best = 0;
+    for (std::size_t J = 0; J < Programs.size(); ++J) {
+      if (J == I || Programs[J].Budget <= MinBudget)
+        continue;
+      DonorKey K = Key(J);
+      if (!K)
+        continue;
+      if (Donor == Programs.size() || *K < Best ||
+          (*K == Best && Programs[J].Budget > Programs[Donor].Budget))
+        Donor = J, Best = *K;
+    }
+    return Donor;
+  };
+  constexpr double Inf = std::numeric_limits<double>::infinity();
+
+  // Backlog pass: an SLO tenant that wants more and is not violating
+  // (meeting its target, or no data yet) takes its whole shortfall,
+  // threadsUsed() - Budget and at least one thread, before it violates,
+  // instead of one thread per tick after. Deadline-monotonic: only
+  // tenants that promised no latency, then the loosest targets, give;
+  // an equal or tighter target never does, whatever its headroom. It
+  // runs before the violation pass, so a violating looser tenant may
+  // still take one thread from a backlogged one with headroom (run after
+  // it, the backlog pass took that thread back as well, and on
+  // serve-ladder the looser class drained its own backlog later).
+  for (std::size_t I = 0; I < Programs.size(); ++I) {
+    const PlatformTenant *T = Programs[I].T;
+    if (!T->hasSlo() || Ratio[I] > 1.0 || !T->wantsMore())
+      continue;
+    double Target = T->sloTargetSec();
+    unsigned Used = T->threadsUsed();
+    unsigned Budget = Programs[I].Budget;
+    for (unsigned Short = Used > Budget ? Used - Budget : 1; Short > 0;
+         --Short) {
+      std::size_t Donor = bestDonor(I, [&](std::size_t J) -> DonorKey {
+        const PlatformTenant *D = Programs[J].T;
+        if (!D->hasSlo())
+          return -Inf;
+        double DT = D->sloTargetSec();
+        if (DT > Target)
+          return -DT; // the loosest target first
+        return std::nullopt;
+      });
+      if (Donor == Programs.size())
+        break;
+      moveThread(Donor, I, SloReason::Backlog);
+    }
+  }
 
   // Violation pass: each SLO-violating tenant that can use another
   // thread takes one per tick from the best donor — tenants without an
@@ -331,34 +392,28 @@ void PlatformDaemon::sloRebalanceOnce() {
   // instead of the split freezing). A violator that does not want more
   // (a serving class with nothing queued and its runners within its
   // grant) cannot get faster with more budget, and Algorithm 5 would
-  // shrink the grant back on the next tick.
+  // shrink the grant back on the next tick. One thread, not the
+  // violator's whole shortfall: a violating serving class's queue term
+  // (a new runner per batch) over-counts its need, and taking the
+  // shortfall here too measured less goodput on serve-ladder.
   for (std::size_t I = 0; I < Programs.size(); ++I) {
     if (Ratio[I] <= 1.0) // meeting, no data, or no SLO
       continue;
     if (!Programs[I].T->wantsMore())
       continue;
     double Target = Programs[I].T->sloTargetSec();
-    std::size_t Donor = Programs.size();
-    double DonorKey = 0;
-    for (std::size_t J = 0; J < Programs.size(); ++J) {
-      if (J == I || Programs[J].Budget <= MinBudget)
-        continue;
+    std::size_t Donor = bestDonor(I, [&](std::size_t J) -> DonorKey {
       const PlatformTenant *T = Programs[J].T;
-      double Key;
       if (!T->hasSlo())
-        Key = -1.0; // best donors: no latency promise
-      else if (Ratio[J] >= 0 && Ratio[J] <= DonorHeadroom)
-        Key = Ratio[J];
-      else if (T->sloTargetSec() > Target)
-        Key = std::numeric_limits<double>::infinity(); // last resort
-      else
-        continue; // violating, near target, or no data: not a donor
-      if (Donor == Programs.size() || Key < DonorKey ||
-          (Key == DonorKey && Programs[J].Budget > Programs[Donor].Budget))
-        Donor = J, DonorKey = Key;
-    }
+        return -1.0; // best donors: no latency promise
+      if (Ratio[J] >= 0 && Ratio[J] <= DonorHeadroom)
+        return Ratio[J];
+      if (T->sloTargetSec() > Target)
+        return Inf; // last resort
+      return std::nullopt; // violating, near target, or no data
+    });
     if (Donor < Programs.size())
-      moveThread(Donor, I);
+      moveThread(Donor, I, SloReason::Violation);
   }
 
   if (Changed.empty())

@@ -17,13 +17,16 @@
 /// abstract *tenants* (PlatformTenant), of which a RegionController is one
 /// kind and a ServeLoop request class another. A tenant may carry a
 /// latency SLO (p-th percentile of response time <= target); a periodic
-/// arbiter tick then reallocates budget from SLO-meeting tenants to
-/// SLO-violating ones under overload — latency, not just reported thread
-/// need, becomes a first-class arbitration goal. When every SLO tenant
-/// violates, a looser target gives way to a tighter one (deadline-
-/// monotonic). A tenant whose need drops gives the won threads back the
-/// way every tenant does, through Algorithm 5's shrink-to-fit. Every
-/// SLO-driven transfer is recorded in a budget timeline and traced. A
+/// arbiter tick then reallocates budget toward SLO tenants — latency, not
+/// just reported thread need, becomes a first-class arbitration goal.
+/// Threads go to the tighter deadline first (deadline-monotonic): a
+/// violating tenant takes one thread per tick from an SLO-free donor, a
+/// donor with headroom, or a looser target; a backlogged tenant that
+/// still meets its target takes its whole shortfall in the same tick from
+/// SLO-free tenants and looser targets, before it violates. A tenant
+/// whose need drops gives the won threads back the way every tenant
+/// does, through Algorithm 5's shrink-to-fit. Every SLO-driven transfer
+/// is recorded, with its reason, in a budget timeline and traced. A
 /// serving tenant that has to queue work reports it at once
 /// (reportDemand), the way a controller reports its optimum, so
 /// unassigned threads reach it without waiting for the tick.
@@ -103,7 +106,7 @@ public:
   /// Starts the periodic arbiter: every \p Period the daemon polls each
   /// tenant's thread need, runs the Algorithm 5 rebalance (which also
   /// shrinks a former violator back to its need when load drops), and
-  /// then the SLO pass (transfers from SLO-meeting to SLO-violating
+  /// then the SLO pass (transfers toward violating and backlogged SLO
   /// tenants). The daemon must outlive the simulator run; stopArbiter()
   /// halts rescheduling.
   void startArbiter(sim::Simulator &Sim, sim::SimTime Period = sim::MSec);
@@ -122,11 +125,19 @@ public:
   /// The current budget assigned to a registered tenant.
   unsigned budgetOf(const PlatformTenant &T) const;
 
-  /// One SLO-driven move of one thread from a donor to a violator (the
+  /// Why the SLO pass moved a thread (traced as "violation" or
+  /// "backlog").
+  enum class SloReason : std::uint8_t {
+    Violation, ///< the recipient's latency exceeds its target
+    Backlog,   ///< the recipient meets its target but queues work
+  };
+
+  /// One SLO-driven move of one thread from a donor to an SLO tenant (the
   /// budget-timeline telemetry record).
   struct SloTransfer {
     sim::SimTime At;
     std::string From, To;
+    SloReason Why;
   };
   /// Every SLO-driven transfer so far, in time order.
   const std::vector<SloTransfer> &sloTransfers() const { return Transfers; }
@@ -159,8 +170,10 @@ private:
   void rebalance(const char *Why = "rebalance");
   void rebalanceOnce(const char *Why);
   void arbiterTick(sim::Simulator &Sim, sim::SimTime Period);
-  /// One SLO pass: each violator that wants more takes one thread from
-  /// its best donor.
+  /// One SLO pass, tighter deadlines first. Each SLO tenant that wants
+  /// more and is not violating takes its shortfall from SLO-free tenants
+  /// and looser targets; then each violator that wants more takes one
+  /// thread from its best donor.
   void sloRebalanceOnce();
   /// Telemetry: one repartition instant carrying every tenant's budget.
   void traceBudgets(const char *Why);
@@ -173,6 +186,10 @@ private:
   /// runs it on every queued arrival. rebalance() never nests it.
   std::vector<Entry *> Hungry, Notify;
   std::vector<unsigned> NewBudget;
+  /// sloRebalanceOnce's working sets, kept across ticks likewise: the
+  /// latency-to-target ratio per tenant and the tenants whose budget moved.
+  std::vector<double> Ratio;
+  std::vector<Entry *> Changed;
   bool InRebalance = false;
   bool RebalancePending = false;
   bool ArbiterOn = false;

@@ -9,7 +9,8 @@
 // interface — slack handoff, the ShrunkToFit oscillation guard, the
 // demand path that hands unassigned threads to a queued arrival, and the
 // SLO arbitration pass (violator gains from meeter, hand-back on load
-// drop, the looser target giving way to the tighter one) — plus the
+// drop, the looser target giving way to the tighter one, a backlogged
+// tighter target taking its shortfall before it violates) — plus the
 // percentile-cache regression for the stats layer.
 //
 //===----------------------------------------------------------------------===//
@@ -1194,6 +1195,82 @@ TEST(ServeLoop, QueuedArrivalTakesUnassignedThreadsAtOnce) {
   EXPECT_EQ(Serve.stats(Api).QueueWaitUs.max(), 0.0);
 }
 
+TEST(ServeLoop, BackloggedClassMeetingItsSloReachesDemandInOneTick) {
+  // Deadline-monotonic grants: a class with the tighter SLO that has to
+  // queue takes the threads it needs from the looser class at the next
+  // arbiter tick, while it still meets its SLO, instead of queueing until
+  // its latency violates.
+  sim::Simulator Sim;
+  sim::Machine M(Sim, 8);
+  rt::RuntimeCosts Costs;
+  rt::PlatformDaemon Daemon(8);
+  ServeLoop Serve(M, Costs, Daemon);
+
+  RequestClassDesc A = fitClass();
+  A.Name = "api";
+  A.Slo = {95.0, 10 * sim::MSec};
+  unsigned Api = Serve.addClass(std::move(A));
+  RequestClassDesc B;
+  B.Name = "bulk";
+  B.MakeRegion = [](const ServeRequest &) {
+    return makeServiceRegion("bulk", 150000);
+  };
+  B.ItersPerRequest = 64; // about 4.8 ms on one 2-wide runner
+  B.Config = {rt::Scheme::DoAny, {2}};
+  B.Slo = {95.0, 60 * sim::MSec};
+  unsigned Bulk = Serve.addClass(std::move(B));
+
+  // A bulk backlog takes every thread idle api does not need: the first
+  // tick shrinks api to one runner's worth and hands the rest to bulk.
+  for (int I = 0; I < 10; ++I)
+    EXPECT_TRUE(Serve.inject(Bulk));
+  Daemon.startArbiter(Sim, sim::MSec);
+  Sim.runUntil(2 * sim::MSec + 500 * sim::USec);
+  ASSERT_EQ(Serve.budgetOf(Api), 2u);
+  ASSERT_EQ(Serve.budgetOf(Bulk), 6u);
+
+  // Three api requests in one event: one starts, two queue, so api needs
+  // three runners (6 threads). No thread is unassigned, so the arrival's
+  // demand report moves nothing.
+  std::vector<ServeRequest> Done;
+  Serve.OnRequestDone = [&](const ServeRequest &R) {
+    if (R.ClassIdx == Api)
+      Done.push_back(R);
+  };
+  Sim.schedule(0, [&] {
+    for (int I = 0; I < 3; ++I)
+      EXPECT_TRUE(Serve.inject(Api));
+  });
+  Sim.runUntil(2 * sim::MSec + 600 * sim::USec);
+  ASSERT_EQ(Serve.queueDepth(Api), 2u);
+  ASSERT_EQ(Serve.budgetOf(Api), 2u);
+
+  // The next tick grants api its demand while it meets its SLO, and both
+  // queued requests start then.
+  Sim.runUntil(3 * sim::MSec + sim::USec);
+  EXPECT_EQ(Serve.budgetOf(Api), 6u);
+  EXPECT_EQ(Serve.budgetOf(Bulk), 2u);
+  EXPECT_EQ(Serve.queueDepth(Api), 0u);
+  ASSERT_EQ(Daemon.sloTransfers().size(), 4u);
+  for (const auto &T : Daemon.sloTransfers()) {
+    EXPECT_EQ(T.From, "bulk");
+    EXPECT_EQ(T.To, "api");
+    EXPECT_EQ(T.Why, rt::PlatformDaemon::SloReason::Backlog);
+    EXPECT_EQ(T.At, 3 * sim::MSec);
+  }
+
+  Daemon.stopArbiter();
+  Sim.run();
+  ASSERT_EQ(Done.size(), 3u);
+  unsigned StartedAtTick = 0;
+  for (const ServeRequest &R : Done) {
+    EXPECT_LE(R.totalLatency(), 10 * sim::MSec) << "request " << R.Id;
+    StartedAtTick += R.StartedAt == 3 * sim::MSec;
+  }
+  EXPECT_EQ(StartedAtTick, 2u);
+  EXPECT_EQ(Serve.stats(Bulk).Completed, 10u);
+}
+
 //===----------------------------------------------------------------------===//
 // ServeLoop runner widths fitted to the grant
 //===----------------------------------------------------------------------===//
@@ -1311,6 +1388,8 @@ public:
       ++FirstGrants;
   }
   unsigned threadsUsed() const override {
+    if (Demand)
+      return Demand;
     return Used ? std::min(Used, Budget) : Budget;
   }
   bool wantsMore() const override { return WantsMore; }
@@ -1325,6 +1404,10 @@ public:
   /// controller's (it cannot use threads it was not given). 0 reports
   /// the granted budget (steady full consumption).
   unsigned Used = 0;
+  /// Uncapped thread demand, reported as is when nonzero (a serving
+  /// class with a backlog needs more threads than its grant); it takes
+  /// precedence over Used.
+  unsigned Demand = 0;
   unsigned FirstGrants = 0;
   bool WantsMore = false;
   bool HasSlo = false;
@@ -1556,6 +1639,131 @@ TEST(PlatformTenants, ViolatorThatCannotUseThreadsTakesNone) {
   EXPECT_TRUE(Daemon.sloTransfers().empty());
   EXPECT_EQ(Viol.Budget, 4u);
   EXPECT_EQ(Meet.Budget, 4u);
+}
+
+TEST(PlatformTenants, BackloggedTightTargetTakesShortfallBeforeViolating) {
+  sim::Simulator Sim;
+  rt::PlatformDaemon Daemon(16);
+  // Both meet their targets, but the tight one has work queued that its
+  // grant cannot start. It takes its whole shortfall from the looser
+  // target at the next tick, before its latency crosses the target.
+  FakeTenant Tight("tight"), Loose("loose");
+  Tight.HasSlo = true;
+  Tight.TargetSec = 0.010;
+  Tight.LatencySec = 0.005; // ratio 0.5: meeting
+  Tight.WantsMore = true;
+  Tight.Demand = 12;
+  Loose.HasSlo = true;
+  Loose.TargetSec = 0.060;
+  Loose.LatencySec = 0.030; // meeting too
+  Daemon.addTenant(Tight);
+  Daemon.addTenant(Loose);
+  ASSERT_EQ(Tight.Budget, 8u);
+
+  Daemon.startArbiter(Sim, sim::MSec);
+  Sim.runUntil(sim::MSec + sim::USec);
+  EXPECT_EQ(Tight.Budget, 12u) << "the shortfall took more than one tick";
+  EXPECT_EQ(Loose.Budget, 4u);
+  ASSERT_EQ(Daemon.sloTransfers().size(), 4u); // one record per thread
+  for (const auto &T : Daemon.sloTransfers()) {
+    EXPECT_EQ(T.From, "loose");
+    EXPECT_EQ(T.To, "tight");
+    EXPECT_EQ(T.Why, rt::PlatformDaemon::SloReason::Backlog);
+    EXPECT_EQ(T.At, sim::MSec);
+  }
+
+  // A need past what the looser tenant can give: it gives down to the
+  // minimum budget, again in one tick, and later ticks move nothing.
+  Tight.Demand = 20;
+  Sim.runUntil(2 * sim::MSec + sim::USec);
+  EXPECT_EQ(Tight.Budget, 15u);
+  EXPECT_EQ(Loose.Budget, 1u);
+  Sim.runUntil(6 * sim::MSec);
+  Daemon.stopArbiter();
+  EXPECT_EQ(Tight.Budget, 15u);
+  EXPECT_EQ(Loose.Budget, 1u);
+  EXPECT_EQ(Daemon.sloTransfers().size(), 7u);
+}
+
+TEST(PlatformTenants, BacklogTakesNothingFromEqualOrTighterTarget) {
+  // A backlogged tenant that meets its target takes only from looser
+  // targets. An equal or tighter target keeps its threads, even with the
+  // headroom that would make it a violator's donor.
+  sim::Simulator Sim;
+  rt::PlatformDaemon Daemon(12);
+  FakeTenant Mid("mid"), Equal("equal"), Tighter("tighter"), Loose("loose");
+  auto Slo = [](FakeTenant &T, double Target, double Ratio) {
+    T.HasSlo = true;
+    T.TargetSec = Target;
+    T.LatencySec = Ratio * Target;
+  };
+  Slo(Mid, 0.010, 0.5);
+  Mid.WantsMore = true;
+  Mid.Demand = 12;
+  Slo(Equal, 0.010, 0.1);
+  Slo(Tighter, 0.005, 0.1);
+  Slo(Loose, 0.060, 0.1);
+  for (FakeTenant *T : {&Mid, &Equal, &Tighter, &Loose})
+    Daemon.addTenant(*T);
+  ASSERT_EQ(Mid.Budget, 3u);
+
+  Daemon.startArbiter(Sim, sim::MSec);
+  Sim.runUntil(5 * sim::MSec);
+  Daemon.stopArbiter();
+  EXPECT_EQ(Mid.Budget, 5u);
+  EXPECT_EQ(Loose.Budget, 1u);
+  EXPECT_EQ(Equal.Budget, 3u);
+  EXPECT_EQ(Tighter.Budget, 3u);
+  ASSERT_EQ(Daemon.sloTransfers().size(), 2u);
+  for (const auto &T : Daemon.sloTransfers()) {
+    EXPECT_EQ(T.From, "loose");
+    EXPECT_EQ(T.At, sim::MSec);
+  }
+}
+
+TEST(PlatformTenants, BacklogRuleSkipsSloFreeAndIdleTenants) {
+  // The backlog rule serves latency promises: a tenant with no SLO gets
+  // threads only through Algorithm 5's slack (not from another SLO-free
+  // tenant), and an SLO tenant that does not want more (nothing queued)
+  // takes nothing, whatever need it reports. Once it wants more, it
+  // takes its shortfall at the next tick, SLO-free donors first, ties
+  // to the larger budget.
+  sim::Simulator Sim;
+  rt::PlatformDaemon Daemon(16);
+  FakeTenant Plain("plain"), Other("other"), Idle("idle"), Loose("loose");
+  Plain.WantsMore = true;
+  Plain.Demand = 8;
+  Idle.HasSlo = true;
+  Idle.TargetSec = 0.010;
+  Idle.LatencySec = 0.002;
+  Idle.Demand = 6;
+  Loose.HasSlo = true;
+  Loose.TargetSec = 0.060;
+  Loose.LatencySec = 0.006;
+  for (FakeTenant *T : {&Plain, &Other, &Idle, &Loose})
+    Daemon.addTenant(*T);
+
+  Daemon.startArbiter(Sim, sim::MSec);
+  Sim.runUntil(5 * sim::MSec + sim::USec);
+  EXPECT_TRUE(Daemon.sloTransfers().empty());
+  for (FakeTenant *T : {&Plain, &Other, &Idle, &Loose})
+    EXPECT_EQ(T->Budget, 4u) << T->Name;
+
+  Idle.WantsMore = true;
+  Sim.runUntil(6 * sim::MSec + sim::USec);
+  Daemon.stopArbiter();
+  EXPECT_EQ(Idle.Budget, 6u);
+  EXPECT_EQ(Plain.Budget, 3u);
+  EXPECT_EQ(Other.Budget, 3u);
+  EXPECT_EQ(Loose.Budget, 4u);
+  const auto &T = Daemon.sloTransfers();
+  ASSERT_EQ(T.size(), 2u);
+  EXPECT_EQ(T[0].From, "plain");
+  EXPECT_EQ(T[1].From, "other");
+  for (const auto &X : T) {
+    EXPECT_EQ(X.To, "idle");
+    EXPECT_EQ(X.Why, rt::PlatformDaemon::SloReason::Backlog);
+  }
 }
 
 //===----------------------------------------------------------------------===//
