@@ -1,6 +1,6 @@
 # check_lib.sh — helpers shared by the end-to-end check scripts
-# (check_resilience.sh, check_serve.sh, check_checkpoint.sh). Source it
-# after setting:
+# (check_resilience.sh, check_serve.sh, check_checkpoint.sh; and
+# check_identical.sh, for `fail`). Source it after setting:
 #   BENCH    the bench binary under test
 #   WORKDIR  where run outputs land
 #   PREFIX   file-name prefix for this script's outputs inside WORKDIR

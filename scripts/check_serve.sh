@@ -17,6 +17,9 @@
 #   * every such timeline reports how many transfers a backlogged class
 #     took while meeting its SLO (`K by backlog`), with K at most the
 #     total;
+#   * every such timeline sends all its transfers toward api: threads
+#     flow only toward the tighter target, so the looser batch class has
+#     no donor;
 #   * every run the output prints reports the threads each class's
 #     runners hold at phase ends, beside its budgets;
 #   * the trace shows the arbitration story: repartition instants and
@@ -114,6 +117,11 @@ for S in 7 21 42; do
   sed -nE 's/.*slo timeline: ([0-9]+) transfer\(s\), [0-9]+ toward api, ([0-9]+) by backlog;.*/\1 \2/p' \
     "$OUT" | awk -v n="$NT" '$2 <= $1 { ok++ } END { exit (n > 0 && ok == n) ? 0 : 1 }' ||
     fail "seed $S: an SLO timeline lacks a backlog count at most its total"
+  # Deadline-monotonic: with two classes the looser batch class has no
+  # donor, so every transfer goes toward api.
+  sed -nE 's/.*slo timeline: ([0-9]+) transfer\(s\), ([0-9]+) toward api,.*/\1 \2/p' \
+    "$OUT" | awk -v n="$NT" '$1 == $2 { ok++ } END { exit (n > 0 && ok == n) ? 0 : 1 }' ||
+    fail "seed $S: an SLO timeline has a transfer toward the batch class"
   # Each budgets line has its threads-held line (batch mode prints two).
   NB=$(grep -c 'budgets at phase ends:' "$OUT" || true)
   NH=$(grep -Ec '^   threads held at phase ends: api [0-9]+/[0-9]+/[0-9]+, batch [0-9]+/[0-9]+/[0-9]+$' \

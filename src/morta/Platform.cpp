@@ -4,16 +4,10 @@
 
 #include <algorithm>
 #include <limits>
-#include <optional>
 
 using namespace parcae::rt;
 
 namespace {
-// Tunables of the SLO arbitration pass.
-/// A donor with an SLO must sit at or below this fraction of its target
-/// to give a thread away (headroom so the transfer does not immediately
-/// create a second violator).
-constexpr double DonorHeadroom = 0.75;
 /// Minimum budget any tenant is left with after donating.
 constexpr unsigned MinBudget = 1;
 
@@ -292,19 +286,6 @@ void PlatformDaemon::sloRebalanceOnce() {
   if (Programs.size() < 2)
     return;
   sim::SimTime Now = ArbSim ? ArbSim->now() : 0;
-  // Latency-to-target ratio per tenant; negative = no SLO or no data.
-  Ratio.assign(Programs.size(), -1.0);
-  for (std::size_t I = 0; I < Programs.size(); ++I) {
-    const PlatformTenant *T = Programs[I].T;
-    if (!T->hasSlo())
-      continue;
-    double Target = T->sloTargetSec();
-    double Lat = T->sloLatencySec();
-    assert(Target > 0 && "SLO tenant must carry a positive target");
-    if (Lat >= 0)
-      Ratio[I] = Lat / Target;
-  }
-
   Changed.clear();
   auto moveThread = [&](std::size_t From, std::size_t To, SloReason Why) {
     Entry &D = Programs[From], &V = Programs[To];
@@ -329,91 +310,54 @@ void PlatformDaemon::sloRebalanceOnce() {
     if (std::find(Changed.begin(), Changed.end(), &V) == Changed.end())
       Changed.push_back(&V);
   };
-  // The donor to tenant I with the lowest Key(J), ties to the larger
-  // budget; Key is empty for a tenant that may not donate. Nobody
-  // donates below MinBudget. Returns Programs.size() when none may.
-  using DonorKey = std::optional<double>;
-  auto bestDonor = [&](std::size_t I, auto Key) {
+  // The donor to a tenant with target Target: tenants without an SLO
+  // first (they promised no latency), then looser targets, loosest first;
+  // ties to the larger budget. An equal or tighter target never donates
+  // (the recipient among them), and nobody donates below MinBudget.
+  // Returns Programs.size() when none may.
+  constexpr double NoSlo = std::numeric_limits<double>::infinity();
+  auto bestDonor = [&](double Target) {
     std::size_t Donor = Programs.size();
     double Best = 0;
     for (std::size_t J = 0; J < Programs.size(); ++J) {
-      if (J == I || Programs[J].Budget <= MinBudget)
+      const PlatformTenant *D = Programs[J].T;
+      double DT = D->hasSlo() ? D->sloTargetSec() : NoSlo;
+      if (DT <= Target || Programs[J].Budget <= MinBudget)
         continue;
-      DonorKey K = Key(J);
-      if (!K)
-        continue;
-      if (Donor == Programs.size() || *K < Best ||
-          (*K == Best && Programs[J].Budget > Programs[Donor].Budget))
-        Donor = J, Best = *K;
+      if (Donor == Programs.size() || DT > Best ||
+          (DT == Best && Programs[J].Budget > Programs[Donor].Budget))
+        Donor = J, Best = DT;
     }
     return Donor;
   };
-  constexpr double Inf = std::numeric_limits<double>::infinity();
 
-  // Backlog pass: an SLO tenant that wants more and is not violating
-  // (meeting its target, or no data yet) takes its whole shortfall,
-  // threadsUsed() - Budget and at least one thread, before it violates,
-  // instead of one thread per tick after. Deadline-monotonic: only
-  // tenants that promised no latency, then the loosest targets, give;
-  // an equal or tighter target never does, whatever its headroom. It
-  // runs before the violation pass, so a violating looser tenant may
-  // still take one thread from a backlogged one with headroom (run after
-  // it, the backlog pass took that thread back as well, and on
-  // serve-ladder the looser class drained its own backlog later).
+  // Each SLO tenant that wants more, in registration order, takes threads
+  // from its donors. While it meets its target (or has no data yet) it
+  // takes its whole shortfall, threadsUsed() - Budget and at least one
+  // thread, before it violates instead of one thread per tick after.
+  // While it violates it takes one thread per tick: a violating serving
+  // class's queue term (a new runner per batch) over-counts its need, and
+  // taking the shortfall then measured less goodput on serve-ladder. A
+  // tenant that does not want more (a serving class with nothing queued
+  // and its runners within its grant) cannot get faster with more budget,
+  // and Algorithm 5 would shrink the grant back on the next tick.
   for (std::size_t I = 0; I < Programs.size(); ++I) {
     const PlatformTenant *T = Programs[I].T;
-    if (!T->hasSlo() || Ratio[I] > 1.0 || !T->wantsMore())
+    if (!T->hasSlo() || !T->wantsMore())
       continue;
     double Target = T->sloTargetSec();
-    unsigned Used = T->threadsUsed();
-    unsigned Budget = Programs[I].Budget;
-    for (unsigned Short = Used > Budget ? Used - Budget : 1; Short > 0;
-         --Short) {
-      std::size_t Donor = bestDonor(I, [&](std::size_t J) -> DonorKey {
-        const PlatformTenant *D = Programs[J].T;
-        if (!D->hasSlo())
-          return -Inf;
-        double DT = D->sloTargetSec();
-        if (DT > Target)
-          return -DT; // the loosest target first
-        return std::nullopt;
-      });
+    assert(Target > 0 && "SLO tenant must carry a positive target");
+    double Lat = T->sloLatencySec(); // negative: no data yet
+    bool Violating = Lat >= 0 && Lat / Target > 1.0;
+    unsigned Used = T->threadsUsed(), Budget = Programs[I].Budget;
+    unsigned Take = Violating || Used <= Budget ? 1 : Used - Budget;
+    for (; Take > 0; --Take) {
+      std::size_t Donor = bestDonor(Target);
       if (Donor == Programs.size())
         break;
-      moveThread(Donor, I, SloReason::Backlog);
+      moveThread(Donor, I,
+                 Violating ? SloReason::Violation : SloReason::Backlog);
     }
-  }
-
-  // Violation pass: each SLO-violating tenant that can use another
-  // thread takes one per tick from the best donor — tenants without an
-  // SLO first (they promised no latency), then SLO tenants with the most
-  // headroom, and last any tenant with a looser target, whatever its own
-  // latency (deadline-monotonic: under overload the tighter SLO wins
-  // instead of the split freezing). A violator that does not want more
-  // (a serving class with nothing queued and its runners within its
-  // grant) cannot get faster with more budget, and Algorithm 5 would
-  // shrink the grant back on the next tick. One thread, not the
-  // violator's whole shortfall: a violating serving class's queue term
-  // (a new runner per batch) over-counts its need, and taking the
-  // shortfall here too measured less goodput on serve-ladder.
-  for (std::size_t I = 0; I < Programs.size(); ++I) {
-    if (Ratio[I] <= 1.0) // meeting, no data, or no SLO
-      continue;
-    if (!Programs[I].T->wantsMore())
-      continue;
-    double Target = Programs[I].T->sloTargetSec();
-    std::size_t Donor = bestDonor(I, [&](std::size_t J) -> DonorKey {
-      const PlatformTenant *T = Programs[J].T;
-      if (!T->hasSlo())
-        return -1.0; // best donors: no latency promise
-      if (Ratio[J] >= 0 && Ratio[J] <= DonorHeadroom)
-        return Ratio[J];
-      if (T->sloTargetSec() > Target)
-        return Inf; // last resort
-      return std::nullopt; // violating, near target, or no data
-    });
-    if (Donor < Programs.size())
-      moveThread(Donor, I, SloReason::Violation);
   }
 
   if (Changed.empty())

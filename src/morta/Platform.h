@@ -19,17 +19,17 @@
 /// latency SLO (p-th percentile of response time <= target); a periodic
 /// arbiter tick then reallocates budget toward SLO tenants — latency, not
 /// just reported thread need, becomes a first-class arbitration goal.
-/// Threads go to the tighter deadline first (deadline-monotonic): a
-/// violating tenant takes one thread per tick from an SLO-free donor, a
-/// donor with headroom, or a looser target; a backlogged tenant that
-/// still meets its target takes its whole shortfall in the same tick from
-/// SLO-free tenants and looser targets, before it violates. A tenant
-/// whose need drops gives the won threads back the way every tenant
-/// does, through Algorithm 5's shrink-to-fit. Every SLO-driven transfer
-/// is recorded, with its reason, in a budget timeline and traced. A
-/// serving tenant that has to queue work reports it at once
-/// (reportDemand), the way a controller reports its optimum, so
-/// unassigned threads reach it without waiting for the tick.
+/// Threads go to the tighter deadline first (deadline-monotonic): an SLO
+/// tenant that wants more takes from SLO-free tenants, then from looser
+/// targets, never from an equal or tighter one. While it meets its target
+/// it takes its whole shortfall in one tick, before it violates; while it
+/// violates, one thread per tick. A tenant whose need drops gives the won
+/// threads back the way every tenant does, through Algorithm 5's
+/// shrink-to-fit. Every SLO-driven transfer is recorded, with its reason,
+/// in a budget timeline and traced. A serving tenant that has to queue
+/// work reports it at once (reportDemand), the way a controller reports
+/// its optimum, so unassigned threads reach it without waiting for the
+/// tick.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -170,10 +170,9 @@ private:
   void rebalance(const char *Why = "rebalance");
   void rebalanceOnce(const char *Why);
   void arbiterTick(sim::Simulator &Sim, sim::SimTime Period);
-  /// One SLO pass, tighter deadlines first. Each SLO tenant that wants
-  /// more and is not violating takes its shortfall from SLO-free tenants
-  /// and looser targets; then each violator that wants more takes one
-  /// thread from its best donor.
+  /// One SLO pass: each SLO tenant that wants more takes threads from
+  /// SLO-free tenants, then looser targets (loosest first); its whole
+  /// shortfall while it meets its target, one thread while it violates.
   void sloRebalanceOnce();
   /// Telemetry: one repartition instant carrying every tenant's budget.
   void traceBudgets(const char *Why);
@@ -186,9 +185,8 @@ private:
   /// runs it on every queued arrival. rebalance() never nests it.
   std::vector<Entry *> Hungry, Notify;
   std::vector<unsigned> NewBudget;
-  /// sloRebalanceOnce's working sets, kept across ticks likewise: the
-  /// latency-to-target ratio per tenant and the tenants whose budget moved.
-  std::vector<double> Ratio;
+  /// sloRebalanceOnce's working set, kept across ticks likewise: the
+  /// tenants whose budget moved.
   std::vector<Entry *> Changed;
   bool InRebalance = false;
   bool RebalancePending = false;

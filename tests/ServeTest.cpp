@@ -1467,7 +1467,7 @@ TEST(PlatformTenants, ShrunkToFitGuardsOscillation) {
     EXPECT_EQ(B, 1u) << "budget oscillated after shrink-to-fit";
 }
 
-TEST(PlatformTenants, SloViolatorGainsFromMeeterThenShrinksToFit) {
+TEST(PlatformTenants, SloViolatorGainsFromLooserTargetThenShrinksToFit) {
   sim::Simulator Sim;
   rt::PlatformDaemon Daemon(8);
   FakeTenant Viol("viol"), Meet("meet");
@@ -1475,8 +1475,8 @@ TEST(PlatformTenants, SloViolatorGainsFromMeeterThenShrinksToFit) {
   Viol.TargetSec = 1.0;
   Viol.LatencySec = 2.0; // ratio 2.0: violating
   Meet.HasSlo = true;
-  Meet.TargetSec = 1.0;
-  Meet.LatencySec = 0.2; // ratio 0.2: donor headroom
+  Meet.TargetSec = 2.0; // looser: the violator's donor
+  Meet.LatencySec = 0.4; // ratio 0.2: meeting
   Viol.WantsMore = true;
   Daemon.addTenant(Viol);
   Daemon.addTenant(Meet);
@@ -1544,8 +1544,8 @@ TEST(PlatformTenants, NoSloTenantIsThePreferredDonor) {
   Viol.TargetSec = 1.0;
   Viol.LatencySec = 3.0;
   Meet.HasSlo = true;
-  Meet.TargetSec = 1.0;
-  Meet.LatencySec = 0.1;
+  Meet.TargetSec = 2.0; // looser, so a donor too
+  Meet.LatencySec = 0.2;
   Viol.WantsMore = true;
   Daemon.addTenant(Viol);
   Daemon.addTenant(Meet);
@@ -1556,7 +1556,7 @@ TEST(PlatformTenants, NoSloTenantIsThePreferredDonor) {
   Daemon.stopArbiter();
   ASSERT_FALSE(Daemon.sloTransfers().empty());
   // Threads without an SLO attached are taken before squeezing a tenant
-  // that is merely meeting its own target.
+  // with a looser target.
   EXPECT_EQ(Daemon.sloTransfers().front().From, "plain");
   EXPECT_EQ(Daemon.sloTransfers().front().To, "viol");
 }
@@ -1620,7 +1620,7 @@ TEST(PlatformTenants, ViolatorThatCannotUseThreadsTakesNone) {
   sim::Simulator Sim;
   rt::PlatformDaemon Daemon(8);
   // The violator has nothing it could run on another thread (a serving
-  // class with an empty queue and a free slot): a donor with headroom
+  // class with an empty queue and a free slot): a looser-target donor
   // stands by, but no thread moves.
   FakeTenant Viol("viol"), Meet("meet");
   Viol.HasSlo = true;
@@ -1628,8 +1628,8 @@ TEST(PlatformTenants, ViolatorThatCannotUseThreadsTakesNone) {
   Viol.LatencySec = 2.0;
   Viol.WantsMore = false;
   Meet.HasSlo = true;
-  Meet.TargetSec = 1.0;
-  Meet.LatencySec = 0.2;
+  Meet.TargetSec = 2.0;
+  Meet.LatencySec = 0.4;
   Daemon.addTenant(Viol);
   Daemon.addTenant(Meet);
 
@@ -1687,8 +1687,7 @@ TEST(PlatformTenants, BackloggedTightTargetTakesShortfallBeforeViolating) {
 
 TEST(PlatformTenants, BacklogTakesNothingFromEqualOrTighterTarget) {
   // A backlogged tenant that meets its target takes only from looser
-  // targets. An equal or tighter target keeps its threads, even with the
-  // headroom that would make it a violator's donor.
+  // targets. An equal or tighter target keeps its threads.
   sim::Simulator Sim;
   rt::PlatformDaemon Daemon(12);
   FakeTenant Mid("mid"), Equal("equal"), Tighter("tighter"), Loose("loose");
@@ -1718,6 +1717,42 @@ TEST(PlatformTenants, BacklogTakesNothingFromEqualOrTighterTarget) {
   for (const auto &T : Daemon.sloTransfers()) {
     EXPECT_EQ(T.From, "loose");
     EXPECT_EQ(T.At, sim::MSec);
+  }
+}
+
+TEST(PlatformTenants, LooserViolatorNeverTakesFromTighterTarget) {
+  // A looser target that violates while a tighter one is backlogged but
+  // meeting its target gets nothing from it: threads flow only toward
+  // the tighter deadline, so the two never trade a thread back and forth
+  // tick after tick.
+  sim::Simulator Sim;
+  rt::PlatformDaemon Daemon(16);
+  FakeTenant Tight("tight"), Loose("loose");
+  Tight.HasSlo = true;
+  Tight.TargetSec = 0.010;
+  Tight.LatencySec = 0.002; // ratio 0.2: meeting
+  Tight.WantsMore = true;
+  Tight.Demand = 12;
+  Loose.HasSlo = true;
+  Loose.TargetSec = 0.060;
+  Loose.LatencySec = 0.120; // ratio 2.0: violating
+  Loose.WantsMore = true;
+  Daemon.addTenant(Tight);
+  Daemon.addTenant(Loose);
+  ASSERT_EQ(Loose.Budget, 8u);
+
+  Daemon.startArbiter(Sim, sim::MSec);
+  unsigned LooseBudget = Loose.Budget;
+  for (unsigned Tick = 1; Tick <= 10; ++Tick) {
+    Sim.runUntil(Tick * sim::MSec + sim::USec);
+    EXPECT_LE(Loose.Budget, LooseBudget) << "tick " << Tick;
+    LooseBudget = Loose.Budget;
+  }
+  Daemon.stopArbiter();
+  ASSERT_FALSE(Daemon.sloTransfers().empty());
+  for (const auto &T : Daemon.sloTransfers()) {
+    EXPECT_EQ(T.From, "loose");
+    EXPECT_EQ(T.To, "tight");
   }
 }
 
