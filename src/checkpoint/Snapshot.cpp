@@ -44,7 +44,6 @@ public:
 
   bool u64(std::uint64_t &V) { return static_cast<bool>(Line >> V); }
   bool u32(unsigned &V) { return static_cast<bool>(Line >> V); }
-  bool i64(std::int64_t &V) { return static_cast<bool>(Line >> V); }
   bool dbl(double &V) { return static_cast<bool>(Line >> V); }
   bool word(std::string &V) { return static_cast<bool>(Line >> V); }
 
@@ -99,17 +98,8 @@ std::string RegionSnapshot::serialize() const {
     S += "\n";
   }
 
-  if (Source.K == rt::WorkSourceState::Kind::Counted) {
-    S += "source counted " + std::to_string(Source.Total) + ' ' +
-         std::to_string(Source.Cursor) + "\n";
-  } else {
-    S += "source queue " + std::string(Source.Closed ? "1" : "0") + ' ' +
-         std::to_string(Source.Total) + ' ' + std::to_string(Source.Cursor) +
-         ' ' + std::to_string(Source.Pending.size()) + "\n";
-    for (const rt::Token &T : Source.Pending)
-      S += "pending " + std::to_string(T.Seq) + ' ' + std::to_string(T.Value) +
-           ' ' + std::to_string(T.Work) + "\n";
-  }
+  S += "source counted " + std::to_string(Source.Total) + ' ' +
+       std::to_string(Source.Cursor) + "\n";
   S += "end\n";
   return S;
 }
@@ -154,32 +144,8 @@ bool RegionSnapshot::deserialize(const std::string &Text, RegionSnapshot &Out) {
   }
 
   std::string Kind;
-  if (!R.expect("source") || !R.word(Kind))
+  if (!R.expect("source") || !R.word(Kind) || Kind != "counted" ||
+      !R.u64(Out.Source.Total) || !R.u64(Out.Source.Cursor))
     return false;
-  if (Kind == "counted") {
-    Out.Source.K = rt::WorkSourceState::Kind::Counted;
-    if (!R.u64(Out.Source.Total) || !R.u64(Out.Source.Cursor))
-      return false;
-  } else if (Kind == "queue") {
-    Out.Source.K = rt::WorkSourceState::Kind::Queue;
-    unsigned Closed = 0;
-    std::uint64_t NumPending = 0;
-    if (!R.u32(Closed) || !R.u64(Out.Source.Total) ||
-        !R.u64(Out.Source.Cursor) || !R.u64(NumPending))
-      return false;
-    if (NumPending > (1u << 24))
-      return false;
-    Out.Source.Closed = Closed != 0;
-    Out.Source.Pending.resize(NumPending);
-    for (rt::Token &T : Out.Source.Pending) {
-      std::uint64_t Work = 0;
-      if (!R.expect("pending") || !R.u64(T.Seq) || !R.i64(T.Value) ||
-          !R.u64(Work))
-        return false;
-      T.Work = Work;
-    }
-  } else {
-    return false;
-  }
   return R.expect("end");
 }

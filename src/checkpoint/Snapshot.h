@@ -15,8 +15,9 @@
 ///  * the *work cursor*: the sequence number the next execution starts
 ///    at (== the commit frontier == iterations retired at the quiesced
 ///    point, the exactly-once anchor);
-///  * the *work-source state*: a counted source's cursor, or a bounded
-///    queue's unpulled tail (core/WorkSource.h's WorkSourceState);
+///  * the *work-source state*: a counted source's count and cursor
+///    (core/WorkSource.h's WorkSourceState) — a queue-fed region is not
+///    checkpointable, since its unpulled tail lives with its producer;
 ///  * the *enforced configuration*: scheme plus the per-task width
 ///    (DoP) schedule the region was running under;
 ///  * the *chunk size*: the chunk policy's K at the quiesced point, which
@@ -28,8 +29,7 @@
 ///
 /// The serialized form is versioned line-oriented text; doubles use
 /// %.17g so a serialize/deserialize/serialize round trip is
-/// byte-identical. Queue tokens' opaque Ref payloads are not carried
-/// (regions whose tokens own out-of-band state are not snapshot-safe).
+/// byte-identical.
 ///
 //===----------------------------------------------------------------------===//
 

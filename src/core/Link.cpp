@@ -72,10 +72,3 @@ std::size_t Link::bufferedFor(unsigned Slot) const {
   assert(Slot < Buffers.size() && "slot out of range");
   return Buffers[Slot].size();
 }
-
-void Link::clear() {
-  for (auto &B : Buffers)
-    B.clear();
-  TotalBuffered = 0;
-  SpaceAvail.notifyAll();
-}

@@ -95,9 +95,6 @@ public:
         Window, 2 * static_cast<std::uint64_t>(Consumer.currentWidth()));
   }
 
-  /// Drops everything (region teardown).
-  void clear();
-
 private:
   std::string Name;
   const WidthSchedule &Consumer;

@@ -8,24 +8,6 @@ using namespace parcae::rt;
 
 WorkSource::~WorkSource() = default;
 
-WorkSource::Pull WorkSource::tryPullChunk(std::uint64_t Max,
-                                          std::vector<Token> &Out) {
-  assert(Max > 0 && "chunk claims must request at least one item");
-  Token T;
-  Pull First = tryPull(T);
-  if (First != Pull::Got)
-    return First;
-  Out.push_back(T);
-  for (std::uint64_t I = 1; I < Max; ++I) {
-    // A partial chunk is fine: stopping at the first Wait/End keeps the
-    // claim non-blocking, and End is re-derived on the next claim.
-    if (tryPull(T) != Pull::Got)
-      break;
-    Out.push_back(T);
-  }
-  return Pull::Got;
-}
-
 void QueueWorkSource::evictHistory() {
   while (History.size() > HistoryCap) {
     History.pop_front();
@@ -33,17 +15,6 @@ void QueueWorkSource::evictHistory() {
     if (telemetry::TraceRecorder *Tel = telemetry::recorder())
       Tel->metrics().counter("work_source.history_evictions").add();
   }
-}
-
-WorkSource::Pull QueueWorkSource::tryPull(Token &Out) {
-  if (!Items.empty()) {
-    Out = Items.front();
-    Items.pop_front();
-    History.push_back(Out);
-    evictHistory();
-    return Pull::Got;
-  }
-  return Closed ? Pull::End : Pull::Wait;
 }
 
 WorkSource::Pull QueueWorkSource::tryPullChunk(std::uint64_t Max,
@@ -90,37 +61,6 @@ bool QueueWorkSource::push(Token Item) {
 void QueueWorkSource::close() {
   Closed = true;
   Ready.notifyAll();
-}
-
-bool QueueWorkSource::saveState(WorkSourceState &Out) const {
-  Out = WorkSourceState{};
-  Out.K = WorkSourceState::Kind::Queue;
-  Out.Total = Accepted;
-  Out.Cursor = Accepted - Items.size(); // items already pulled
-  Out.Pending.assign(Items.begin(), Items.end());
-  Out.Closed = Closed;
-  return true;
-}
-
-bool QueueWorkSource::restoreState(const WorkSourceState &S) {
-  if (S.K != WorkSourceState::Kind::Queue || Accepted != 0)
-    return false;
-  Items.assign(S.Pending.begin(), S.Pending.end());
-  Accepted = S.Total;
-  Closed = S.Closed;
-  History.clear();
-  if (!Items.empty() || Closed)
-    Ready.notifyAll();
-  return true;
-}
-
-WorkSource::Pull CountedWorkSource::tryPull(Token &Out) {
-  if (exhausted())
-    return Held ? Pull::Wait : Pull::End;
-  Out = Token{};
-  Out.Value = static_cast<std::int64_t>(Next);
-  ++Next;
-  return Pull::Got;
 }
 
 WorkSource::Pull CountedWorkSource::tryPullChunk(std::uint64_t Max,

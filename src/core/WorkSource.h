@@ -5,14 +5,16 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The head task of a region pulls its work from a WorkSource: a bounded
-/// work queue fed by a load generator for the server applications
-/// (Chapter 2's video transcoding work queue), or a plain iteration count
-/// for batch loops. The source survives reconfigurations and scheme
-/// switches, so no work is lost when Morta pauses a region. A counted
-/// source can also be refilled from inside a pull, or held open so its
-/// pullers block until it is extended (the serve broker's warm and
-/// parked runners).
+/// The head task of a region claims its work from a WorkSource, up to K
+/// items per claim: a bounded work queue fed by a load generator for the
+/// server applications (Chapter 2's video transcoding work queue), or a
+/// plain iteration count for batch loops. The source survives
+/// reconfigurations and scheme switches, so no work is lost when Morta
+/// pauses a region. A counted source can also be refilled from inside a
+/// pull, or held open so its pullers block until it is extended (the
+/// serve broker's warm and parked runners). Only a counted source can be
+/// checkpointed: its state is two integers, while a queue's unpulled
+/// tail lives with its producer.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -30,18 +32,14 @@
 
 namespace parcae::rt {
 
-/// Portable snapshot of a work source, captured at a quiesced point and
-/// replayed by restoreState() on a fresh source of the same kind —
+/// Portable snapshot of a counted work source, captured at a quiesced
+/// point and replayed by restoreState() on a fresh counted source —
 /// possibly on a different simulated machine. Pull history is *not*
 /// carried across a restore: a restored region starts replay exactly at
 /// the cursor, so there is nothing behind it to rewind into.
 struct WorkSourceState {
-  enum class Kind { Counted, Queue };
-  Kind K = Kind::Counted;
-  std::uint64_t Total = 0;  ///< Counted: N. Queue: items ever accepted.
-  std::uint64_t Cursor = 0; ///< Counted: next index. Queue: items pulled.
-  std::vector<Token> Pending; ///< Queue only: the unpulled tail, in order.
-  bool Closed = false;        ///< Queue only.
+  std::uint64_t Total = 0;  ///< the iteration count N
+  std::uint64_t Cursor = 0; ///< the next index
 };
 
 /// Abstract source of work items for a region's head task.
@@ -56,31 +54,29 @@ public:
   virtual ~WorkSource();
 
   /// Captures the source's replayable state into \p Out. Returns false
-  /// when this source kind cannot be snapshotted (the default).
+  /// when this source kind cannot be snapshotted (the default; only a
+  /// counted source can).
   virtual bool saveState(WorkSourceState &Out) const {
     (void)Out;
     return false;
   }
 
-  /// Re-seeds this source from a state captured by saveState() on a
-  /// source of the same kind. Returns false on a kind mismatch or when
-  /// this source has already been pulled from.
+  /// Re-seeds this source from a state captured by saveState(). Returns
+  /// false when this source cannot be restored or has already been
+  /// pulled from.
   virtual bool restoreState(const WorkSourceState &S) {
     (void)S;
     return false;
   }
 
-  /// Attempts to pull the next item.
-  virtual Pull tryPull(Token &Out) = 0;
-
   /// Attempts to pull up to \p Max items in one claim, appending them to
-  /// \p Out. Returns Got when at least one item was appended (possibly
-  /// fewer than \p Max — a partial chunk, not an error), otherwise Wait
-  /// or End exactly as tryPull would. One claim pays the fixed claiming
-  /// cost once however many items it returns; this is what makes chunked
-  /// execution O(1/K) in overhead. The base implementation loops
-  /// tryPull; sources override it when a batched grab is cheaper.
-  virtual Pull tryPullChunk(std::uint64_t Max, std::vector<Token> &Out);
+  /// \p Out: the head task's only pull. Returns Got when at least one
+  /// item was appended (possibly fewer than \p Max — a partial chunk,
+  /// not an error), Wait when nothing is available now, End when the
+  /// source is exhausted. One claim pays the fixed claiming cost once
+  /// however many items it returns; this is what makes chunked execution
+  /// O(1/K) in overhead.
+  virtual Pull tryPullChunk(std::uint64_t Max, std::vector<Token> &Out) = 0;
 
   /// Signalled when a Wait result may have turned into Got or End.
   virtual sim::Waitable &readyEvent() = 0;
@@ -103,13 +99,10 @@ public:
   explicit QueueWorkSource(std::size_t Capacity = 1u << 20)
       : Capacity(Capacity) {}
 
-  Pull tryPull(Token &Out) override;
   Pull tryPullChunk(std::uint64_t Max, std::vector<Token> &Out) override;
   sim::Waitable &readyEvent() override { return Ready; }
   double load() const override { return static_cast<double>(Items.size()); }
   bool rewind(std::uint64_t Count) override;
-  bool saveState(WorkSourceState &Out) const override;
-  bool restoreState(const WorkSourceState &S) override;
 
   /// Enqueues a work item. Returns false when the queue is full or
   /// closed (the item is dropped; the caller may count it as a rejected
@@ -157,21 +150,17 @@ class CountedWorkSource : public WorkSource {
 public:
   explicit CountedWorkSource(std::uint64_t N) : N(N) {}
 
-  Pull tryPull(Token &Out) override;
   Pull tryPullChunk(std::uint64_t Max, std::vector<Token> &Out) override;
   sim::Waitable &readyEvent() override { return Ready; }
   double load() const override {
     return static_cast<double>(N - Next);
   }
   bool saveState(WorkSourceState &Out) const override {
-    Out = WorkSourceState{};
-    Out.K = WorkSourceState::Kind::Counted;
-    Out.Total = N;
-    Out.Cursor = Next;
+    Out = {N, Next};
     return true;
   }
   bool restoreState(const WorkSourceState &S) override {
-    if (S.K != WorkSourceState::Kind::Counted || Next != 0)
+    if (Next != 0)
       return false;
     N = S.Total;
     Next = S.Cursor;

@@ -75,10 +75,6 @@ void RegionController::start(unsigned ThreadBudget) {
   scheduleTick();
 }
 
-unsigned RegionController::threadsUsed() const {
-  return Runner.config().totalThreads();
-}
-
 void RegionController::scheduleTick() {
   if (TickScheduled || St == CtrlState::Done)
     return;
@@ -99,6 +95,12 @@ void RegionController::beginMeasure(std::uint64_t Iters) {
   WindowIters = Iters;
   Measuring = true;
   MarkPending = true;
+}
+
+void RegionController::cancelMeasure() {
+  Measuring = false;
+  MarkPending = false;
+  WarmupAnchor = NoSeq;
 }
 
 std::uint64_t RegionController::measureWindowIters() const {
@@ -161,10 +163,7 @@ void RegionController::tick() {
         Best = {Runner.config(), Tseq};
         recordTrace(Thr);
         // Explore every parallel scheme the region exposes.
-        SchemesToTry.clear();
-        for (const RegionDesc &V : Runner.region().variants())
-          if (V.S != Scheme::Seq)
-            SchemesToTry.push_back(V.S);
+        SchemesToTry = parallelSchemes();
         SchemeIdx = 0;
         if (SchemesToTry.empty()) {
           enterMonitor();
@@ -212,10 +211,7 @@ void RegionController::tick() {
             if (S == Scheme::Seq && !Runner.region().variants().empty()) {
               // A sequential region that slowed down may now benefit from
               // parallelism again: re-run the full exploration.
-              SchemesToTry.clear();
-              for (const RegionDesc &V : Runner.region().variants())
-                if (V.S != Scheme::Seq)
-                  SchemesToTry.push_back(V.S);
+              SchemesToTry = parallelSchemes();
               if (!SchemesToTry.empty())
                 C = defaultConfigFor(SchemesToTry[0]);
             }
@@ -557,9 +553,7 @@ bool RegionController::forceRecover(RegionConfig C) {
   bool Accepted = Runner.recover(std::move(C));
   // Whatever measurement was in flight is meaningless across an abort;
   // settle into MONITOR around the recovered configuration.
-  Measuring = false;
-  MarkPending = false;
-  WarmupAnchor = NoSeq;
+  cancelMeasure();
   enterMonitor();
   scheduleTick();
   return Accepted;
@@ -580,14 +574,28 @@ void RegionController::importMemory(const ckpt::ControllerMemory &M) {
   Cache = M.Cache;
 }
 
-RegionConfig RegionController::resumeConfigFor(RegionConfig Preferred) {
+bool RegionController::adoptCachedConfig() {
   for (const auto &E : Cache) {
     if (E.Budget == Budget) {
       Best = {E.C, E.Thr};
       BudgetLimited = E.Limited;
-      return E.C;
+      return true;
     }
   }
+  return false;
+}
+
+std::vector<Scheme> RegionController::parallelSchemes() const {
+  std::vector<Scheme> Out;
+  for (const RegionDesc &V : Runner.region().variants())
+    if (V.S != Scheme::Seq)
+      Out.push_back(V.S);
+  return Out;
+}
+
+RegionConfig RegionController::resumeConfigFor(RegionConfig Preferred) {
+  if (adoptCachedConfig())
+    return Best.C;
   // No cache entry for this budget: keep the scheme, shrink the widest
   // tasks until the width schedule fits.
   while (Preferred.totalThreads() > Budget) {
@@ -604,11 +612,14 @@ RegionConfig RegionController::resumeConfigFor(RegionConfig Preferred) {
 bool RegionController::checkpointTo(std::function<void(ckpt::RegionSnapshot)> Cb) {
   if (!Started || St == CtrlState::Done || Runner.completed())
     return false;
+  // A source that cannot be saved (a queue) would restore empty and
+  // silently lose its unpulled tail: refuse before disturbing anything.
+  WorkSourceState Probe;
+  if (!Runner.source().saveState(Probe))
+    return false;
   // Whatever measurement was in flight is meaningless across a
   // migration; cancel it so no window straddles the suspension.
-  Measuring = false;
-  MarkPending = false;
-  WarmupAnchor = NoSeq;
+  cancelMeasure();
   return Runner.requestCheckpoint(
       [this, Cb = std::move(Cb)](const RunnerCheckpoint *CP) {
         if (!CP)
@@ -666,9 +677,7 @@ bool RegionController::drainRestart(std::vector<unsigned> Cores,
                                     std::function<void()> Done) {
   if (!Started || St == CtrlState::Done || Runner.completed())
     return false;
-  Measuring = false;
-  MarkPending = false;
-  WarmupAnchor = NoSeq;
+  cancelMeasure();
   PARCAE_TRACE(Tel, instant(TelPid, telemetry::TidController, "ctrl",
                             "drain_restart",
                             {telemetry::TraceArg::num("cores", Cores.size())}));
@@ -726,25 +735,18 @@ void RegionController::applyBudget(unsigned N) {
     return; // the baseline phase proceeds; the new budget applies after it
   recordTrace(0);
   // Cached configuration for this exact budget? Reuse it (Section 6.4.2).
-  for (const auto &E : Cache) {
-    if (E.Budget == N) {
-      Best = {E.C, E.Thr};
-      BudgetLimited = E.Limited;
-      Runner.reconfigure(E.C);
-      enterMonitor();
-      if (OnOptimized)
-        OnOptimized(E.C.totalThreads());
-      return;
-    }
+  if (adoptCachedConfig()) {
+    Runner.reconfigure(Best.C);
+    enterMonitor();
+    if (OnOptimized)
+      OnOptimized(Best.C.totalThreads());
+    return;
   }
   Scheme S = Runner.config().S;
   if (S == Scheme::Seq) {
     // Running sequentially: a budget change may make parallelism viable,
     // so re-run the full exploration.
-    SchemesToTry.clear();
-    for (const RegionDesc &V : Runner.region().variants())
-      if (V.S != Scheme::Seq)
-        SchemesToTry.push_back(V.S);
+    SchemesToTry = parallelSchemes();
     if (SchemesToTry.empty())
       return;
     S = SchemesToTry[0];

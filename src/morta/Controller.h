@@ -95,8 +95,10 @@ public:
   /// to Done (ticks stop; the region now lives in the snapshot) and fires
   /// \p Cb. Any in-flight measurement is cancelled. If the region
   /// completes before quiescing, the controller reaches Done through its
-  /// normal completion path and \p Cb never fires. Returns false when not
-  /// started, already done, or a checkpoint is already pending.
+  /// normal completion path and \p Cb never fires. Returns false, with
+  /// the region left running undisturbed, when not started, already
+  /// done, or the work source cannot be saved (a queue-fed region);
+  /// false also when a checkpoint is already pending.
   bool checkpointTo(std::function<void(ckpt::RegionSnapshot)> Cb);
 
   /// Starts controlling a region restored from \p S: the work source is
@@ -126,8 +128,6 @@ public:
   const RegionConfig &bestConfig() const { return Best.C; }
   double bestThroughput() const { return Best.Thr; }
   double seqThroughput() const { return Tseq; }
-  /// Threads the enforced configuration actually uses.
-  unsigned threadsUsed() const;
   /// True when the last optimization wanted to grow some task's DoP but
   /// was capped by the thread budget — i.e. more threads would help.
   bool budgetLimited() const { return BudgetLimited; }
@@ -163,6 +163,9 @@ private:
   /// CALIBRATE across schemes).
   void transitionTo(CtrlState NewSt);
   void beginMeasure(std::uint64_t Iters);
+  /// Drops the measurement in flight: an abort, a checkpoint or a
+  /// migration makes its window meaningless.
+  void cancelMeasure();
   bool measureReady() const;
   double measuredRate() const;
   std::uint64_t measureWindowIters() const;
@@ -180,6 +183,12 @@ private:
   /// without calibrating them.
   bool remainingSchemesCannotWin();
   RegionConfig defaultConfigFor(Scheme S) const;
+  /// Every parallel scheme the region exposes, in variant order.
+  std::vector<Scheme> parallelSchemes() const;
+  /// Adopts the cached configuration for the effective budget (Section
+  /// 6.4.2) as Best, with its BudgetLimited flag. False when the budget
+  /// has no cache entry.
+  bool adoptCachedConfig();
   /// Picks the configuration to resume a restored/migrated region under:
   /// the cache entry for the effective budget if one exists (updating
   /// Best/BudgetLimited), else \p Preferred with its widest tasks shrunk

@@ -143,14 +143,6 @@ unsigned PlatformDaemon::budgetOf(const RegionController &C) const {
   return 0;
 }
 
-unsigned PlatformDaemon::budgetOf(const PlatformTenant &T) const {
-  for (const Entry &E : Programs)
-    if (E.T == &T)
-      return E.Budget;
-  assert(false && "tenant not registered");
-  return 0;
-}
-
 void PlatformDaemon::partition() {
   // Even split; remainder goes to the earliest-registered tenants.
   unsigned N = static_cast<unsigned>(Programs.size());

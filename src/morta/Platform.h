@@ -122,8 +122,6 @@ public:
 
   /// The current budget assigned to a registered program.
   unsigned budgetOf(const RegionController &C) const;
-  /// The current budget assigned to a registered tenant.
-  unsigned budgetOf(const PlatformTenant &T) const;
 
   /// Why the SLO pass moved a thread (traced as "violation" or
   /// "backlog").

@@ -198,14 +198,8 @@ Action Worker::stepFetch() {
         ChunkIters = 0;
       }
       if (ChunkNext < Chunk.size()) {
-        // Wedge injection fires strictly before the iteration starts: no
-        // token has been consumed and no functor has run.
-        if (!Wedged && R.machine().takeWedge(T.name(), ChunkStart + ChunkNext))
-          Wedged = true;
-        if (Wedged) {
-          LastWait = WaitKind::None;
+        if (wedgedBefore(ChunkStart + ChunkNext))
           return Action::block(WedgeHang);
-        }
         Cursor = ChunkStart + ChunkNext;
         ChunkHead = false;
         Token Item = std::move(Chunk[ChunkNext]);
@@ -259,12 +253,8 @@ Action Worker::stepFetch() {
     Cursor = ChunkStart;
     // Wedge check on the fresh claim, with ChunkNext still 0: the whole
     // chunk is unstarted.
-    if (!Wedged && R.machine().takeWedge(T.name(), ChunkStart))
-      Wedged = true;
-    if (Wedged) {
-      LastWait = WaitKind::None;
+    if (wedgedBefore(ChunkStart))
       return Action::block(WedgeHang);
-    }
     Token Item = std::move(Chunk.front());
     ChunkNext = 1;
     return beginIteration(std::move(Item));
@@ -278,12 +268,8 @@ Action Worker::stepFetch() {
     return finishWith(R.EndBound <= R.PauseBound ? TaskStatus::Complete
                                                  : TaskStatus::Paused);
   // Wedge check before any token is received.
-  if (!Wedged && R.machine().takeWedge(T.name(), Cursor))
-    Wedged = true;
-  if (Wedged) {
-    LastWait = WaitKind::None;
+  if (wedgedBefore(Cursor))
     return Action::block(WedgeHang);
-  }
   // Non-head tasks chunk purely for cost grouping: every K-th owned
   // iteration opens a new cost group and pays the per-chunk fixed costs.
   // K is width-clamped so the group's tokens fit in half a window.
@@ -298,6 +284,14 @@ Action Worker::stepFetch() {
   NextIn = 0;
   St = State::Recv;
   return Action::compute(0);
+}
+
+bool Worker::wedgedBefore(std::uint64_t Seq) {
+  if (!Wedged && R.machine().takeWedge(T.name(), Seq))
+    Wedged = true;
+  if (Wedged)
+    LastWait = WaitKind::None;
+  return Wedged;
 }
 
 Action Worker::beginIteration(Token Item) {

@@ -87,6 +87,9 @@ private:
   };
 
   sim::Action stepFetch();
+  /// Wedge injection before iteration \p Seq starts (no token consumed,
+  /// no functor run): true when the worker is, or now becomes, wedged.
+  bool wedgedBefore(std::uint64_t Seq);
   sim::Action stepSend();
   sim::Action beginIteration(Token Item);
   sim::Action runFunctor(sim::Machine &M);

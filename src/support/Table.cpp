@@ -44,37 +44,6 @@ std::string Table::format() const {
   return Out;
 }
 
-std::string Table::csv() const {
-  auto Quote = [](const std::string &Cell) {
-    if (Cell.find_first_of(",\"\n") == std::string::npos)
-      return Cell;
-    std::string Out = "\"";
-    for (char C : Cell) {
-      if (C == '"')
-        Out += '"';
-      Out += C;
-    }
-    Out += '"';
-    return Out;
-  };
-  std::string Out;
-  for (std::size_t I = 0; I < Header.size(); ++I) {
-    if (I)
-      Out += ',';
-    Out += Quote(Header[I]);
-  }
-  Out += '\n';
-  for (const auto &Row : Rows) {
-    for (std::size_t I = 0; I < Header.size(); ++I) {
-      if (I)
-        Out += ',';
-      Out += Quote(I < Row.size() ? Row[I] : std::string());
-    }
-    Out += '\n';
-  }
-  return Out;
-}
-
 void Table::print(std::FILE *Out) const {
   std::string S = format();
   std::fwrite(S.data(), 1, S.size(), Out);

@@ -31,9 +31,6 @@ public:
   /// Formats the table into a string (header, separator, rows).
   std::string format() const;
 
-  /// Formats as CSV (header + rows, comma-separated, quoted as needed).
-  std::string csv() const;
-
   /// Prints the table to \p Out (stdout by default).
   void print(std::FILE *Out = stdout) const;
 

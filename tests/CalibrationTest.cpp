@@ -7,8 +7,7 @@
 //    the lane applications use (monotone rise, saturation, ~paper's 6.3x
 //    scale at DoP 8 for transcode-like stage ratios);
 //  * the controller's thread-saving preference converts into measurably
-//    lower energy at equal throughput;
-//  * the Table CSV emitter round-trips benchmark rows.
+//    lower energy at equal throughput.
 //
 //===----------------------------------------------------------------------===//
 
@@ -17,7 +16,6 @@
 #include "core/WorkSource.h"
 #include "morta/RegionRunner.h"
 #include "sim/Power.h"
-#include "support/Table.h"
 
 #include <gtest/gtest.h>
 
@@ -118,16 +116,4 @@ TEST(Calibration, HigherThroughputMeansLessTotalEnergy) {
   sim::SimTime T12 = RunWith(12, J12);
   EXPECT_LT(T12, T2 / 4);
   EXPECT_LT(J12, J2 / 2) << "the faster run must use far less energy";
-}
-
-TEST(Calibration, TableCsvRoundTrip) {
-  Table T({"benchmark", "speedup", "note"});
-  T.addRow({"vecsum", "13.50", "plain"});
-  T.addRow({"odd,name", "1.00", "has \"quotes\""});
-  std::string Csv = T.csv();
-  EXPECT_NE(Csv.find("benchmark,speedup,note\n"), std::string::npos);
-  EXPECT_NE(Csv.find("vecsum,13.50,plain\n"), std::string::npos);
-  // Quoting rules: embedded commas and quotes are escaped.
-  EXPECT_NE(Csv.find("\"odd,name\""), std::string::npos);
-  EXPECT_NE(Csv.find("\"has \"\"quotes\"\"\""), std::string::npos);
 }

@@ -3,11 +3,13 @@
 // Tests of the checkpoint subsystem: the versioned snapshot format
 // (round trips, rejection of malformed input), the runner's cooperative
 // quiesce and resume, the controller's cross-machine restore (no
-// re-measurement, exactly-once output), the proactive drain off a doomed
-// core set, and the bounded rewind history behind it all.
+// re-measurement, exactly-once output) and its refusal for a queue-fed
+// region, the proactive drain off a doomed core set, and the bounded
+// rewind history behind it all.
 //
 //===----------------------------------------------------------------------===//
 
+#include "PullOne.h"
 #include "checkpoint/Snapshot.h"
 #include "core/Region.h"
 #include "core/WorkSource.h"
@@ -72,7 +74,6 @@ ckpt::RegionSnapshot makeSnapshot() {
   S.Ctrl.BestThr = 612244.89795918367;
   S.Ctrl.Cache.push_back({8, {Scheme::PsDswp, {1, 6, 1}}, 612244.9, false});
   S.Ctrl.Cache.push_back({4, {Scheme::PsDswp, {1, 2, 1}}, 201000.0, true});
-  S.Source.K = WorkSourceState::Kind::Counted;
   S.Source.Total = 20000;
   S.Source.Cursor = 1234;
   return S;
@@ -103,40 +104,6 @@ TEST(Checkpoint, SnapshotRoundTripIsByteIdentical) {
   EXPECT_TRUE(Out.Ctrl.Cache[1].Limited);
 }
 
-TEST(Checkpoint, QueueSourceSnapshotCarriesPendingTail) {
-  ckpt::RegionSnapshot S = makeSnapshot();
-  S.Source = WorkSourceState{};
-  S.Source.K = WorkSourceState::Kind::Queue;
-  S.Source.Total = 10;
-  S.Source.Cursor = 7;
-  S.Source.Closed = true;
-  for (std::int64_t V = 7; V < 10; ++V) {
-    Token T;
-    T.Seq = static_cast<std::uint64_t>(V);
-    T.Value = 100 + V;
-    T.Work = 5000;
-    S.Source.Pending.push_back(T);
-  }
-  std::string Text = S.serialize();
-  ckpt::RegionSnapshot Out;
-  ASSERT_TRUE(ckpt::RegionSnapshot::deserialize(Text, Out));
-  EXPECT_EQ(Out.serialize(), Text);
-  ASSERT_EQ(Out.Source.Pending.size(), 3u);
-  EXPECT_TRUE(Out.Source.Closed);
-  EXPECT_EQ(Out.Source.Pending[2].Value, 109);
-  EXPECT_EQ(Out.Source.Pending[2].Work, 5000u);
-
-  // And the restored tail replays into a fresh queue source.
-  QueueWorkSource Q;
-  ASSERT_TRUE(Q.restoreState(Out.Source));
-  EXPECT_EQ(Q.accepted(), 10u);
-  EXPECT_EQ(Q.size(), 3u);
-  EXPECT_TRUE(Q.closed());
-  Token Got;
-  ASSERT_EQ(Q.tryPull(Got), WorkSource::Pull::Got);
-  EXPECT_EQ(Got.Value, 107);
-}
-
 TEST(Checkpoint, DeserializeRejectsMalformedInput) {
   std::string Good = makeSnapshot().serialize();
   ckpt::RegionSnapshot Out;
@@ -161,6 +128,12 @@ TEST(Checkpoint, DeserializeRejectsMalformedInput) {
   // A chunk size of zero cannot be re-seeded.
   Bad = Good;
   Bad.replace(Bad.find("chunk_k 8"), 9, "chunk_k 0");
+  EXPECT_FALSE(ckpt::RegionSnapshot::deserialize(Bad, Out));
+
+  // Only a counted source is carried: a queue's state is not a format.
+  Bad = Good;
+  Bad.replace(Bad.find("source counted 20000 1234"), 25,
+              "source queue 1 10 7 0");
   EXPECT_FALSE(ckpt::RegionSnapshot::deserialize(Bad, Out));
 }
 
@@ -354,6 +327,44 @@ TEST(Checkpoint, CrossMachineRestoreIsExactlyOnceAndMonitorOnly) {
   EXPECT_EQ(Tail, Reference);
 }
 
+TEST(Checkpoint, QueueFedRegionRefusesCheckpoint) {
+  // A queue's unpulled tail cannot be saved, so a snapshot would restore
+  // an empty source and lose it. The controller refuses instead, and the
+  // region runs on undisturbed.
+  constexpr std::int64_t N = 3000;
+  sim::Simulator Sim;
+  sim::Machine M(Sim, 8);
+  RuntimeCosts Costs;
+  QueueWorkSource Src;
+  for (std::int64_t I = 0; I < N; ++I) {
+    Token T;
+    T.Value = I;
+    ASSERT_TRUE(Src.push(T));
+  }
+  Src.close();
+  std::vector<std::int64_t> Tail;
+  FlexibleRegion Region = makeSPS(&Tail);
+  RegionRunner Runner(M, Costs, Region, Src);
+  RegionController Ctrl(Runner);
+  Ctrl.start(8);
+  bool Asked = false;
+  Sim.schedule(2 * sim::MSec, [&] {
+    ASSERT_FALSE(Runner.completed()) << "request must land mid-run";
+    Asked = true;
+    EXPECT_FALSE(Ctrl.checkpointTo([](ckpt::RegionSnapshot) {
+      FAIL() << "a queue-fed region must not produce a snapshot";
+    }));
+  });
+  Sim.runUntil(2 * sim::Sec);
+
+  EXPECT_TRUE(Asked);
+  EXPECT_TRUE(Runner.completed());
+  EXPECT_EQ(Runner.checkpoints(), 0u);
+  ASSERT_EQ(Tail.size(), static_cast<std::size_t>(N));
+  for (std::int64_t I = 0; I < N; ++I)
+    ASSERT_EQ(Tail[static_cast<std::size_t>(I)], I);
+}
+
 TEST(Checkpoint, DrainRestartMigratesOffDoomedCoresWithoutAborting) {
   sim::Simulator Sim;
   sim::Machine M(Sim, 8);
@@ -400,12 +411,12 @@ TEST(Checkpoint, RewindAtExactlyHistoryCapSucceeds) {
   }
   Token Got;
   for (std::size_t I = 0; I < Cap; ++I)
-    ASSERT_EQ(Src.tryPull(Got), WorkSource::Pull::Got);
+    ASSERT_EQ(pullOne(Src, Got), WorkSource::Pull::Got);
   // Exactly at the cap: nothing evicted yet, the full history replays.
   EXPECT_EQ(Src.historyEvictions(), 0u);
   EXPECT_TRUE(Src.rewind(Cap));
   EXPECT_EQ(Src.size(), Cap);
-  ASSERT_EQ(Src.tryPull(Got), WorkSource::Pull::Got);
+  ASSERT_EQ(pullOne(Src, Got), WorkSource::Pull::Got);
   EXPECT_EQ(Got.Value, 0);
 }
 
@@ -419,12 +430,12 @@ TEST(Checkpoint, RewindPastHistoryCapFailsAndCountsEvictions) {
   }
   Token Got;
   for (std::size_t I = 0; I < Cap + 3; ++I)
-    ASSERT_EQ(Src.tryPull(Got), WorkSource::Pull::Got);
+    ASSERT_EQ(pullOne(Src, Got), WorkSource::Pull::Got);
   // One past the cap per extra pull: the oldest entries fell off, and
   // the counter says so (the observability hook for a too-deep rewind).
   EXPECT_EQ(Src.historyEvictions(), 3u);
   EXPECT_FALSE(Src.rewind(Cap + 1)) << "history cannot replay past the cap";
   EXPECT_TRUE(Src.rewind(Cap));
-  ASSERT_EQ(Src.tryPull(Got), WorkSource::Pull::Got);
+  ASSERT_EQ(pullOne(Src, Got), WorkSource::Pull::Got);
   EXPECT_EQ(Got.Value, 3) << "the three oldest items were evicted";
 }

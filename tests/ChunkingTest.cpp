@@ -8,6 +8,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "PullOne.h"
 #include "core/Chunking.h"
 #include "core/Region.h"
 #include "core/WorkSource.h"
@@ -88,7 +89,7 @@ TEST(TryPullChunk, CountedSourceRefillRunsOnlyWhenExhausted) {
   EXPECT_EQ(Out.back().Value, 6);
   // Exhausted again and the hook declines: End.
   Token T;
-  EXPECT_EQ(Src.tryPull(T), WorkSource::Pull::End);
+  EXPECT_EQ(pullOne(Src, T), WorkSource::Pull::End);
   EXPECT_EQ(Calls, 2u);
 }
 
@@ -103,17 +104,17 @@ TEST(TryPullChunk, CountedSourceHeldReportsWaitWhenExhausted) {
   EXPECT_EQ(Out.size(), 2u);
   // Exhausted, the hook declines, and the hold turns End into Wait.
   Token T;
-  EXPECT_EQ(Src.tryPull(T), WorkSource::Pull::Wait);
+  EXPECT_EQ(pullOne(Src, T), WorkSource::Pull::Wait);
   EXPECT_EQ(Src.tryPullChunk(8, Out), WorkSource::Pull::Wait);
   EXPECT_EQ(Calls, 2u);
   // Extended and released: the new items, numbered on.
   Src.extend(1);
   Src.release();
-  EXPECT_EQ(Src.tryPull(T), WorkSource::Pull::Got);
+  EXPECT_EQ(pullOne(Src, T), WorkSource::Pull::Got);
   EXPECT_EQ(T.Value, 2);
   // The hook holds it again from inside the pull: Wait, not End.
   Src.Refill = [&] { Src.hold(); };
-  EXPECT_EQ(Src.tryPull(T), WorkSource::Pull::Wait);
+  EXPECT_EQ(pullOne(Src, T), WorkSource::Pull::Wait);
   // Released with nothing added: End, as a source never held.
   Src.Refill = nullptr;
   Src.release();
@@ -192,9 +193,9 @@ TEST(QueueWorkSource, PushOnClosedQueueReturnsFalse) {
   EXPECT_EQ(Src.accepted(), 1u);
   // The queued item still drains, then the source ends.
   Token Got;
-  EXPECT_EQ(Src.tryPull(Got), WorkSource::Pull::Got);
+  EXPECT_EQ(pullOne(Src, Got), WorkSource::Pull::Got);
   EXPECT_EQ(Got.Value, 1);
-  EXPECT_EQ(Src.tryPull(Got), WorkSource::Pull::End);
+  EXPECT_EQ(pullOne(Src, Got), WorkSource::Pull::End);
 }
 
 TEST(QueueWorkSource, PushOnFullQueueReturnsFalse) {

@@ -8,6 +8,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "PullOne.h"
 #include "core/Region.h"
 #include "core/WorkSource.h"
 #include "morta/Controller.h"
@@ -480,16 +481,16 @@ TEST(FaultInjection, QueueSourceRewindReplaysSameItems) {
     ASSERT_TRUE(Src.push(T));
   }
   Token T;
-  ASSERT_EQ(Src.tryPull(T), WorkSource::Pull::Got);
+  ASSERT_EQ(pullOne(Src, T), WorkSource::Pull::Got);
   EXPECT_EQ(T.Value, 10);
-  ASSERT_EQ(Src.tryPull(T), WorkSource::Pull::Got);
-  ASSERT_EQ(Src.tryPull(T), WorkSource::Pull::Got);
+  ASSERT_EQ(pullOne(Src, T), WorkSource::Pull::Got);
+  ASSERT_EQ(pullOne(Src, T), WorkSource::Pull::Got);
   EXPECT_EQ(T.Value, 12);
   // Un-pull the last two: they must come back in the original order.
   ASSERT_TRUE(Src.rewind(2));
-  ASSERT_EQ(Src.tryPull(T), WorkSource::Pull::Got);
+  ASSERT_EQ(pullOne(Src, T), WorkSource::Pull::Got);
   EXPECT_EQ(T.Value, 11);
-  ASSERT_EQ(Src.tryPull(T), WorkSource::Pull::Got);
+  ASSERT_EQ(pullOne(Src, T), WorkSource::Pull::Got);
   EXPECT_EQ(T.Value, 12);
   // Deeper than the pull history: refuse (recovery then drains instead).
   EXPECT_FALSE(Src.rewind(5));
@@ -501,18 +502,18 @@ TEST(FaultInjection, CountedRewindPastStartRefusesCleanly) {
   // with them compiled out in the release flavor (WorkSourceRelease).
   CountedWorkSource Src(10);
   Token T;
-  ASSERT_EQ(Src.tryPull(T), WorkSource::Pull::Got);
-  ASSERT_EQ(Src.tryPull(T), WorkSource::Pull::Got);
-  ASSERT_EQ(Src.tryPull(T), WorkSource::Pull::Got);
+  ASSERT_EQ(pullOne(Src, T), WorkSource::Pull::Got);
+  ASSERT_EQ(pullOne(Src, T), WorkSource::Pull::Got);
+  ASSERT_EQ(pullOne(Src, T), WorkSource::Pull::Got);
   EXPECT_EQ(T.Value, 2);
   EXPECT_FALSE(Src.rewind(5));
   // The refused rewind left the cursor untouched.
   EXPECT_EQ(Src.remaining(), 7u);
-  ASSERT_EQ(Src.tryPull(T), WorkSource::Pull::Got);
+  ASSERT_EQ(pullOne(Src, T), WorkSource::Pull::Got);
   EXPECT_EQ(T.Value, 3);
   // An in-range rewind still replays.
   EXPECT_TRUE(Src.rewind(2));
-  ASSERT_EQ(Src.tryPull(T), WorkSource::Pull::Got);
+  ASSERT_EQ(pullOne(Src, T), WorkSource::Pull::Got);
   EXPECT_EQ(T.Value, 2);
 }
 

@@ -1,7 +1,7 @@
 //===- ServeTest.cpp - Serving-layer tests ---------------------------------===//
 //
-// Tests of the open-loop serving layer: seeded arrival processes (Poisson,
-// bursty, trace replay + CSV parsing), admission control, the ServeLoop
+// Tests of the open-loop serving layer: seeded arrival processes (Poisson
+// and trace replay), admission control, the ServeLoop
 // broker end-to-end on a small machine (runner widths fitted to the
 // class's thread grant, warm runners taking queued batches in place, and
 // idle runners parking until a dispatch of their width wakes them,
@@ -28,7 +28,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <fstream>
 #include <functional>
 #include <map>
 #include <memory>
@@ -78,25 +77,8 @@ TEST(Arrival, PoissonSameSeedSameDelays) {
   EXPECT_LT(MeanMs, 2.0);
 }
 
-TEST(Arrival, BurstyIsDeterministicAndDenserInBursts) {
-  // Quiet 100/s vs burst 10000/s with 10 ms dwell times: the rate gap is
-  // big enough that mean delay over many draws sits far from quiet-only.
-  BurstyArrivals A(100.0, 10000.0, 0.01, 0.01, 7);
-  BurstyArrivals B(100.0, 10000.0, 0.01, 0.01, 7);
-  std::vector<sim::SimTime> Da = firstDelays(A, 500);
-  std::vector<sim::SimTime> Db = firstDelays(B, 500);
-  ASSERT_EQ(Da.size(), 500u);
-  EXPECT_EQ(Da, Db);
-  sim::SimTime Sum = 0;
-  for (sim::SimTime D : Da)
-    Sum += D;
-  double MeanSec = sim::toSeconds(Sum / Da.size());
-  // Far below the quiet-only mean (10 ms): bursts dominate the draw count.
-  EXPECT_LT(MeanSec, 0.005);
-}
-
-TEST(Arrival, TraceEndsSkipsZeroRateAndLoops) {
-  // 0.5 s of silence, then 0.5 s at 1000/s, not looping.
+TEST(Arrival, TraceEndsSkipsZeroRate) {
+  // 0.5 s of silence, then 0.5 s at 1000/s.
   std::vector<TraceSegment> Curve = {{0.5, 0.0}, {0.5, 1000.0}};
   TraceArrivals A(Curve, 42);
   sim::SimTime Now = 0;
@@ -115,43 +97,6 @@ TEST(Arrival, TraceEndsSkipsZeroRateAndLoops) {
   }
   EXPECT_LE(Now, sim::fromSeconds(1.0)); // every arrival inside the curve
   EXPECT_GT(Count, 100u);                // ~500 expected at 1000/s for 0.5 s
-  // The same curve looped keeps producing past the one-second boundary.
-  TraceArrivals L(Curve, 42, /*Loop=*/true);
-  std::vector<sim::SimTime> Dl = firstDelays(L, 2000);
-  EXPECT_EQ(Dl.size(), 2000u);
-}
-
-TEST(Arrival, LoopingZeroRateTraceEnds) {
-  // A looped curve that never produces an arrival ends instead of
-  // cycling its segment boundaries forever.
-  TraceArrivals A({{0.5, 0.0}, {0.25, 0.0}}, 42, /*Loop=*/true);
-  EXPECT_FALSE(A.nextDelay(0).has_value());
-}
-
-TEST(Arrival, TraceCsvRoundTripsAndRejectsMalformed) {
-  std::string Path = testing::TempDir() + "/serve_trace.csv";
-  {
-    std::ofstream F(Path);
-    F << "# diurnal curve\n"
-      << "0.5, 100\n"
-      << "\n"
-      << "1.5, 2500\n";
-  }
-  auto Curve = TraceArrivals::parseCsv(Path);
-  ASSERT_TRUE(Curve.has_value());
-  ASSERT_EQ(Curve->size(), 2u);
-  EXPECT_DOUBLE_EQ((*Curve)[0].DurationSec, 0.5);
-  EXPECT_DOUBLE_EQ((*Curve)[0].RatePerSec, 100.0);
-  EXPECT_DOUBLE_EQ((*Curve)[1].DurationSec, 1.5);
-  EXPECT_DOUBLE_EQ((*Curve)[1].RatePerSec, 2500.0);
-
-  {
-    std::ofstream F(Path);
-    F << "0.5, 100\n"
-      << "not-a-number, 5\n";
-  }
-  EXPECT_FALSE(TraceArrivals::parseCsv(Path).has_value());
-  EXPECT_FALSE(TraceArrivals::parseCsv(Path + ".does-not-exist").has_value());
 }
 
 //===----------------------------------------------------------------------===//

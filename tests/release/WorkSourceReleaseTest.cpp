@@ -12,6 +12,7 @@
 #error "release-flavor tests must be compiled with NDEBUG defined"
 #endif
 
+#include "../PullOne.h"
 #include "core/Region.h"
 #include "core/WorkSource.h"
 #include "morta/RegionRunner.h"
@@ -29,7 +30,6 @@ namespace {
 class NoRewindSource : public WorkSource {
 public:
   explicit NoRewindSource(std::uint64_t N) : Inner(N) {}
-  Pull tryPull(Token &Out) override { return Inner.tryPull(Out); }
   Pull tryPullChunk(std::uint64_t Max, std::vector<Token> &Out) override {
     return Inner.tryPullChunk(Max, Out);
   }
@@ -70,7 +70,7 @@ TEST(WorkSourceRelease, CountedRewindPastStartReturnsFalseWithoutAsserts) {
   CountedWorkSource Src(16);
   Token T;
   for (int I = 0; I < 4; ++I)
-    ASSERT_EQ(Src.tryPull(T), WorkSource::Pull::Got);
+    ASSERT_EQ(pullOne(Src, T), WorkSource::Pull::Got);
   EXPECT_EQ(T.Value, 3);
   // Deeper than the 4-item pull history: must refuse, not wrap Next.
   EXPECT_FALSE(Src.rewind(5));
@@ -79,7 +79,7 @@ TEST(WorkSourceRelease, CountedRewindPastStartReturnsFalseWithoutAsserts) {
   // The source still works, exactly once, after the refusals.
   EXPECT_TRUE(Src.rewind(4));
   std::uint64_t Pulled = 0;
-  while (Src.tryPull(T) == WorkSource::Pull::Got)
+  while (pullOne(Src, T) == WorkSource::Pull::Got)
     ++Pulled;
   EXPECT_EQ(Pulled, 16u);
   EXPECT_EQ(T.Value, 15);
@@ -94,10 +94,10 @@ TEST(WorkSourceRelease, QueueRewindPastHistoryReturnsFalse) {
   }
   Token T;
   for (int I = 0; I < 3; ++I)
-    ASSERT_EQ(Src.tryPull(T), WorkSource::Pull::Got);
+    ASSERT_EQ(pullOne(Src, T), WorkSource::Pull::Got);
   EXPECT_FALSE(Src.rewind(4)) << "only 3 items of history exist";
   EXPECT_TRUE(Src.rewind(3));
-  ASSERT_EQ(Src.tryPull(T), WorkSource::Pull::Got);
+  ASSERT_EQ(pullOne(Src, T), WorkSource::Pull::Got);
   EXPECT_EQ(T.Value, 0);
 }
 
