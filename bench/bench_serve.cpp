@@ -26,12 +26,12 @@
 // seed sweep).
 //
 // --batch runs the same seeded scenario twice — unbatched baseline, then
-// with per-class BatchPolicy coalescing, warm refill and parking — and
-// reports the goodput speedup, the under-load latency gain and region
-// spin-up amortization side by side, with per-request latency
+// with per-class BatchPolicy coalescing, warm refill, stealing and
+// parking — and reports the goodput speedup, the under-load latency gain
+// and region spin-up amortization side by side, with per-request latency
 // percentiles attributed from inside the batches (never per-batch
 // numbers). scripts/check_serve.sh batch gates the speedup, the
-// under-load p50, the in-place and parked-runner batch counts and the
+// under-load p50, the in-place, parked-runner and steal counts and the
 // batched run's determinism.
 //
 //===----------------------------------------------------------------------===//
@@ -468,13 +468,16 @@ int main(int Argc, char **Argv) {
     for (int Cls = 0; Cls < 2; ++Cls) {
       const BatchStats &U = A.BStats[Cls], &Bt = B.BStats[Cls];
       std::printf("   %-5s regions: %llu -> %llu (%.2f req/region, %llu"
-                  " batches in place, %llu by parked runners; full %llu"
-                  " underfull %llu; occupancy mean %.2f max %.0f)\n",
+                  " batches in place, %llu by parked runners; %llu steals"
+                  " moved %llu requests; full %llu underfull %llu;"
+                  " occupancy mean %.2f max %.0f)\n",
                   Names[Cls], static_cast<unsigned long long>(U.Batches),
                   static_cast<unsigned long long>(Bt.Batches),
                   Bt.requestsPerRegion(),
                   static_cast<unsigned long long>(Bt.InPlaceBatches),
                   static_cast<unsigned long long>(Bt.Wakes),
+                  static_cast<unsigned long long>(Bt.Steals),
+                  static_cast<unsigned long long>(Bt.StolenRequests),
                   static_cast<unsigned long long>(Bt.SizeCloses),
                   static_cast<unsigned long long>(Bt.formed() - Bt.SizeCloses),
                   Bt.OccupancyH.mean(), Bt.OccupancyH.max());
@@ -562,6 +565,7 @@ int main(int Argc, char **Argv) {
             J,
             "    {\"name\": \"%s\", \"batches\": %llu,"
             " \"in_place_batches\": %llu, \"wakes\": %llu,"
+            " \"steals\": %llu, \"stolen_requests\": %llu,"
             " \"requests_per_region\": %.3f, \"full_batches\": %llu,"
             " \"underfull_batches\": %llu,"
             " \"overload_goodput_per_sec\": %.1f,"
@@ -569,6 +573,8 @@ int main(int Argc, char **Argv) {
             Names[Cls], static_cast<unsigned long long>(Bt.Batches),
             static_cast<unsigned long long>(Bt.InPlaceBatches),
             static_cast<unsigned long long>(Bt.Wakes),
+            static_cast<unsigned long long>(Bt.Steals),
+            static_cast<unsigned long long>(Bt.StolenRequests),
             Bt.requestsPerRegion(),
             static_cast<unsigned long long>(Bt.SizeCloses),
             static_cast<unsigned long long>(Bt.formed() - Bt.SizeCloses),

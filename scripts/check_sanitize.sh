@@ -44,7 +44,10 @@
 #     re-enter the serve loop from inside a worker's pull: a refill
 #     sheds and finalizes queued requests, appends members and
 #     attributes watermarks there, then releases attributed members
-#     (the ServeLoop* unit suites above cover the same path). An idle
+#     (the ServeLoop* unit suites above cover the same path). A dry
+#     runner steals there too: it moves member request pointers out of
+#     a sibling runner's deque into its own and shrinks the sibling's
+#     source, all inside its own worker's pull. An idle
 #     runner parks there too, and the ServeLoop is destroyed while
 #     runners are parked: their workers stay blocked in the Machine on a
 #     source that is destroyed with the loop, and the Machine destroys

@@ -37,6 +37,9 @@
 #     of batches taken in place by runners whose work ran dry;
 #   * parking happened: the same line reports a positive count of batches
 #     taken by parked runners a dispatch woke;
+#   * stealing happened: the same line reports a positive count of steals
+#     by runners whose work ran dry with nothing queued, moving a positive
+#     count of requests;
 #   * determinism of the full A/B output (both runs byte-identical);
 #   * the goodput landmark: batched overload goodput >= 1.3x the
 #     unbatched baseline at the same seed;
@@ -44,7 +47,8 @@
 #     most 0.8x the unbatched run's (dispatch is work-conserving, so an
 #     idle class never holds a request back to fill a batch, and a woken
 #     parked runner serves it without spin-up);
-#   * the trace carries batch_close instants (the coalescing story).
+#   * the trace carries batch_close instants (the coalescing story), and
+#     steal instants, every one of which moves at least one member.
 #
 # Usage: check_serve.sh <path-to-bench_serve> [workdir] [legacy|batch]
 
@@ -90,6 +94,9 @@ for S in 7 21 42; do
     # Parking: parked api runners woke to take queued batches.
     grep -Eq 'api   regions: .* [1-9][0-9]* by parked runners;' "$OUT" ||
       fail "seed $S: no parked api runner woke"
+    # Stealing: dry api runners took unclaimed members from siblings.
+    grep -Eq 'api   regions: .*; [1-9][0-9]* steals moved [1-9][0-9]* requests;' \
+      "$OUT" || fail "seed $S: no api runner stole"
   fi
 
   # Zero SLO violations in the under-load phase, for both classes (the
@@ -142,9 +149,13 @@ grep -o '"name":"slo_transfer"[^}]*}' "$TRACE" |
   awk '!/"why":"(violation|backlog)"/ { bad++ } END { exit (NR > 0 && !bad) ? 0 : 1 }' ||
   fail "an slo_transfer instant carries no violation/backlog reason"
 
-# Batch mode: coalescing leaves batch_close instants in the trace.
+# Batch mode: coalescing leaves batch_close instants in the trace, and
+# stealing leaves steal instants, each moving at least one member.
 if [ "$MODE" = batch ]; then
   grep -q '"batch_close"' "$TRACE" || fail "no batch_close instant in trace"
+  grep -o '"name":"steal"[^}]*}' "$TRACE" |
+    awk '!/"members":[1-9]/ { bad++ } END { exit (NR > 0 && !bad) ? 0 : 1 }' ||
+    fail "no steal instant in trace, or one that moves no member"
 fi
 
 # Admission + arbitration metrics land in the metrics dump.

@@ -11,8 +11,9 @@
 /// plain iteration count for batch loops. The source survives
 /// reconfigurations and scheme switches, so no work is lost when Morta
 /// pauses a region. A counted source can also be refilled from inside a
-/// pull, or held open so its pullers block until it is extended (the
-/// serve broker's warm and parked runners). Only a counted source can be
+/// pull, held open so its pullers block until it is extended, or shrunk
+/// by its unclaimed tail (the serve broker's warm, parked and stealing
+/// runners). Only a counted source can be
 /// checkpointed: its state is two integers, while a queue's unpulled
 /// tail lives with its producer.
 ///
@@ -145,7 +146,8 @@ private:
 /// A fixed number of iterations: the batch-loop source used by
 /// Nona-compiled programs. Pulls are free; ends after N items, unless a
 /// refill hook extends it first or a hold keeps it open (the serve
-/// broker's warm and parked runners).
+/// broker's warm and parked runners). Items carry no payload, so the
+/// unclaimed tail can move between sources (shrink, extend).
 class CountedWorkSource : public WorkSource {
 public:
   explicit CountedWorkSource(std::uint64_t N) : N(N) {}
@@ -173,6 +175,17 @@ public:
   /// Extends the iteration count by \p More. Pullers blocked on a held
   /// source see the new items once release() wakes them.
   void extend(std::uint64_t More) { N += More; }
+
+  /// Takes back the last \p Less unclaimed items (the serve broker moves
+  /// them to another runner's source by extend()). A shrink below the
+  /// claim cursor is refused, leaving the count alone, instead of
+  /// asserted: the same hardening as rewind().
+  bool shrink(std::uint64_t Less) {
+    if (Less > N - Next)
+      return false;
+    N -= Less;
+    return true;
+  }
 
   /// Holds the source open: while held, a pull that finds it exhausted,
   /// even after the refill hook ran, returns Wait instead of End, so the

@@ -2,8 +2,6 @@
 
 #include "nona/Run.h"
 
-#include "support/Rng.h"
-
 using namespace parcae::ir;
 namespace rt = parcae::rt;
 namespace sim = parcae::sim;
@@ -51,53 +49,6 @@ CompiledRunResult parcae::ir::runCompiled(CompiledLoop &CL,
   auto Src = CL.makeSource();
   rt::RegionRunner Runner(M, Costs, CL.region(), *Src);
   Runner.start(std::move(C));
-  runBounded(Sim, Runner);
-  CompiledRunResult R;
-  R.Time = Sim.now();
-  R.Completed = Runner.completed();
-  R.Retired = Runner.totalRetired();
-  R.Stall = stallReportOf(Runner);
-  return R;
-}
-
-CompiledRunResult parcae::ir::runCompiledChaotic(CompiledLoop &CL,
-                                                 unsigned Cores,
-                                                 std::uint64_t Seed,
-                                                 unsigned Reconfigs) {
-  sim::Simulator Sim;
-  sim::Machine M(Sim, Cores);
-  rt::RuntimeCosts Costs;
-  CL.resetState();
-  auto Src = CL.makeSource();
-  rt::RegionRunner Runner(M, Costs, CL.region(), *Src);
-
-  // Candidate configurations across every variant the loop exposes.
-  parcae::Rng R0(Seed);
-  std::vector<rt::RegionConfig> Configs;
-  for (const rt::RegionDesc &V : CL.region().variants()) {
-    for (unsigned Rep = 0; Rep < 4; ++Rep) {
-      rt::RegionConfig C;
-      C.S = V.S;
-      for (const rt::Task &T : V.Tasks)
-        C.DoP.push_back(T.isParallel()
-                            ? 1 + static_cast<unsigned>(R0.nextBelow(
-                                      std::min(Cores, 8u)))
-                            : 1);
-      Configs.push_back(std::move(C));
-    }
-  }
-  assert(!Configs.empty());
-
-  Runner.start(Configs[R0.nextBelow(Configs.size())]);
-  // Spread reconfigurations over the expected run.
-  for (unsigned K = 1; K <= Reconfigs; ++K) {
-    rt::RegionConfig C = Configs[R0.nextBelow(Configs.size())];
-    Sim.schedule(static_cast<sim::SimTime>(K) * 400 * sim::USec,
-                 [&Runner, C = std::move(C)]() mutable {
-                   if (!Runner.completed())
-                     Runner.reconfigure(std::move(C));
-                 });
-  }
   runBounded(Sim, Runner);
   CompiledRunResult R;
   R.Time = Sim.now();

@@ -6,9 +6,9 @@
 ///
 /// \file
 /// Helpers shared by tests and benchmarks: run a Nona-compiled loop to
-/// completion under a fixed configuration, under a random reconfiguration
-/// schedule (for semantics checks), or under the Morta run-time
-/// controller (for the Section 8.3 experiments).
+/// completion under a fixed configuration, or under the Morta run-time
+/// controller (for the Section 8.3 experiments). The tests' random
+/// reconfiguration schedule is built on these (tests/ChaoticRun.h).
 ///
 /// Every helper terminates: a run that retires nothing for one second of
 /// virtual time before completing stops there and reports
@@ -56,12 +56,6 @@ struct CompiledRunResult {
 CompiledRunResult runCompiled(CompiledLoop &CL, rt::RegionConfig C,
                               unsigned Cores,
                               const rt::RuntimeCosts &Costs = {});
-
-/// Runs a compiled loop to completion while applying a random schedule of
-/// in-place DoP changes and full scheme switches (semantics stress).
-CompiledRunResult runCompiledChaotic(CompiledLoop &CL, unsigned Cores,
-                                     std::uint64_t Seed,
-                                     unsigned Reconfigs = 12);
 
 struct ControlledRunResult {
   sim::SimTime Time = 0;

@@ -19,10 +19,13 @@
 /// Runners stay warm: when a runner's work runs dry while requests are
 /// queued, it takes the next batch (up to MaxBatch) into the same region
 /// and its workers carry on, so spin-up is paid once per runner, not
-/// once per batch. With nothing queued it parks: its workers block on
-/// its held source, its threads go back to the class's grant, and the
-/// next dispatch of exactly its width wakes it with a batch instead of
-/// building a region. A runner drains instead while a domain drain holds
+/// once per batch. With nothing queued it steals: it takes the oldest
+/// half, rounded up, of the unclaimed members of the sibling runner that
+/// holds the class's oldest unclaimed member. With nothing to steal it
+/// parks: its workers block on its held source, its threads go back to
+/// the class's grant, and the next dispatch of exactly its width wakes
+/// it with a batch instead of building a region. A runner drains instead
+/// (taking, stealing and parking nothing) while a domain drain holds
 /// dispatch, while its class holds more threads than its grant, and
 /// while requests queue and the grant has a remainder below one runner's
 /// width that only a re-fitted runner could use.
@@ -44,8 +47,8 @@
 namespace parcae::serve {
 
 /// Per-class batching knobs. MaxBatch <= 1 disables coalescing, warm
-/// refill and parking: every request dispatches as a singleton region,
-/// byte-identical to the unbatched broker.
+/// refill, stealing and parking: every request dispatches as a singleton
+/// region, byte-identical to the unbatched broker.
 struct BatchPolicy {
   /// Most members per batch. <= 1 turns batching off.
   unsigned MaxBatch = 1;
@@ -65,13 +68,18 @@ struct BatchPolicy {
 /// report reads Batches as "regions started". A batch a warm or woken
 /// parked runner takes in place counts in InPlaceBatches, not Batches,
 /// and like a dispatched one in BatchedRequests, SizeCloses and
-/// OccupancyH.
+/// OccupancyH. A steal is not a batch: it counts in Steals and
+/// StolenRequests only.
 struct BatchStats {
   std::uint64_t Batches = 0;          ///< batches dispatched (== runners)
   std::uint64_t InPlaceBatches = 0;   ///< batches taken by warm runners
   /// Of InPlaceBatches, those a parked runner woke to take.
   std::uint64_t Wakes = 0;
   std::uint64_t BatchedRequests = 0;  ///< member requests across both
+  /// Steals by runners whose work ran dry with nothing queued, and the
+  /// member requests they moved between runners.
+  std::uint64_t Steals = 0;
+  std::uint64_t StolenRequests = 0;
   /// Batches formed full (MaxBatch members); the other
   /// formed() - SizeCloses started underfull from a shorter backlog.
   std::uint64_t SizeCloses = 0;

@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iterator>
 
 using namespace parcae;
 using namespace parcae::serve;
@@ -297,9 +298,9 @@ void ServeLoop::refill(unsigned Idx, InFlight *F) {
   // Called from inside a worker's pull, at the instant the runner's work
   // runs dry. Taking the next batch here keeps the region and its warm
   // workers: no new region, thread spawn or context load. With nothing
-  // to take, the runner parks instead, keeping them for a later batch.
-  // Three cases refuse both, so the runner drains and is reaped as
-  // before:
+  // to take, the runner steals from a sibling, and with nothing to steal
+  // it parks, keeping its workers for a later batch. Three cases refuse
+  // all three, so the runner drains and is reaped as before:
   //  * a domain drain holds dispatch;
   //  * the class holds more than its grant: a shrunk grant must get its
   //    threads back;
@@ -319,7 +320,9 @@ void ServeLoop::refill(unsigned Idx, InFlight *F) {
     return;
   std::size_t Taken = takeBatch(Idx, F->Members);
   if (Taken == 0) {
-    park(Idx, F); // nothing queued, or every request popped was shed
+    // Nothing queued, or every request popped was shed.
+    if (!steal(Idx, F))
+      park(Idx, F);
     return;
   }
   recordBatch(Idx, Taken, /*InPlace=*/true);
@@ -327,6 +330,56 @@ void ServeLoop::refill(unsigned Idx, InFlight *F) {
   // The runner's last member so far waited for the runner's completion;
   // no longer last, it completes now if its watermark already passed.
   onBatchProgress(Idx, F, F->Runner->totalRetired());
+}
+
+bool ServeLoop::steal(unsigned Idx, InFlight *F) {
+  // A runner's members cover consecutive iteration ranges in deque order,
+  // and its workers claim iterations in order, so its unclaimed members
+  // are the last remaining() / ItersPerRequest of its deque, oldest
+  // first. The victim holds the class's oldest unclaimed member; the
+  // thief, whose work ran dry, takes the oldest half of the victim's
+  // unclaimed members, rounded up, onto the end of its own. Both keep
+  // consecutive ranges, so watermark attribution is unchanged, and no
+  // member with a claimed iteration moves.
+  ClassState &C = *Classes[Idx];
+  std::uint64_t Per = C.Desc.ItersPerRequest;
+  InFlight *Victim = nullptr;
+  std::size_t U = 0; // the victim's unclaimed members
+  sim::SimTime OldestAt = 0;
+  for (const auto &R : C.Active) {
+    auto RU = static_cast<std::size_t>(R->Source->remaining() / Per);
+    assert(RU <= R->Members.size() && "more unclaimed iterations than members");
+    if (RU == 0)
+      continue;
+    sim::SimTime At = R->Members[R->Members.size() - RU]->ArrivedAt;
+    if (!Victim || At < OldestAt) {
+      Victim = R.get();
+      U = RU;
+      OldestAt = At;
+    }
+  }
+  if (!Victim)
+    return false;
+  // The thief's own work ran dry, so it is never the victim.
+  std::size_t Take = (U + 1) / 2;
+  [[maybe_unused]] bool Shrunk = Victim->Source->shrink(Per * Take);
+  assert(Shrunk && Victim != F && "stole claimed iterations");
+  auto From = Victim->Members.end() - static_cast<std::ptrdiff_t>(U);
+  auto To = From + static_cast<std::ptrdiff_t>(Take);
+  F->Members.insert(F->Members.end(), std::make_move_iterator(From),
+                    std::make_move_iterator(To));
+  Victim->Members.erase(From, To);
+  F->Source->extend(Per * Take);
+  ++C.BStats.Steals;
+  C.BStats.StolenRequests += Take;
+  PARCAE_TRACE(Tel, instant(TelPid, 0, "serve", "steal",
+                            {telemetry::TraceArg::str("class", C.Desc.Name),
+                             telemetry::TraceArg::num("members", Take),
+                             telemetry::TraceArg::num("victim", Victim->Serial),
+                             telemetry::TraceArg::num("thief", F->Serial)}));
+  // As after a refill: the thief's last member so far is no longer last.
+  onBatchProgress(Idx, F, F->Runner->totalRetired());
+  return true;
 }
 
 void ServeLoop::park(unsigned Idx, InFlight *F) {
@@ -511,7 +564,10 @@ void ServeLoop::finishDrain() {
   for (MigratingRequest &Mg : DrainMigrations) {
     Mg.F->Runner->resume(Mg.CP.Config, Mg.CP.Cursor);
     // A migrated runner carries every still-unfinished member request;
-    // the instant names the oldest of them.
+    // the instant names the oldest of them. A runner whose only member
+    // was stolen before its workers claimed any of it carries none.
+    if (Mg.F->Members.empty())
+      continue;
     Migrations += Mg.F->Members.size();
     if (CntMigrated)
       CntMigrated->add();

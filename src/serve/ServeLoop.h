@@ -25,12 +25,19 @@
 ///                     work runs dry while requests queue takes the next
 ///                     batch into the same region, so spin-up is paid once
 ///                     per runner, not once per batch
+///                  -> steal (batching classes only): a runner whose work
+///                     runs dry with nothing queued takes the oldest half
+///                     (rounded up) of the unclaimed members of the
+///                     sibling runner holding the class's oldest
+///                     unclaimed member, so members already pulled into
+///                     one runner start in arrival order instead of
+///                     waiting behind it
 ///                  -> park and wake (batching classes only): a runner
-///                     whose work runs dry with nothing queued parks
-///                     instead of draining. Its workers block on its held
-///                     source, its threads go back to the grant, and the
-///                     next dispatch of its exact width wakes it instead
-///                     of building a region
+///                     whose work runs dry with nothing queued and
+///                     nothing to steal parks instead of draining. Its
+///                     workers block on its held source, its threads go
+///                     back to the grant, and the next dispatch of its
+///                     exact width wakes it instead of building a region
 ///                  -> completion stamps + histograms + SLO window,
 ///                     attributed per request at iteration watermarks.
 ///
@@ -107,7 +114,7 @@ struct RequestClassDesc {
   SloSpec Slo;
   /// Admission policy; DropTailAdmission when null.
   std::unique_ptr<AdmissionPolicy> Policy;
-  /// Request coalescing, warm refill and parking; the default
+  /// Request coalescing, warm refill, stealing and parking; the default
   /// (MaxBatch = 1) dispatches every request as its own region, the
   /// pre-batching behavior.
   BatchPolicy Batch;
@@ -152,7 +159,8 @@ public:
   const ClassStats &stats(unsigned Idx) const;
   /// Batch statistics. Singleton dispatches count as batches of one, so
   /// Batches always equals regions spun up for the class; batches a warm
-  /// or parked runner took in place count in InPlaceBatches instead.
+  /// or parked runner took in place count in InPlaceBatches instead, and
+  /// members a dry runner stole count in Steals and StolenRequests only.
   const BatchStats &batchStats(unsigned Idx) const;
   std::size_t queueDepth(unsigned Idx) const;
   /// In-flight runners, each holding its threads and one region (a
@@ -208,14 +216,16 @@ private:
 
   /// One in-flight runner (a singleton batch when batching is off): the
   /// member requests share one region/runner fed by a counted source of
-  /// ItersPerRequest iterations per member ever taken. A batching
-  /// class's runner appends each batch it takes in place (refill(),
-  /// wake()). Address-stable (held by unique pointer): the runner
-  /// references Region and Source by address.
+  /// ItersPerRequest iterations per member it holds or has completed. A
+  /// batching class's runner appends each batch it takes in place
+  /// (refill(), wake()) and each run of members it steals, and gives up
+  /// its unclaimed members to a thief (steal()). Address-stable (held by
+  /// unique pointer): the runner references Region and Source by address.
   struct InFlight {
-    /// The unfinished members, oldest first. A member is released as
-    /// soon as it is attributed, so a long-lived warm runner holds only
-    /// the requests it still serves.
+    /// The unfinished members in iteration order: each member's
+    /// ItersPerRequest iterations follow its predecessor's. A member is
+    /// released as soon as it is attributed, so a long-lived warm runner
+    /// holds only the requests it still serves.
     std::deque<std::shared_ptr<ServeRequest>> Members;
     /// Members completed and released so far: the runner's k-th member
     /// overall (k from 0) completes once it retired (k + 1) x
@@ -294,9 +304,15 @@ private:
                 unsigned Width);
   /// The refill hook of a batching class's runner, called when its work
   /// runs dry: takes the next queued batch into the same region, or
-  /// parks the runner when there is none, unless the runner must drain
-  /// instead so its threads can be re-fitted.
+  /// steals when there is none, or parks the runner when there is
+  /// nothing to steal either, unless the runner must drain instead so its
+  /// threads can be re-fitted.
   void refill(unsigned Idx, InFlight *F);
+  /// Moves the oldest half, rounded up, of the unclaimed members of the
+  /// active runner holding the class's oldest unclaimed member (the first
+  /// in Active on a tie) onto \p F, iterations included. Returns false
+  /// when no active runner has an unclaimed member.
+  bool steal(unsigned Idx, InFlight *F);
   /// Holds \p F's source and moves it, and its threads, out of service.
   void park(unsigned Idx, InFlight *F);
   /// Gives the parked \p F the next queued batch and puts it back in

@@ -8,6 +8,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "ChaoticRun.h"
 #include "PullOne.h"
 #include "core/Region.h"
 #include "core/WorkSource.h"

@@ -10,6 +10,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "ChaoticRun.h"
 #include "ir/Dominators.h"
 #include "nona/Programs.h"
 #include "nona/Run.h"

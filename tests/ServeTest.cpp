@@ -3,7 +3,8 @@
 // Tests of the open-loop serving layer: seeded arrival processes (Poisson
 // and trace replay), admission control, the ServeLoop
 // broker end-to-end on a small machine (runner widths fitted to the
-// class's thread grant, warm runners taking queued batches in place, and
+// class's thread grant, warm runners taking queued batches in place, dry
+// runners stealing the oldest half of a sibling's unclaimed members, and
 // idle runners parking until a dispatch of their width wakes them,
 // included), and the platform daemon's tenant
 // interface — slack handoff, the ShrunkToFit oscillation guard, the
@@ -476,39 +477,228 @@ TEST(ServeLoopBatch, MembersCompleteAtIterationWatermarks) {
   D.Batch.MaxBatch = 4;
   unsigned Idx = Serve.addClass(std::move(D));
 
-  // Requests 1 and 2 take the idle slots alone; 3..6 queue behind them,
-  // and the first runner to run dry takes them in place as one batch of
-  // four.
+  // Requests 1 and 2 take the idle slots alone; 3..6 queue behind them.
+  // The first runner to run dry takes them in place as one batch of
+  // four and claims request 3's first iterations. The second runs dry
+  // just after with nothing queued and steals the oldest half of the
+  // three unclaimed members, rounded up: requests 4 and 5. The first
+  // runner keeps 3 and 6.
   occupyEverySlot(Serve, Idx);
-  std::vector<sim::SimTime> Completions;
-  std::vector<double> ServiceUs;
+  std::map<std::uint64_t, sim::SimTime> Done;
+  std::map<std::uint64_t, sim::SimTime> Started;
   Serve.OnRequestDone = [&](const ServeRequest &R) {
     if (R.Id <= 2)
       return;
-    Completions.push_back(R.CompletedAt);
-    ServiceUs.push_back(static_cast<double>(R.CompletedAt - R.StartedAt) /
-                        1e3);
+    EXPECT_TRUE(Done.emplace(R.Id, R.CompletedAt).second)
+        << "request " << R.Id << " finished twice";
+    Started[R.Id] = R.StartedAt;
   };
   for (int I = 0; I < 4; ++I)
     EXPECT_TRUE(Serve.inject(Idx));
   Sim.run();
 
-  // One batch of four, but four *distinct* per-request completions: each
-  // member was attributed when the shared runner crossed its iteration
-  // watermark, not when the whole batch turned around.
-  ASSERT_EQ(Completions.size(), 4u);
-  for (std::size_t I = 1; I < Completions.size(); ++I)
-    EXPECT_LT(Completions[I - 1], Completions[I])
-        << "members must complete at successive watermarks";
+  // One batch of four, but four per-request completions: each member was
+  // attributed when its runner crossed the member's iteration watermark,
+  // not when the whole batch turned around. Each runner completes its
+  // two members at successive watermarks, one request's work (four
+  // 0.5 ms iterations over two workers) apart, and the two runners do
+  // so in step.
+  ASSERT_EQ(Done.size(), 4u);
+  EXPECT_EQ(Done[3], 2015280u);
+  EXPECT_EQ(Done[4], 2015280u);
+  EXPECT_EQ(Done[5], 3015420u);
+  EXPECT_EQ(Done[6], 3015420u);
+  EXPECT_LT(Done[3], Done[6]) << "the victim's members must complete at"
+                                 " successive watermarks";
+  EXPECT_LT(Done[4], Done[5]) << "the thief's members must complete at"
+                                 " successive watermarks";
+  for (std::uint64_t Id = 4; Id <= 6; ++Id)
+    EXPECT_EQ(Started[Id], Started[3]) << "taken as one batch";
   const ServeLoop::ClassStats &S = Serve.stats(Idx);
   EXPECT_EQ(S.Completed, 6u);
   EXPECT_EQ(S.TotalUs.count(), 6u) << "one latency sample per request";
-  // The first member's service time is roughly a quarter of the last's:
-  // it did not pay for the whole batch.
-  EXPECT_LT(ServiceUs.front() * 2, ServiceUs.back());
-  EXPECT_EQ(Serve.batchStats(Idx).Batches, 2u);
-  EXPECT_EQ(Serve.batchStats(Idx).InPlaceBatches, 1u);
-  EXPECT_EQ(Serve.batchStats(Idx).SizeCloses, 1u);
+  // No member paid for the whole batch: each runner's first member was
+  // served in one request's work, its second in two.
+  EXPECT_EQ((Done[3] - Started[3]) * 2, Done[6] - Started[6]);
+  EXPECT_EQ((Done[4] - Started[4]) * 2, Done[5] - Started[5]);
+  const BatchStats &B = Serve.batchStats(Idx);
+  EXPECT_EQ(B.Batches, 2u);
+  EXPECT_EQ(B.InPlaceBatches, 1u);
+  EXPECT_EQ(B.SizeCloses, 1u);
+  EXPECT_EQ(B.Steals, 1u);
+  EXPECT_EQ(B.StolenRequests, 2u);
+}
+
+/// One `steal` trace instant: its class, members moved, and the victim's
+/// and thief's dispatch serials.
+struct StealInstant {
+  std::string Class;
+  std::uint64_t Members = 0, Victim = 0, Thief = 0;
+};
+
+std::vector<StealInstant> stealInstants(const telemetry::TraceRecorder &Rec) {
+  std::vector<StealInstant> Out;
+  for (const telemetry::TraceEvent &E : Rec.events()) {
+    if (E.Name != "steal")
+      continue;
+    StealInstant S;
+    for (const telemetry::TraceArg &A : E.Args) {
+      if (A.Key == "class")
+        S.Class = A.Str;
+      else if (A.Key == "members")
+        S.Members = static_cast<std::uint64_t>(A.Num);
+      else if (A.Key == "victim")
+        S.Victim = static_cast<std::uint64_t>(A.Num);
+      else if (A.Key == "thief")
+        S.Thief = static_cast<std::uint64_t>(A.Num);
+    }
+    Out.push_back(S);
+  }
+  return Out;
+}
+
+/// A 0.5 ms-per-iteration, four-iteration, DoAny@2 class batching up to 8.
+RequestClassDesc stealClass() {
+  RequestClassDesc D = fitClass();
+  D.Name = "steal";
+  D.MakeRegion = [](const ServeRequest &) {
+    return makeServiceRegion("steal", 500000);
+  };
+  D.ItersPerRequest = 4;
+  D.Batch.MaxBatch = 8;
+  return D;
+}
+
+TEST(ServeLoopBatch, DryRunnerStealsOldestUnclaimedMembers) {
+  // Three runners on six cores, started 0.2 ms apart, each with one
+  // request of four 0.5 ms iterations. Runner A runs dry first and takes
+  // requests 4..7 in place; runner B runs dry next and takes 8..12. Each
+  // starts claiming its first new member at once. Runner C runs dry with
+  // nothing queued: A holds three unclaimed members (5, 6, 7), B four
+  // (9..12), but A holds the oldest, so A is the victim. C takes the
+  // oldest half of A's three, rounded up: 5 and 6. Request 4, whose
+  // iterations A has begun, never moves.
+  telemetry::TraceRecorder Rec;
+  telemetry::setRecorder(&Rec);
+  sim::Simulator Sim;
+  sim::Machine M(Sim, 6);
+  rt::RuntimeCosts Costs;
+  rt::PlatformDaemon Daemon(6);
+  ServeLoop Serve(M, Costs, Daemon);
+  unsigned Idx = Serve.addClass(stealClass());
+  std::map<std::uint64_t, ServeRequest> Done;
+  Serve.OnRequestDone = [&](const ServeRequest &R) {
+    EXPECT_TRUE(Done.emplace(R.Id, R).second)
+        << "request " << R.Id << " finished twice";
+  };
+  auto InjectAt = [&](sim::SimTime At, int N) {
+    Sim.scheduleAt(At, [&Serve, Idx, N] {
+      for (int I = 0; I < N; ++I)
+        EXPECT_TRUE(Serve.inject(Idx));
+    });
+  };
+  InjectAt(0, 1);                // 1 -> A
+  InjectAt(200 * sim::USec, 1);  // 2 -> B
+  InjectAt(400 * sim::USec, 1);  // 3 -> C
+  InjectAt(500 * sim::USec, 4);  // 4..7 queue for A
+  InjectAt(1100 * sim::USec, 5); // 8..12 queue for B
+  Sim.run();
+  telemetry::setRecorder(nullptr);
+
+  const ServeLoop::ClassStats &S = Serve.stats(Idx);
+  const BatchStats &B = Serve.batchStats(Idx);
+  EXPECT_EQ(S.Admitted, 12u);
+  EXPECT_EQ(S.Admitted, S.Completed + S.Shed);
+  EXPECT_EQ(Serve.inFlightRequests(Idx), 0u);
+  EXPECT_EQ(B.Batches, 3u);
+  EXPECT_EQ(B.InPlaceBatches, 2u);
+  ASSERT_EQ(Done.size(), 12u);
+  std::vector<StealInstant> Log = stealInstants(Rec);
+  ASSERT_FALSE(Log.empty()) << "no runner stole";
+  EXPECT_EQ(Log.size(), B.Steals);
+  std::uint64_t Moved = 0;
+  for (const StealInstant &St : Log) {
+    EXPECT_EQ(St.Class, "steal");
+    EXPECT_GT(St.Members, 0u) << "a steal moved no member";
+    EXPECT_NE(St.Victim, St.Thief);
+    Moved += St.Members;
+  }
+  EXPECT_EQ(Moved, B.StolenRequests);
+  // The first steal: C (serial 2) from A (serial 0), not from B (serial
+  // 1, more unclaimed members but younger ones), ceil(3 / 2) members.
+  EXPECT_EQ(Log.front().Thief, 2u);
+  EXPECT_EQ(Log.front().Victim, 0u);
+  EXPECT_EQ(Log.front().Members, 2u);
+  // 4, claimed before the steal, completes on A at A's next watermark,
+  // first of A's batch; C serves 5 and 6 at its successive watermarks,
+  // so 7, which A kept, completes before 6 instead of two requests'
+  // work after it.
+  for (std::uint64_t Id = 5; Id <= 7; ++Id)
+    EXPECT_LT(Done[4].CompletedAt, Done[Id].CompletedAt) << "request " << Id;
+  EXPECT_LT(Done[5].CompletedAt, Done[6].CompletedAt);
+  EXPECT_LT(Done[7].CompletedAt, Done[6].CompletedAt);
+  for (const auto &[Id, R] : Done)
+    EXPECT_TRUE(R.completed()) << "request " << Id;
+}
+
+TEST(ServeLoopBatch, RunnerOverItsGrantDrainsInsteadOfStealing) {
+  // Two runners on four cores, started 0.2 ms apart. The first runs dry
+  // and takes requests 3..6 in place; the second runs dry next with
+  // nothing queued. With its grant intact it steals two of the first
+  // runner's three unclaimed members. When a second class registers
+  // first, halving the grant (4 -> 2), the class holds more than its
+  // grant: the dry runner drains instead, so the shrunk grant gets its
+  // threads back, and the first runner serves its batch alone.
+  for (bool Shrink : {false, true}) {
+    SCOPED_TRACE(Shrink ? "grant shrunk" : "grant intact");
+    sim::Simulator Sim;
+    sim::Machine M(Sim, 4);
+    rt::RuntimeCosts Costs;
+    rt::PlatformDaemon Daemon(4);
+    ServeLoop Serve(M, Costs, Daemon);
+    RequestClassDesc D = stealClass();
+    D.Batch.MaxBatch = 4;
+    unsigned Idx = Serve.addClass(std::move(D));
+    Sim.scheduleAt(0, [&] { EXPECT_TRUE(Serve.inject(Idx)); });
+    Sim.scheduleAt(200 * sim::USec, [&] { EXPECT_TRUE(Serve.inject(Idx)); });
+    Sim.scheduleAt(500 * sim::USec, [&] {
+      for (int I = 0; I < 4; ++I)
+        EXPECT_TRUE(Serve.inject(Idx));
+    });
+    if (Shrink)
+      Sim.scheduleAt(1100 * sim::USec, [&] {
+        RequestClassDesc Other = fitClass();
+        Other.Name = "other";
+        Serve.addClass(std::move(Other));
+        EXPECT_EQ(Serve.budgetOf(Idx), 2u);
+        EXPECT_EQ(Serve.threadsHeld(Idx), 4u);
+      });
+    // Sampled every 10 us until the work is done: the class's runners in
+    // service while members of the first runner's batch are unfinished.
+    unsigned MinInService = 2;
+    while (Serve.stats(Idx).Completed < 6 && Sim.now() < 20 * sim::MSec) {
+      Sim.runUntil(Sim.now() + 10 * sim::USec);
+      if (Sim.now() > 1500 * sim::USec && Serve.inFlightRequests(Idx) >= 2)
+        MinInService = std::min(MinInService, Serve.inService(Idx));
+    }
+    Sim.run();
+    const BatchStats &B = Serve.batchStats(Idx);
+    const ServeLoop::ClassStats &S = Serve.stats(Idx);
+    EXPECT_EQ(S.Completed, 6u);
+    EXPECT_EQ(S.Admitted, S.Completed + S.Shed);
+    EXPECT_EQ(B.InPlaceBatches, 1u);
+    if (Shrink) {
+      EXPECT_EQ(B.Steals, 0u) << "a runner over its grant stole";
+      EXPECT_EQ(MinInService, 1u) << "the dry runner did not drain";
+      EXPECT_EQ(Serve.parkedRunners(Idx), 1u) << "only the first runner"
+                                                 " outlives its work";
+    } else {
+      EXPECT_EQ(B.Steals, 1u);
+      EXPECT_EQ(B.StolenRequests, 2u);
+      EXPECT_EQ(MinInService, 2u);
+      EXPECT_EQ(Serve.parkedRunners(Idx), 2u);
+    }
+  }
 }
 
 /// The batched live-migration scenario: 2000/s of 4-member batches on a

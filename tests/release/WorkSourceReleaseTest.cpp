@@ -1,10 +1,11 @@
 //===- WorkSourceReleaseTest.cpp - assert-free flavor of rewind guards ----===//
 //
 // This TU is compiled with NDEBUG (see tests/release/CMakeLists.txt), so
-// assert() is gone. CountedWorkSource::rewind is header-inline and thus
-// compiled here in its release shape: an over-deep rewind must return a
-// clean false — the historical assert-only guard would vanish in this
-// flavor and let the cursor wrap, silently replaying ~2^64 items.
+// assert() is gone. CountedWorkSource::rewind and shrink are header-inline
+// and thus compiled here in their release shape: an over-deep rewind, or
+// a shrink below the claim cursor, must return a clean false — an
+// assert-only guard would vanish in this flavor and let the cursor or
+// the count wrap, silently replaying or dropping ~2^64 items.
 //
 //===----------------------------------------------------------------------===//
 
@@ -83,6 +84,24 @@ TEST(WorkSourceRelease, CountedRewindPastStartReturnsFalseWithoutAsserts) {
     ++Pulled;
   EXPECT_EQ(Pulled, 16u);
   EXPECT_EQ(T.Value, 15);
+}
+
+TEST(WorkSourceRelease, CountedShrinkBelowClaimCursorReturnsFalse) {
+  // A serve steal shrinks the victim's source by its unclaimed tail. A
+  // shrink reaching below the claim cursor would take back claimed items
+  // (or wrap N below Next); it must refuse and leave the count alone.
+  CountedWorkSource Src(16);
+  Token T;
+  for (int I = 0; I < 10; ++I)
+    ASSERT_EQ(pullOne(Src, T), WorkSource::Pull::Got);
+  EXPECT_FALSE(Src.shrink(7)) << "only 6 items are unclaimed";
+  EXPECT_FALSE(Src.shrink(~0ull));
+  EXPECT_EQ(Src.remaining(), 6u) << "a refused shrink must not move N";
+  EXPECT_TRUE(Src.shrink(4));
+  EXPECT_EQ(Src.remaining(), 2u);
+  EXPECT_TRUE(Src.shrink(2)) << "shrinking exactly to the cursor is allowed";
+  EXPECT_EQ(pullOne(Src, T), WorkSource::Pull::End);
+  EXPECT_EQ(T.Value, 9);
 }
 
 TEST(WorkSourceRelease, QueueRewindPastHistoryReturnsFalse) {
