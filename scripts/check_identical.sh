@@ -10,9 +10,13 @@
 #
 #   same     LABEL
 #   differs  LABEL: line N: base: ... | this: ...
+#   differs  LABEL: KEY: base X, this Y (rel R); ...
 #
-# where line N is the first line that differs, shown on each side. A
-# command's exit status is compared as a last `exit: N` line. Compared
+# where line N is the first line that differs, shown on each side; for a
+# perfbench comparison whose only difference is in its `virtual:` JSON,
+# each differing key is listed instead, with both values as printed and
+# their relative difference. A command's exit status is compared as a
+# last `exit: N` line. Compared
 # are perfbench's `virtual:` lines (its host-time figures vary run to
 # run) and the benches' stdout, with the `[telemetry]` banner filtered
 # out as check_lib.sh's assert_identical does. Exits 0 when every
@@ -49,7 +53,9 @@ build() {
     cmake -S "$src" -B "$out/main" &&
       cmake --build "$out/main" -j "$JOBS" --target bench_serve \
         bench_checkpoint bench_resilience bench_fig8_9_platform \
-        bench_fig8_8_controller example_platform_sharing &&
+        bench_fig8_8_controller bench_fig8_7_tpc_power \
+        bench_fig8_6_tbf_timeline bench_table8_5_throughput \
+        example_platform_sharing &&
       cmake -S "$src/perfbench" -B "$out/perfbench" \
         -DCMAKE_BUILD_TYPE=RelWithDebInfo &&
       cmake --build "$out/perfbench" -j "$JOBS"
@@ -74,14 +80,48 @@ first_diff() {
        }' "$1" "$2"
 }
 
+# key_diff A B — the keys whose values differ between the `virtual:`
+# lines of perfbench outputs A and B; first_diff when anything else
+# differs (exit status, number of lines).
+key_diff() {
+  python3 - "$1" "$2" <<'PY' || first_diff "$1" "$2"
+import json, sys
+
+def load(path):
+    lines = open(path).read().splitlines()
+    tag = "virtual: "
+    # Values stay the text perfbench printed: equal text, equal value.
+    rows = [json.loads(l[len(tag):], parse_float=str, parse_int=str)
+            for l in lines if l.startswith(tag)]
+    return rows, [l for l in lines if not l.startswith(tag)]
+
+(a, rest_a), (b, rest_b) = load(sys.argv[1]), load(sys.argv[2])
+if rest_a != rest_b or len(a) != len(b):
+    sys.exit(1)
+out = []
+for x, y in zip(a, b):
+    for k in sorted(set(x) | set(y)):
+        vx, vy = x.get(k, "(absent)"), y.get(k, "(absent)")
+        if vx == vy:
+            continue
+        try:
+            fx, fy = float(vx), float(vy)
+            rel = abs(fy - fx) / abs(fx) if fx else float("inf")
+            out.append(f"{k}: base {vx}, this {vy} (rel {rel:.2g})")
+        except ValueError:
+            out.append(f"{k}: base {vx}, this {vy}")
+print("; ".join(out))
+PY
+}
+
 N=0
 DIFFERS=0
 # compare <label> virtual|stdout <binary> [args...] — runs the binary (a
 # path inside a build tree) under both builds and compares its filtered
 # stdout plus exit status.
 compare() {
-  local label=$1 bin=$3 side pat='^virtual:' keep=
-  [ "$2" = stdout ] && pat='^\[telemetry\]' keep=-v
+  local label=$1 mode=$2 bin=$3 side pat='^virtual:' keep=
+  [ "$mode" = stdout ] && pat='^\[telemetry\]' keep=-v
   shift 3
   N=$((N + 1))
   for side in base this; do
@@ -97,7 +137,9 @@ compare() {
     echo "same     $label"
   else
     DIFFERS=$((DIFFERS + 1))
-    echo "differs  $label: $(first_diff "$WORKDIR/base/cmp.$N.out" \
+    local how=first_diff
+    [ "$mode" = virtual ] && how=key_diff
+    echo "differs  $label: $("$how" "$WORKDIR/base/cmp.$N.out" \
       "$WORKDIR/this/cmp.$N.out")"
   fi
 }
@@ -125,6 +167,10 @@ for S in 42 7 21; do
 done
 compare bench_fig8_9_platform stdout main/bench/bench_fig8_9_platform
 compare bench_fig8_8_controller stdout main/bench/bench_fig8_8_controller
+compare bench_fig8_7_tpc_power stdout main/bench/bench_fig8_7_tpc_power
+compare bench_fig8_6_tbf_timeline stdout main/bench/bench_fig8_6_tbf_timeline
+compare bench_table8_5_throughput stdout \
+  main/bench/bench_table8_5_throughput
 compare example_platform_sharing stdout \
   main/examples/example_platform_sharing
 

@@ -222,25 +222,14 @@ private:
   sim::SimTime StartTime = 0;
 };
 
-/// Per-task throughput sampling used by mechanisms that rank tasks
-/// (TBF, FDP, and the controller's Algorithm 4 ordering).
+/// Per-task compute-time sampling used by the pipeline mechanisms that
+/// rank tasks (TB/TBF, FDP, TPC).
 class TaskWindow {
 public:
   /// Re-anchors the window at the task's current counters.
-  void mark(const RegionExec &R, unsigned TaskIdx, sim::SimTime Now) {
+  void mark(const RegionExec &R, unsigned TaskIdx) {
     Iters = R.stats(TaskIdx).Iterations;
     Compute = R.stats(TaskIdx).ComputeTime;
-    Time = Now;
-  }
-
-  /// Task iterations per second since the mark, or 0 if none.
-  double throughput(const RegionExec &R, unsigned TaskIdx,
-                    sim::SimTime Now) const {
-    const TaskStats &S = R.stats(TaskIdx);
-    if (S.Iterations <= Iters || Now <= Time)
-      return 0.0;
-    return static_cast<double>(S.Iterations - Iters) /
-           sim::toSeconds(Now - Time);
   }
 
   /// Average compute cycles per iteration since the mark.
@@ -255,7 +244,6 @@ public:
 private:
   std::uint64_t Iters = 0;
   sim::SimTime Compute = 0;
-  sim::SimTime Time = 0;
 };
 
 } // namespace parcae::rt

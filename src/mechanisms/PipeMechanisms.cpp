@@ -12,6 +12,13 @@ PipeMechanism::~PipeMechanism() = default;
 
 namespace {
 
+/// TBF fuses the pipeline when the fastest parallel stage's per-iteration
+/// time is below this fraction of the slowest's (1 - min/max above it).
+constexpr double FusionImbalance = 0.5;
+
+/// Iterations a decision window must retire before MechanismDriver decides.
+constexpr std::uint64_t MinWindowIters = 24;
+
 /// Parallel-task indices of the current variant.
 std::vector<unsigned> parallelTasks(const PipeMechView &V) {
   std::vector<unsigned> Par;
@@ -259,10 +266,8 @@ std::optional<RegionConfig> TpcMechanism::decide(const PipeMechView &V) {
 }
 
 MechanismDriver::MechanismDriver(RegionRunner &Runner, PipeMechanism &Mech,
-                                 unsigned MaxThreads, sim::SimTime Period,
-                                 std::uint64_t MinWindowIters)
-    : Runner(Runner), Mech(Mech), MaxThreads(MaxThreads), Period(Period),
-      MinWindowIters(MinWindowIters) {}
+                                 unsigned MaxThreads, sim::SimTime Period)
+    : Runner(Runner), Mech(Mech), MaxThreads(MaxThreads), Period(Period) {}
 
 void MechanismDriver::start(RegionConfig Initial) {
   Runner.start(std::move(Initial));
@@ -270,7 +275,7 @@ void MechanismDriver::start(RegionConfig Initial) {
   if (RegionExec *E = Runner.exec()) {
     TaskWindows.assign(E->numTasks(), TaskWindow());
     for (unsigned T = 0; T < E->numTasks(); ++T)
-      TaskWindows[T].mark(*E, T, Runner.machine().sim().now());
+      TaskWindows[T].mark(*E, T);
   }
   Runner.machine().sim().schedule(Period, [this] { tick(); });
 }
@@ -327,6 +332,6 @@ void MechanismDriver::tick() {
   if (RegionExec *E2 = Runner.exec())
     if (TaskWindows.size() == E2->numTasks())
       for (unsigned T = 0; T < E2->numTasks(); ++T)
-        TaskWindows[T].mark(*E2, T, Sim.now());
+        TaskWindows[T].mark(*E2, T);
   Sim.schedule(Period, [this] { tick(); });
 }

@@ -81,14 +81,12 @@ private:
 /// optional task fusion.
 class TbfMechanism : public PipeMechanism {
 public:
-  explicit TbfMechanism(bool EnableFusion, double FusionImbalance = 0.5)
-      : EnableFusion(EnableFusion), FusionImbalance(FusionImbalance) {}
+  explicit TbfMechanism(bool EnableFusion) : EnableFusion(EnableFusion) {}
   const char *name() const override { return EnableFusion ? "TBF" : "TB"; }
   std::optional<RegionConfig> decide(const PipeMechView &V) override;
 
 private:
   bool EnableFusion;
-  double FusionImbalance;
   bool Fused = false;
 };
 
@@ -129,9 +127,7 @@ private:
 class MechanismDriver {
 public:
   MechanismDriver(RegionRunner &Runner, PipeMechanism &Mech,
-                  unsigned MaxThreads,
-                  sim::SimTime Period = 200 * sim::MSec,
-                  std::uint64_t MinWindowIters = 24);
+                  unsigned MaxThreads, sim::SimTime Period);
 
   /// Launches the region under \p Initial and starts the decision loop.
   void start(RegionConfig Initial);
@@ -161,7 +157,6 @@ private:
   PipeMechanism &Mech;
   unsigned MaxThreads;
   sim::SimTime Period;
-  std::uint64_t MinWindowIters;
   const sim::PduSampler *Pdu = nullptr;
   double PowerTarget = 0;
   ThroughputWindow Window;

@@ -91,7 +91,6 @@ public:
   /// True when a DoP-only switch to \p NewDoP can avoid the full barrier.
   bool canReconfigureInPlace() const;
 
-  bool running() const { return ActiveWorkers > 0; }
   bool completed() const { return Completed; }
   bool pauseRequested() const { return PauseBound != NoSeq; }
 

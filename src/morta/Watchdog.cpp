@@ -62,8 +62,6 @@ void Watchdog::onDomainWarning(const sim::FailureDomainEvent &D) {
            telemetry::TraceArg::num("latency_us",
                                     sim::toSeconds(LastDrainLatency) * 1e6)});
     }
-    if (OnDrainDone)
-      OnDrainDone();
   });
   if (!Accepted)
     DrainActive = false;

@@ -41,7 +41,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <functional>
 
 namespace parcae::rt {
 
@@ -99,9 +98,6 @@ public:
   unsigned drainsCompleted() const { return DrainsCompleted; }
   /// Warning-to-resumed latency of the most recent completed drain.
   sim::SimTime lastDrainLatency() const { return LastDrainLatency; }
-
-  /// Fires when a proactive drain completed (bench/test hook).
-  std::function<void()> OnDrainDone;
 
   /// Latency of the most recent capacity-drop detection (fault to tick).
   sim::SimTime lastDetectionLatency() const { return LastDetectionLatency; }

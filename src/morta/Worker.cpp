@@ -102,11 +102,6 @@ Action Worker::resume(sim::Machine &M, sim::SimThread &) {
     return runFunctor(M);
   }
 
-  case State::Compute:
-    // Main compute already charged when entering; proceed to criticals.
-    St = State::Critical;
-    return Action::compute(0);
-
   case State::Critical: {
     if (NextCrit < Ctx.Criticals.size()) {
       const CriticalSection &CS = Ctx.Criticals[NextCrit];
@@ -438,7 +433,7 @@ Action Worker::runFunctor(sim::Machine &M) {
   PendingCost = 0;
   R.Stats[TaskIdx].ComputeTime += Ctx.Cost;
   R.Stats[TaskIdx].OverheadTime += Overhead;
-  St = State::Compute;
+  St = State::Critical;
   if (Ctx.Gang > 1)
     return Action::gangCompute(Ctx.Gang, Total);
   return Action::compute(Total);

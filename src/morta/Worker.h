@@ -78,7 +78,6 @@ private:
     Fetch,       ///< find/claim the next instance or detect pause/end
     Recv,        ///< receive one input token per in-link
     Backoff,     ///< transient fault: wait out the retry backoff
-    Compute,     ///< charge the functor's compute cost
     Critical,    ///< acquire/run/release critical sections
     Send,        ///< flush batched output tokens per out-link
     IterDone,    ///< bookkeeping, then loop to Fetch

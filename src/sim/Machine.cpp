@@ -2,8 +2,6 @@
 
 #include "sim/Machine.h"
 
-#include "sim/Power.h"
-
 #include <algorithm>
 
 using namespace parcae::sim;
@@ -135,8 +133,6 @@ SimTime Machine::busyCoreTime() const {
 void Machine::setBusyCount(unsigned N) {
   busyCoreTime(); // settle the integral at the old count
   BusyCount = N;
-  if (Meter)
-    Meter->onBusyChange(N);
 }
 
 void Machine::wake(SimThread *T) {

@@ -40,7 +40,6 @@
 
 namespace parcae::sim {
 
-class EnergyMeter;
 class Machine;
 class SimThread;
 
@@ -413,11 +412,6 @@ private:
   std::set<std::pair<std::string, std::uint64_t>> FiredWedges;
   bool InDispatch = false;
   bool DispatchPending = false;
-  /// The power meter (sim/Power.h) called directly whenever the number
-  /// of busy cores changes, or null. EnergyMeter attaches itself on
-  /// construction and detaches on destruction.
-  friend class EnergyMeter;
-  EnergyMeter *Meter = nullptr;
   // Busy-core-time integral bookkeeping.
   mutable SimTime BusyIntegral = 0;
   mutable SimTime BusyIntegralLast = 0;

@@ -4,34 +4,14 @@
 
 using namespace parcae::sim;
 
-EnergyMeter::EnergyMeter(Machine &M, PowerModel Model)
-    : M(M), Model(Model), BusyCores(M.busyCores()),
-      LastChange(M.sim().now()) {
-  assert(!M.Meter && "machine already has an energy meter");
-  M.Meter = this;
-}
-
-EnergyMeter::~EnergyMeter() {
-  assert(M.Meter == this && "energy meter detached behind its back");
-  M.Meter = nullptr;
-}
-
 double EnergyMeter::joules() const {
-  SimTime Now = M.sim().now();
-  Joules += Model.watts(BusyCores) * toSeconds(Now - LastChange);
-  LastChange = Now;
-  return Joules;
-}
-
-void EnergyMeter::onBusyChange(unsigned NewBusy) {
-  joules(); // settle the integral at the old busy count
-  BusyCores = NewBusy;
+  return Model.StaticWatts * toSeconds(M.sim().now() - StartAt) +
+         Model.PerCoreActiveWatts * toSeconds(M.busyCoreTime() - BusyAtStart);
 }
 
 PduSampler::PduSampler(Simulator &Sim, const EnergyMeter &Meter,
-                       std::function<void(double)> OnSample, SimTime Period)
-    : Sim(Sim), Meter(Meter), OnSample(std::move(OnSample)), Period(Period) {
-  assert(Period > 0 && "sampling period must be positive");
+                       std::function<void(double)> OnSample)
+    : Sim(Sim), Meter(Meter), OnSample(std::move(OnSample)) {
   Sim.schedule(Period, [this] { tick(); });
 }
 

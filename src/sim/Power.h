@@ -11,6 +11,12 @@
 /// 60% of the dynamic range: Static = 72 x PerCore (600 W + 24 x 8.33 W
 /// gives the paper's ~800 W peak on the 24-core platform).
 ///
+/// An EnergyMeter only reads its machine: energy over the meter's lifetime
+/// is static power times elapsed time plus per-core power times the
+/// machine's busy-core integral (Machine::busyCoreTime) over that time.
+/// The simulator core calls nothing here, so any number of meters may
+/// watch one machine.
+///
 /// The PduSampler reproduces the AP7892 power distribution unit the paper
 /// measured with: 13 samples per minute, which rate-limits how fast the
 /// TPC control loop can react (Section 8.2.3 discusses exactly this).
@@ -40,32 +46,24 @@ struct PowerModel {
   double peakWatts(unsigned NumCores) const { return watts(NumCores); }
 };
 
-/// Integrates machine power over time and reports instantaneous draw.
+/// Energy a machine consumed since the meter was made, and its draw now.
+/// The machine must outlive the meter.
 class EnergyMeter {
 public:
-  /// Attaches to \p M, which then reports every busy-count change to this
-  /// meter. At most one meter per machine; the destructor detaches it, so
-  /// another meter may attach later.
-  EnergyMeter(Machine &M, PowerModel Model);
-  ~EnergyMeter();
-  EnergyMeter(const EnergyMeter &) = delete;
-  EnergyMeter &operator=(const EnergyMeter &) = delete;
+  EnergyMeter(Machine &M, PowerModel Model)
+      : M(M), Model(Model), StartAt(M.sim().now()),
+        BusyAtStart(M.busyCoreTime()) {}
 
   /// Instantaneous draw right now.
-  double currentWatts() const { return Model.watts(BusyCores); }
-  /// Total energy consumed since attachment, in joules.
+  double currentWatts() const { return Model.watts(M.busyCores()); }
+  /// Total energy consumed since construction, in joules.
   double joules() const;
-  const PowerModel &model() const { return Model; }
 
 private:
-  friend class Machine; // reports busy-count changes
-  void onBusyChange(unsigned NewBusy);
-
   Machine &M;
   PowerModel Model;
-  unsigned BusyCores = 0;
-  mutable double Joules = 0.0;
-  mutable SimTime LastChange = 0;
+  SimTime StartAt;
+  SimTime BusyAtStart; ///< M.busyCoreTime() at construction
 };
 
 /// Periodic power sampler with the AP7892's 13-samples-per-minute rate.
@@ -73,21 +71,20 @@ class PduSampler {
 public:
   /// Starts sampling \p Meter. \p OnSample (optional) fires per sample.
   PduSampler(Simulator &Sim, const EnergyMeter &Meter,
-             std::function<void(double Watts)> OnSample = nullptr,
-             SimTime Period = 60 * Sec / 13);
+             std::function<void(double Watts)> OnSample = nullptr);
 
   double lastSample() const { return LastWatts; }
-  SimTime period() const { return Period; }
   /// Stops future samples (the object must outlive in-flight events).
   void stop() { Stopped = true; }
 
 private:
+  static constexpr SimTime Period = 60 * Sec / 13;
+
   void tick();
 
   Simulator &Sim;
   const EnergyMeter &Meter;
   std::function<void(double)> OnSample;
-  SimTime Period;
   double LastWatts = 0.0;
   bool Stopped = false;
 };

@@ -44,16 +44,11 @@ private:
 /// Last-written value of a sampled quantity.
 class Gauge {
 public:
-  void set(double X) {
-    V = X;
-    Written = true;
-  }
+  void set(double X) { V = X; }
   double value() const { return V; }
-  bool written() const { return Written; }
 
 private:
   double V = 0.0;
-  bool Written = false;
 };
 
 /// One row of a metrics snapshot.

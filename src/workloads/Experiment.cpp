@@ -84,12 +84,7 @@ PipelineRunResult parcae::rt::runPipelineExperiment(
   };
   Gen.start();
 
-  if (Spec.HorizonSec > 0)
-    Sim.runUntil(Spec.HorizonSec * sim::Sec);
-  else
-    Sim.run();
-  if (Pdu)
-    Pdu->stop();
+  Sim.run();
 
   PipelineRunResult Out;
   Out.Server.Resp = ResponseStats::collect(Gen.requests());

@@ -63,7 +63,6 @@ struct PipelineRunSpec {
   sim::PowerModel Power;
   /// Scheduler/cache costs of the machine (per-app cache-refill cost).
   sim::MachineConfig MC;
-  sim::SimTime HorizonSec = 0; ///< 0: run to completion
 };
 
 /// Result of a pipeline-app run.

@@ -68,7 +68,6 @@ public:
   const std::vector<std::shared_ptr<Request>> &requests() const {
     return Requests;
   }
-  std::uint64_t generated() const { return Generated; }
   std::uint64_t dropped() const { return Dropped; }
 
 private:

@@ -839,6 +839,53 @@ TEST(FaultInjection, TwoWedgesRecoverByAbortiveReplay) {
     ASSERT_EQ(Tail[static_cast<std::size_t>(I)], I);
 }
 
+TEST(FaultInjection, QueueFedWedgeRecoversOnlyByRewind) {
+  // A wedged iteration never finishes, so a drain never completes: a
+  // queue-fed region gets past a wedge only by the abortive recovery,
+  // which returns the uncommitted items through the queue's pull history.
+  // Over a queue that refuses to rewind, the region stays stalled.
+  class NoRewindQueue : public QueueWorkSource {
+  public:
+    bool rewind(std::uint64_t) override { return false; }
+  };
+  for (bool Rewinds : {true, false}) {
+    SCOPED_TRACE(Rewinds ? "rewinding queue" : "queue refusing rewind");
+    sim::Simulator Sim;
+    sim::Machine M(Sim, 8);
+    sim::FaultPlan Plan;
+    Plan.addWedge("b", 3000);
+    M.installFaultPlan(std::move(Plan));
+    RuntimeCosts Costs;
+    QueueWorkSource Plain;
+    NoRewindQueue Refusing;
+    QueueWorkSource &Src = Rewinds ? Plain : Refusing;
+    for (std::int64_t V = 0; V < 4000; ++V) {
+      Token T;
+      T.Value = V;
+      ASSERT_TRUE(Src.push(T));
+    }
+    Src.close();
+    std::vector<std::int64_t> Tail;
+    FlexibleRegion Region = makeSPS(&Tail);
+    RegionRunner Runner(M, Costs, Region, Src);
+    RegionController Ctrl(Runner);
+    Watchdog Dog(Ctrl);
+    Ctrl.start(8);
+    Dog.start();
+    EXPECT_EQ(ir::runBounded(Sim, Runner), Rewinds);
+    EXPECT_GE(Dog.stallsDetected(), 1u);
+    if (!Rewinds) {
+      EXPECT_EQ(Runner.recoveries(), 0u);
+      EXPECT_LT(Tail.size(), 4000u);
+      continue;
+    }
+    EXPECT_GE(Runner.recoveries(), 1u);
+    ASSERT_EQ(Tail.size(), 4000u);
+    for (std::int64_t I = 0; I < 4000; ++I)
+      ASSERT_EQ(Tail[static_cast<std::size_t>(I)], I);
+  }
+}
+
 TEST(FaultInjection, WedgeRecoveryReplaysIdentically) {
   // The acceptance bar extends to wedge recovery: with the same seed and
   // the same wedge, two runs — straggler, wedge, stall, abortive replay

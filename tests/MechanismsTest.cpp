@@ -131,7 +131,7 @@ TEST(Tbf, FusionOnImbalance) {
   PipelineApp App = makeFerret();
   const RegionDesc &D = App.Region.variant(Scheme::PsDswp);
   RegionConfig C = evenConfig(App, Scheme::PsDswp, 2);
-  TbfMechanism M(/*EnableFusion=*/true, /*FusionImbalance=*/0.5);
+  TbfMechanism M(/*EnableFusion=*/true);
   // 60 vs 150 ms: imbalance 0.6 > 0.5 => fuse.
   auto Out = M.decide(makeView(
       D, C, {8e6, 60e6, 80e6, 70e6, 150e6, 5e6}, std::vector<double>(6, 0),

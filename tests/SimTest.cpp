@@ -14,6 +14,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -848,9 +849,9 @@ TEST(Power, EnergyIntegration) {
 }
 
 TEST(Power, MeterDetachesOnDestruction) {
-  // A meter destroyed before its machine detaches: busy work after it
-  // reaches no dead meter, and a later meter attaches and integrates its
-  // own lifetime only.
+  // A meter destroyed before its machine leaves nothing behind: busy work
+  // after it reaches no dead meter, and a later meter integrates its own
+  // lifetime only.
   Simulator Sim;
   Machine M(Sim, 2);
   PowerModel PM;
@@ -876,6 +877,70 @@ TEST(Power, MeterDetachesOnDestruction) {
   EXPECT_NEAR(Second.joules(), Own, 1e-6);
   EXPECT_LT(Second.joules(), 111.0); // not the two seconds before it
   EXPECT_NEAR(Second.currentWatts(), 100.0, 1e-9);
+}
+
+TEST(Power, GangHelpersDrawPower) {
+  // A gang compute's reserved helper cores count as busy: three cores for
+  // the gang's second plus one for the lone burst's half second.
+  class GangBody : public ThreadBody {
+  public:
+    Action resume(Machine &, SimThread &) override {
+      if (Done)
+        return Action::finish();
+      Done = true;
+      return Action::gangCompute(3, Sec);
+    }
+    bool Done = false;
+  };
+  Simulator Sim;
+  Machine M(Sim, 4);
+  PowerModel PM;
+  PM.StaticWatts = 100;
+  PM.PerCoreActiveWatts = 10;
+  EnergyMeter Meter(M, PM);
+  M.spawn("gang", std::make_unique<GangBody>());
+  M.spawn("lone", std::make_unique<BurstBody>(1, Sec / 2));
+  double WattsBoth = 0, WattsGang = 0;
+  Sim.schedule(Sec / 4, [&] { WattsBoth = Meter.currentWatts(); });
+  Sim.schedule(3 * Sec / 4, [&] { WattsGang = Meter.currentWatts(); });
+  Sim.run();
+  EXPECT_EQ(Sim.now(), Sec);
+  EXPECT_NEAR(WattsBoth, 140.0, 1e-9);
+  EXPECT_NEAR(WattsGang, 130.0, 1e-9);
+  EXPECT_NEAR(Meter.joules(), 100 * 1.0 + 10 * 3.5, 1e-6);
+  EXPECT_NEAR(Meter.currentWatts(), 100.0, 1e-9);
+}
+
+TEST(Power, OverlappingMetersEachIntegrateTheirOwnLifetime) {
+  // Two cores busy over [0, 1 s], one over [1 s, 2 s]. Meter A lives over
+  // [0, 1.25 s], meter B over [0.75 s, 2 s]; both watch the machine at once.
+  Simulator Sim;
+  Machine M(Sim, 2);
+  PowerModel PM;
+  PM.StaticWatts = 100;
+  PM.PerCoreActiveWatts = 10;
+  M.spawn("long", std::make_unique<BurstBody>(1, 2 * Sec));
+  M.spawn("short", std::make_unique<BurstBody>(1, Sec));
+  std::optional<EnergyMeter> A(std::in_place, M, PM);
+  std::optional<EnergyMeter> B;
+  double AJoules = 0, AWatts = 0, BWatts = 0;
+  Sim.schedule(3 * Sec / 4, [&] { B.emplace(M, PM); });
+  Sim.schedule(9 * Sec / 8, [&] {
+    AWatts = A->currentWatts();
+    BWatts = B->currentWatts();
+  });
+  Sim.schedule(5 * Sec / 4, [&] {
+    AJoules = A->joules();
+    A.reset();
+  });
+  Sim.run();
+  EXPECT_EQ(Sim.now(), 2 * Sec);
+  EXPECT_NEAR(AWatts, 110.0, 1e-9);
+  EXPECT_NEAR(BWatts, 110.0, 1e-9);
+  // A: 1.25 s static, 2 x 1 s + 1 x 0.25 s busy.
+  EXPECT_NEAR(AJoules, 100 * 1.25 + 10 * 2.25, 1e-6);
+  // B: 1.25 s static, 2 x 0.25 s + 1 x 1 s busy.
+  EXPECT_NEAR(B->joules(), 100 * 1.25 + 10 * 1.5, 1e-6);
 }
 
 TEST(Power, PduSamplerRate) {
